@@ -43,8 +43,8 @@ runWith(std::uint64_t seed, double dma_gbps, Tick poll_period,
                                 0xA1, nullptr, false);
     auto &gb = server.provision(core::InstanceCatalog::evaluated(),
                                 0xB1, nullptr, false);
-    ga.hypervisor().service().setPollPeriod(poll_period);
-    gb.hypervisor().service().setPollPeriod(poll_period);
+    ga.hypervisor().setPollPeriod(poll_period);
+    gb.hypervisor().setPollPeriod(poll_period);
     bed.sim.run(bed.sim.now() + msToTicks(1));
 
     auto a = GuestContext::of(ga);
@@ -122,7 +122,7 @@ main(int argc, char **argv)
             core::InstanceCatalog::evaluated(), 0xB2, nullptr,
             false);
         for (auto *g : {&ga, &gb}) {
-            g->hypervisor().service().setPollPeriod(usToTicks(30));
+            g->hypervisor().setPollPeriod(usToTicks(30));
             g->hypervisor().service().setPerPacketCost(
                 usToTicks(4));
         }

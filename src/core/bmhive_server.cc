@@ -157,18 +157,13 @@ void
 BmHiveServer::watchdogCheck()
 {
     watchdogChecks_.inc();
-    heartbeat_.resize(guests_.size(), 0);
     migrating_.resize(guests_.size(), false);
     for (unsigned i = 0; i < guests_.size(); ++i) {
-        if (!guests_[i]) {
-            heartbeat_[i] = 0; // tombstone: exported or released
-            continue;
-        }
+        if (!guests_[i])
+            continue; // tombstone: exported or released
         hv::BmHypervisor &hv = guests_[i]->hypervisor();
-        if (!hv.connected()) {
-            heartbeat_[i] = 0;
+        if (!hv.connected())
             continue;
-        }
         if (migrating_[i] && migrationWatchdogGuard_) {
             // Mid-migration the backend is *deliberately* quiet (the
             // drain stopped its service), so "no poll progress" is
@@ -181,42 +176,21 @@ BmHiveServer::watchdogCheck()
                 migrationAbortCb_(i);
             continue;
         }
-        if (sched_) {
-            // Shared mode: an idle backend legitimately stops
-            // being visited once its core sleeps, so the signal is
-            // per-pollable progress — work posted a whole period
-            // ago with no scheduler visit since — not a raw poll
-            // count.
-            if (hv.crashed() || hv.pollWedged(watchdogPeriod_)) {
-                Tick down_since = hv.crashed()
-                                      ? hv.crashedAt()
-                                      : curTick() - watchdogPeriod_;
-                warn(name(), ": guest", i,
-                     " backend made no poll progress; respawning");
-                hv.respawn();
-                watchdogRespawns_.inc();
-                recoveryTicks_.record(curTick() - down_since);
-                flightDump(i, "watchdog");
-            }
-            continue;
-        }
-        std::uint64_t beat = hv.service().pollsTotal();
-        // The poll loop runs every few microseconds when healthy,
-        // so an unchanged counter over a whole watchdog period
-        // means the process is dead or wedged.
-        if (hv.crashed() || beat == heartbeat_[i]) {
+        // Per-unit progress, under either policy: a Dedicated PMD
+        // unvisited for a whole period, or Shared work posted that
+        // long ago with no visit since (an idle Shared backend
+        // legitimately stops being visited once its core sleeps).
+        if (hv.crashed() || hv.wedged(watchdogPeriod_)) {
             Tick down_since = hv.crashed()
                                   ? hv.crashedAt()
                                   : curTick() - watchdogPeriod_;
             warn(name(), ": guest", i,
-                 " backend heartbeat lost; respawning");
+                 " backend made no poll progress; respawning");
             hv.respawn();
             watchdogRespawns_.inc();
             recoveryTicks_.record(curTick() - down_since);
             flightDump(i, "watchdog");
         }
-        // Snapshot the (possibly fresh) service's counter.
-        heartbeat_[i] = hv.service().pollsTotal();
     }
     if (watchdogPeriod_ > 0)
         scheduleIn(&watchdogEvent_, watchdogPeriod_);
@@ -413,8 +387,6 @@ BmHiveServer::tryProvision(const InstanceType &type,
         containment_[idx] = c;
         lastDumpAt_[idx] = maxTick;
         dumpSeq_[idx] = 0;
-        if (idx < heartbeat_.size())
-            heartbeat_[idx] = 0;
         if (idx < migrating_.size())
             migrating_[idx] = false;
     }
@@ -521,8 +493,6 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
     containment_[idx] = eg.containment;
     lastDumpAt_[idx] = eg.lastDumpAt;
     dumpSeq_[idx] = eg.dumpSeq;
-    if (idx < heartbeat_.size())
-        heartbeat_[idx] = 0;
     if (idx < migrating_.size())
         migrating_[idx] = false;
     ++usedSlots_;

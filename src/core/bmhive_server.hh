@@ -263,10 +263,10 @@ class BmHiveServer : public SimObject
     std::uint64_t statsDumps() const { return statsDumps_.value(); }
 
     /**
-     * Watch every guest's backend poll loop: the poll counter is
-     * the process heartbeat. A guest whose hypervisor crashed, or
-     * whose heartbeat did not advance over a whole period, is
-     * respawned and its shadow-vring state re-adopted. The outage
+     * Watch every guest's backend poll loops: a guest whose
+     * hypervisor crashed, or whose backend is wedged over a whole
+     * period (BmHypervisor::wedged), is respawned and its
+     * shadow-vring state re-adopted. The outage
      * duration (crash until the replacement is polling) lands in
      * "<name>.watchdog.recovery_ticks".
      */
@@ -484,7 +484,6 @@ class BmHiveServer : public SimObject
     unsigned nextCore_ = 0;
     Tick statsPeriod_ = 0; ///< 0: periodic dump disabled
     Tick watchdogPeriod_ = 0; ///< 0: watchdog disabled
-    std::vector<std::uint64_t> heartbeat_;
     std::vector<Containment> containment_;
     std::vector<bool> migrating_;
     bool migrationWatchdogGuard_ = true;

@@ -1,5 +1,6 @@
 #include "hv/bm_hypervisor.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/logging.hh"
@@ -7,6 +8,8 @@
 
 namespace bmhive {
 namespace hv {
+
+using Kind = VirtioIoService::UnitKind;
 
 BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
                            hw::ComputeBoard &board,
@@ -19,6 +22,7 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
     : SimObject(sim, std::move(name)), board_(board), bond_(bond),
       vswitch_(&vswitch), mac_(mac), storage_(storage),
       volume_(volume), rateLimited_(rate_limited),
+      loops_(sim, this->name() + ".loops"), sched_(&loops_),
       faultInjected_(
           metrics().counter(this->name() + ".fault.injected")),
       respawns_(metrics().counter(this->name() + ".respawns")),
@@ -30,7 +34,6 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
           this->name() + ".mq.passthrough_demotions"))
 {
     IoServiceParams params;
-    params.pollPeriod = paper::bmPollPeriod;
     // Each poll reads the IO-Bond mailbox over PCIe; each
     // completion batch writes the tail register (0.8 us, paper
     // section 3.4.3). Payload copies are IO-Bond DMA, not CPU.
@@ -50,6 +53,10 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
 
     bond_.setReadyCallback(
         [this](unsigned fn) { onFunctionReady(fn); });
+    // A doorbell carries (fn, q) so only the unit polling that queue
+    // spins up (a no-op on a Dedicated loop, which never sleeps).
+    bond_.setQueueWake(
+        [this](unsigned fn, unsigned q) { wakeQueue(fn, q); });
     // Guest set-queue-pairs commits reshape the vSwitch RSS spread
     // (a no-op until the port is in RSS mode).
     bond_.setQueuePairsCallback([this](unsigned fn,
@@ -65,10 +72,9 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
 
 BmHypervisor::~BmHypervisor()
 {
-    unregisterService();
+    unregisterUnits();
     sim_.faults().remove(name());
     bond_.setReadyCallback(nullptr);
-    bond_.setDoorbellWake(nullptr);
     bond_.setQueueWake(nullptr);
     bond_.setQueuePairsCallback(nullptr);
 }
@@ -83,281 +89,143 @@ BmHypervisor::useScheduler(sched::PollScheduler &s,
              ": scheduler core does not back this process's PMD");
     sched_ = &s;
     schedCore_ = core_index;
-    // The doorbell mailbox write is what wakes a sleeping poll
-    // core; handle_ tracks the current service generation.
-    bond_.setDoorbellWake([this] {
-        if (handle_.valid())
-            sched_->wake(handle_);
-    });
-    // MQ doorbells carry (fn, q) so only the queue's own unit
-    // spins up; falls back to the whole-service handle when the
-    // guest runs single-queue.
-    bond_.setQueueWake(
-        [this](unsigned fn, unsigned q) { wakeQueue(fn, q); });
 }
 
 void
 BmHypervisor::setPollWeight(double w)
 {
     pollWeight_ = w;
-    if (!sched_)
-        return;
-    if (handle_.valid())
-        sched_->setWeight(handle_, w);
-    if (queueRegs_.empty())
-        return;
-    bool want_pass = passthroughWanted_ && w >= 1.0;
-    if (want_pass != passthroughActive_) {
-        // Quarantine/Suspect demotes a passthrough guest back
-        // under the shared scheduler, where a fractional weight
-        // actually bites; full weight re-promotes.
-        if (!want_pass)
+    if (perQueue_ && passthroughDue() != (passQueues_ > 0)) {
+        // Quarantine/Suspect demotes a passthrough guest's units to
+        // the Shared policy, where a fractional weight actually
+        // bites; full weight re-promotes them.
+        if (!passthroughDue())
             mqPassDemotions_.inc();
-        unregisterQueueUnits();
-        registerQueueUnits();
+        unregisterUnits();
+        registerUnits();
         return;
     }
-    for (auto &r : queueRegs_) {
-        if (r.handle.valid())
-            sched_->setWeight(r.handle, w);
-    }
-    if (conHandle_.valid())
-        sched_->setWeight(conHandle_, w);
+    for (auto h : regs_)
+        sched_->setWeight(h, w);
 }
 
 void
 BmHypervisor::setMqPassthrough(bool on)
 {
     passthroughWanted_ = on;
-    if (!sched_ || queueRegs_.empty())
-        return;
-    if ((passthroughWanted_ && pollWeight_ >= 1.0) !=
-        passthroughActive_) {
-        unregisterQueueUnits();
-        registerQueueUnits();
+    if (perQueue_ && passthroughDue() != (passQueues_ > 0)) {
+        unregisterUnits();
+        registerUnits();
     }
 }
 
-unsigned
-BmHypervisor::passthroughQueues() const
+void
+BmHypervisor::setPollPeriod(Tick t)
 {
-    unsigned n = 0;
-    for (const auto &r : queueRegs_)
-        n += r.pass && r.pass->bound() ? 1 : 0;
-    return n;
+    pollPeriod_ = t;
+    for (auto h : regs_)
+        sched_->setPeriod(h, t);
 }
 
 bool
-BmHypervisor::pollWedged(Tick window) const
+BmHypervisor::wedged(Tick window) const
 {
-    if (!sched_)
-        return false;
-    if (handle_.valid() && sched_->wedged(handle_, window))
-        return true;
-    for (const auto &r : queueRegs_) {
-        // Passthrough units self-schedule; they cannot be starved
-        // by the shared scheduler, so they have no wedge signal.
-        if (r.handle.valid() && sched_->wedged(r.handle, window))
-            return true;
-    }
-    return conHandle_.valid() && sched_->wedged(conHandle_, window);
+    return std::any_of(regs_.begin(), regs_.end(), [&](auto h) {
+        return sched_->wedged(h, window);
+    });
 }
 
 void
 BmHypervisor::startService()
 {
-    if (!sched_) {
-        service_->start();
-        return;
-    }
-    service_->setExternallyDriven(true);
     service_->start();
-    if (service_->netPairCount() > 1 ||
-        service_->blkQueueCount() > 1) {
-        // Multi-queue: the DWRR scheduler (or a passthrough
-        // poller) owns each queue individually — registering the
-        // whole service as well would double-serve every ring.
-        registerQueueUnits();
-        return;
-    }
-    handle_ = sched_->add(schedCore_, *service_, pollWeight_);
-    if (flight_)
-        sched_->setFlightRecorder(handle_, flight_);
-    // Backend-side arrivals (vSwitch rx, console input) wake the
-    // core the same way guest doorbells do.
-    service_->setWakeHook([this] {
-        if (handle_.valid())
-            sched_->wake(handle_);
-    });
+    registerUnits();
 }
 
 void
-BmHypervisor::registerQueueUnits()
+BmHypervisor::registerUnits()
 {
-    VirtioIoService *svc = service_.get();
-    bool pass = passthroughWanted_ && pollWeight_ >= 1.0;
-    unsigned ncores = sched_->coreCount();
+    VirtioIoService &svc = *service_;
+    if (sched_ == &loops_) {
+        // One process, one PMD thread (paper section 3.4.2).
+        regs_.push_back(loops_.addDedicated(
+            *core_, svc.unit(Kind::Whole), pollPeriod_));
+        return;
+    }
+    perQueue_ = svc.netPairCount() > 1 || svc.blkQueueCount() > 1;
+    if (!perQueue_) {
+        share(svc.unit(Kind::Whole), schedCore_, svc.name());
+        return;
+    }
+    // Multi-queue: DWRR schedules queues, not guests, so each queue
+    // is its own unit (the whole service would double-serve every
+    // ring), spread round-robin outward from the home core so one
+    // guest's queues burn different poll cores in parallel.
+    // Passthrough puts each on a Dedicated loop of that core.
+    bool pass = passthroughDue();
     unsigned k = 0;
-    auto add = [&](bool net, unsigned idx) {
-        QueueReg r;
-        r.net = net;
-        r.idx = idx;
-        // Round-robin outward from the home core: one guest's
-        // queues burn different poll cores in parallel.
-        r.core = (schedCore_ + k++) % ncores;
-        hw::CpuExecutor *exec = &sched_->coreExecutor(r.core);
-        std::string qn = name() +
-                         (net ? ".mq.netp" : ".mq.blkq") +
-                         std::to_string(idx);
-        mq::QueuePollable::PollFn poll;
-        if (net) {
-            poll = [svc, idx, exec](unsigned b) {
-                return svc->servicePollNetPair(idx, b, exec);
-            };
-        } else {
-            poll = [svc, idx, exec](unsigned b) {
-                return svc->servicePollBlkQueue(idx, b, exec);
-            };
-        }
-        r.pollable = std::make_unique<mq::QueuePollable>(
-            qn, std::move(poll));
-        r.pollable->setAlive([svc] { return svc->alive(); });
-        r.pollable->setBlockedUntil(
-            [svc] { return svc->pollBlockedUntil(); });
+    auto add = [&](sched::Pollable &u, const std::string &label) {
+        unsigned core = (schedCore_ + k++) % sched_->coreCount();
         if (pass) {
-            // Generation-independent poller name: metric cells
-            // are get-or-create, so counters accumulate across
-            // respawns and demote/promote cycles.
-            r.pass = std::make_unique<mq::PassthroughPoller>(
-                sim_,
-                name() + (net ? ".mq.pass.netp" : ".mq.pass.blkq") +
-                    std::to_string(idx),
-                *exec);
-            r.pass->bind([p = r.pollable.get()](unsigned b) {
-                return p->servicePoll(b);
-            });
+            regs_.push_back(sched_->addDedicated(
+                sched_->coreExecutor(core), u, pollPeriod_));
             mqPassBinds_.inc();
         } else {
-            r.handle =
-                sched_->add(r.core, *r.pollable, pollWeight_);
-            if (flight_)
-                sched_->setFlightRecorder(r.handle, flight_);
+            share(u, core, label);
         }
         mqQueueRegs_.inc();
-        queueRegs_.push_back(std::move(r));
     };
-    for (unsigned p = 0; p < svc->netPairCount(); ++p)
-        add(true, p);
-    for (unsigned q = 0; q < svc->blkQueueCount(); ++q)
-        add(false, q);
-    passthroughActive_ = pass;
-
+    for (unsigned p = 0; p < svc.netPairCount(); ++p)
+        add(svc.unit(Kind::NetPair, p),
+            name() + ".mq.netp" + std::to_string(p));
+    for (unsigned q = 0; q < svc.blkQueueCount(); ++q)
+        add(svc.unit(Kind::BlkQueue, q),
+            name() + ".mq.blkq" + std::to_string(q));
+    passQueues_ = pass ? k : 0;
     // The console stays a small shared unit on the home core even
     // under passthrough — it is never the fast path.
-    conPollable_ = std::make_unique<mq::QueuePollable>(
-        name() + ".mq.con", [svc](unsigned b) {
-            return svc->servicePollConsole(b);
-        });
-    conPollable_->setAlive([svc] { return svc->alive(); });
-    conPollable_->setBlockedUntil(
-        [svc] { return svc->pollBlockedUntil(); });
-    conHandle_ = sched_->add(schedCore_, *conPollable_,
-                             pollWeight_);
-    if (flight_)
-        sched_->setFlightRecorder(conHandle_, flight_);
-
-    // Steered rx wakes only the target pair's unit; everything
-    // else backend-side (console input) wakes the home unit.
-    service_->setRxWakeHook([this](unsigned pair) {
-        for (auto &r : queueRegs_) {
-            if (r.net && r.idx == pair) {
-                if (r.pass)
-                    r.pass->wake();
-                else if (r.handle.valid())
-                    sched_->wake(r.handle);
-                return;
-            }
-        }
-    });
-    service_->setWakeHook([this] {
-        if (conHandle_.valid())
-            sched_->wake(conHandle_);
-    });
+    share(svc.unit(Kind::Console), schedCore_, name() + ".mq.con");
 }
 
 void
-BmHypervisor::unregisterQueueUnits()
+BmHypervisor::share(sched::Pollable &u, unsigned core,
+                    const std::string &label)
 {
-    for (auto &r : queueRegs_) {
-        if (r.handle.valid())
-            sched_->remove(r.handle);
-        if (r.pass)
-            r.pass->unbind();
-    }
-    queueRegs_.clear();
-    if (conHandle_.valid()) {
-        sched_->remove(conHandle_);
-        conHandle_ = {};
-    }
-    conPollable_.reset();
-    passthroughActive_ = false;
+    auto h = sched_->add(core, u, pollWeight_, label);
+    if (flight_)
+        sched_->setFlightRecorder(h, flight_);
+    regs_.push_back(h);
+}
+
+void
+BmHypervisor::unregisterUnits()
+{
+    for (auto h : regs_)
+        sched_->remove(h);
+    regs_.clear();
+    perQueue_ = false;
+    passQueues_ = 0;
 }
 
 void
 BmHypervisor::wakeQueue(unsigned fn, unsigned q)
 {
-    if (!queueRegs_.empty()) {
-        bool net = int(fn) == netFn_;
-        bool blk = int(fn) == blkFn_;
-        if (net || blk) {
-            // Net shadow queues interleave rx0,tx0,rx1,tx1: both
-            // directions of pair q/2 land on the same unit.
-            unsigned idx = net ? q / 2 : q;
-            for (auto &r : queueRegs_) {
-                if (r.net == net && r.idx == idx) {
-                    if (r.pass)
-                        r.pass->wake();
-                    else if (r.handle.valid())
-                        sched_->wake(r.handle);
-                    return;
-                }
-            }
-        }
-        // Console function (or a pair beyond what registered).
-        if (conHandle_.valid())
-            sched_->wake(conHandle_);
-        return;
-    }
-    if (handle_.valid())
-        sched_->wake(handle_);
+    // Net shadow queues interleave rx0,tx0,rx1,tx1: both directions
+    // of pair q/2 land on the same unit.
+    if (int(fn) == netFn_)
+        service_->wake(Kind::NetPair, q / 2);
+    else if (int(fn) == blkFn_)
+        service_->wake(Kind::BlkQueue, q);
+    else
+        service_->wake(Kind::Console);
 }
 
 void
 BmHypervisor::setFlightRecorder(obs::FlightRecorder *fr)
 {
     flight_ = fr;
-    if (!sched_)
-        return;
-    if (handle_.valid())
-        sched_->setFlightRecorder(handle_, fr);
-    for (auto &r : queueRegs_) {
-        if (r.handle.valid())
-            sched_->setFlightRecorder(r.handle, fr);
-    }
-    if (conHandle_.valid())
-        sched_->setFlightRecorder(conHandle_, fr);
-}
-
-void
-BmHypervisor::unregisterService()
-{
-    if (!sched_)
-        return;
-    if (handle_.valid()) {
-        sched_->remove(handle_);
-        handle_ = {};
-    }
-    unregisterQueueUnits();
+    for (auto h : regs_)
+        sched_->setFlightRecorder(h, fr);
 }
 
 bool
@@ -392,7 +260,7 @@ BmHypervisor::replaceService(const std::string &suffix)
 {
     if (service_->alive())
         service_->markDead();
-    unregisterService();
+    unregisterUnits();
     // Respawn and migration are triggered from the control
     // partition (watchdog, fleet controller); the fresh generation
     // must still home in this guest's partition, sharing its cell
@@ -459,23 +327,10 @@ BmHypervisor::migrateTo(hw::CpuExecutor &core,
         service_->markDead();
     // Drop the registration with the *source* scheduler before the
     // member is re-pointed at the target's.
-    unregisterService();
+    unregisterUnits();
     core_ = &core;
-    sched_ = sched;
+    sched_ = sched ? sched : &loops_;
     schedCore_ = core_index;
-    // Doorbell wakes must target the *new* scheduler (or nothing,
-    // under a dedicated loop on the target).
-    if (sched_) {
-        bond_.setDoorbellWake([this] {
-            if (handle_.valid())
-                sched_->wake(handle_);
-        });
-        bond_.setQueueWake(
-            [this](unsigned fn, unsigned q) { wakeQueue(fn, q); });
-    } else {
-        bond_.setDoorbellWake(nullptr);
-        bond_.setQueueWake(nullptr);
-    }
     ++migrations_;
     // No recoverQueue here: IoBond::rebase already republished the
     // in-flight window into the target server's memory; the fresh
@@ -510,7 +365,7 @@ BmHypervisor::powerOnGuest()
 void
 BmHypervisor::powerOffGuest()
 {
-    unregisterService();
+    unregisterUnits();
     service_->stop();
     connected_ = false;
     board_.powerOff();
@@ -728,7 +583,7 @@ BmHypervisor::finishUpgrade(Tick t0, std::function<void(Tick)> done)
         return;
     }
     ++upgrades_;
-    unregisterService();
+    unregisterUnits();
     auto next = std::make_unique<VirtioIoService>(
         sim_, name() + ".svc.v" + std::to_string(upgrades_ + 1),
         *core_, serviceParams_);

@@ -25,7 +25,6 @@
 #include "hv/io_service.hh"
 #include "hw/compute_board.hh"
 #include "iobond/iobond.hh"
-#include "mq/queue_pollable.hh"
 #include "obs/request_tracer.hh"
 #include "sched/poll_scheduler.hh"
 
@@ -67,50 +66,48 @@ class BmHypervisor : public SimObject
     bool connectBackends();
 
     /**
-     * Run this process's backend under a shared poll scheduler on
-     * @p core_index instead of a dedicated busy-poll loop. Must be
-     * called before connectBackends(); every service generation
-     * (respawn, live upgrade) re-registers itself, and IO-Bond
-     * doorbells post wakes toward the scheduler.
+     * Run this process's backend on the shared poll pool @p s, homed
+     * on pool core @p core_index, instead of a Dedicated loop of its
+     * own. Must be called before connectBackends(); every service
+     * generation (respawn, live upgrade) re-registers its units.
      */
     void useScheduler(sched::PollScheduler &s, unsigned core_index);
 
     /**
-     * Containment lever forwarded to the scheduler: 1.0 normal,
+     * Containment lever forwarded to the shared pool: 1.0 normal,
      * fractional deprioritized (Suspect), 0 starved (Quarantined).
      * No-op under dedicated polling.
      */
     void setPollWeight(double w);
 
-    /**
-     * Shared-mode liveness: work is posted but the scheduler has
-     * not visited this backend for @p window — the per-pollable
-     * progress signal the watchdog consumes.
-     */
-    bool pollWedged(Tick window) const;
+    /** Period of this process's Dedicated loops from their next
+     *  visit on (ablation studies). */
+    void setPollPeriod(Tick t);
 
-    /** Scheduler core this guest's backend is bound to (shared
-     *  mode only; meaningless under dedicated polling). */
-    unsigned schedCore() const { return schedCore_; }
-    bool scheduled() const { return sched_ != nullptr; }
+    /**
+     * Liveness, the one signal the watchdog consumes: some unit of
+     * this backend is wedged over @p window (see
+     * sched::PollScheduler::wedged).
+     */
+    bool wedged(Tick window) const;
 
     /**
      * Negotiated passthrough queue mode: each net pair / blk queue
-     * binds 1:1 to a dedicated backend poller with no shared DWRR
-     * dispatch stage in between (IO-Bond shadow-sync and copyv
+     * runs on a Dedicated loop of its own pool core, with no shared
+     * DWRR dispatch stage in between (IO-Bond shadow-sync and copyv
      * batching still apply). Takes effect when the queues register
      * (connect, respawn, migration); deprioritizing the guest below
-     * full weight — Suspect or Quarantined — demotes the queues
-     * back to shared scheduling, and restoring full weight
-     * re-promotes them. Shared-scheduler mode only.
+     * full weight — Suspect or Quarantined — re-registers the same
+     * units under the shared policy, and restoring full weight
+     * re-promotes them. Shared-pool mode only.
      */
     void setMqPassthrough(bool on);
     bool mqPassthrough() const { return passthroughWanted_; }
-    /** Queue units currently bound to dedicated pollers. */
-    unsigned passthroughQueues() const;
-    /** Per-queue scheduling in effect (MQ device under a shared
-     *  scheduler). */
-    bool perQueueScheduled() const { return !queueRegs_.empty(); }
+    /** Queue units currently on Dedicated loops. */
+    unsigned passthroughQueues() const { return passQueues_; }
+    /** Per-queue scheduling in effect (MQ device on the shared
+     *  pool). */
+    bool perQueueScheduled() const { return perQueue_; }
 
     /**
      * Apply a guest firmware update; refused unless signed by the
@@ -174,7 +171,8 @@ class BmHypervisor : public SimObject
      * dead process's unfinished shadow-vring work via IO-Bond's
      * recovery path, then attach a fresh service whose device
      * views resume from the rings' live indices. The watchdog in
-     * BmHiveServer calls this when a guest's heartbeat stops.
+     * BmHiveServer calls this when a guest's backend crashed or
+     * wedged.
      */
     void respawn();
 
@@ -194,7 +192,7 @@ class BmHypervisor : public SimObject
      * and retired service generations ride along — but the PMD
      * now runs on @p core and the fresh service generation's
      * device views resume from the rebased shadow rings. Pass a
-     * null @p sched for a dedicated poll loop on the target.
+     * null @p sched for a Dedicated poll loop on the target.
      */
     void migrateTo(hw::CpuExecutor &core,
                    sched::PollScheduler *sched, unsigned core_index);
@@ -248,31 +246,20 @@ class BmHypervisor : public SimObject
     std::function<void(const std::string &)> consoleSink_;
     hw::CpuExecutor *core_ = nullptr;
     IoServiceParams serviceParams_;
-    sched::PollScheduler *sched_ = nullptr;
+    /** Period of this process's Dedicated loops. */
+    Tick pollPeriod_ = paper::bmPollPeriod;
+    /** Loops of this process's own: its PMD under dedicated
+     *  polling. Homed with the guest, so they migrate with it. */
+    sched::PollScheduler loops_;
+    /** Where the units register: the shared pool, or loops_. */
+    sched::PollScheduler *sched_;
     unsigned schedCore_ = 0;
-    sched::PollScheduler::Handle handle_;
     double pollWeight_ = 1.0;
-
-    /**
-     * One per-queue scheduling unit: a net pair or blk submission
-     * queue registered with the shared scheduler (DWRR schedules
-     * queues, not guests) or bound 1:1 to a passthrough poller.
-     */
-    struct QueueReg
-    {
-        std::unique_ptr<mq::QueuePollable> pollable;
-        sched::PollScheduler::Handle handle; ///< shared mode
-        std::unique_ptr<mq::PassthroughPoller> pass;
-        unsigned core = 0; ///< scheduler core index
-        bool net = false;  ///< net pair vs blk queue
-        unsigned idx = 0;  ///< pair / queue index
-    };
-    std::vector<QueueReg> queueRegs_;
-    /** Console as its own small unit on the home core. */
-    sched::PollScheduler::Handle conHandle_;
-    std::unique_ptr<mq::QueuePollable> conPollable_;
+    /** The current service generation's registrations. */
+    std::vector<sched::PollScheduler::Handle> regs_;
+    bool perQueue_ = false;
+    unsigned passQueues_ = 0;
     bool passthroughWanted_ = false;
-    bool passthroughActive_ = false;
     bool connected_ = false;
     bool blkIntegrity_ = false;
     unsigned upgrades_ = 0;
@@ -301,21 +288,30 @@ class BmHypervisor : public SimObject
     /** Point bond and service at the tracers (post-connect). */
     void wireTracers();
 
-    /** Start the current service generation: dedicated poll loop,
-     *  or registration with the shared scheduler. */
+    /** Start the current service generation and register its
+     *  units. */
     void startService();
-    /** Per-queue registration (MQ under a shared scheduler):
-     *  spread the queue units across the scheduler's cores. */
-    void registerQueueUnits();
-    void unregisterQueueUnits();
-    /** Route an IO-Bond (fn, q) doorbell to its queue unit. */
+    /**
+     * The one registration path: the whole service on a Dedicated
+     * loop of its own core, or on the shared pool — per queue for a
+     * multi-queue guest, Dedicated per queue under passthrough.
+     */
+    void registerUnits();
+    void unregisterUnits();
+    /** Register @p u on pool core @p core under the Shared policy. */
+    void share(sched::Pollable &u, unsigned core,
+               const std::string &label);
+    /** Passthrough wanted and allowed at the current weight. */
+    bool passthroughDue() const
+    {
+        return passthroughWanted_ && pollWeight_ >= 1.0;
+    }
+    /** Route an IO-Bond (fn, q) doorbell to the unit polling it. */
     void wakeQueue(unsigned fn, unsigned q);
     /** Retire service_ and attach a fresh generation named
      *  "<name>.svc.<suffix>" on core_; shared by respawn (after
      *  recoverQueue) and migrateTo (after IoBond::rebase). */
     void replaceService(const std::string &suffix);
-    /** Drop the current service's scheduler registration. */
-    void unregisterService();
 
     /** Attach one function's role to service_ if its shadow
      *  vrings are ready. */

@@ -1,6 +1,5 @@
 #include "hv/io_service.hh"
 
-#include <limits>
 #include <utility>
 
 #include "base/logging.hh"
@@ -17,8 +16,6 @@ VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
                                  hw::CpuExecutor &core,
                                  IoServiceParams params)
     : SimObject(sim, std::move(name)), core_(core), params_(params),
-      pollEvent_([this] { poll(); }, this->name() + ".poll",
-                 Event::pollPri),
       txPkts_(metrics().counter(this->name() + ".tx_pkts")),
       rxPkts_(metrics().counter(this->name() + ".rx_pkts")),
       blkIos_(metrics().counter(this->name() + ".blk_ios")),
@@ -44,12 +41,7 @@ VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
           metrics().histogram(this->name() + ".poll.batch", 0, 1024,
                               32))
 {
-}
-
-VirtioIoService::~VirtioIoService()
-{
-    if (pollEvent_.scheduled())
-        eventq().deschedule(&pollEvent_);
+    units_.emplace_back(*this, UnitKind::Whole, 0);
 }
 
 void
@@ -167,8 +159,30 @@ void
 VirtioIoService::consoleInput(const std::string &text)
 {
     conPending_.push_back(text);
-    if (wakeHook_)
-        wakeHook_();
+    wake(UnitKind::Console);
+}
+
+sched::Pollable &
+VirtioIoService::unit(UnitKind kind, unsigned idx)
+{
+    for (auto &u : units_) {
+        if (u.kind == kind && u.idx == idx)
+            return u;
+    }
+    return units_.emplace_back(*this, kind, idx);
+}
+
+void
+VirtioIoService::wake(UnitKind kind, unsigned idx)
+{
+    // Whichever registered unit polls the queue: its own, or the
+    // whole service.
+    for (auto &u : units_) {
+        if (u.registered() && u.covers(kind, idx)) {
+            u.wake();
+            return;
+        }
+    }
 }
 
 void
@@ -269,10 +283,7 @@ VirtioIoService::enqueueRx(const cloud::Packet &pkt, unsigned pair)
         return;
     }
     np.rxPending.push_back(pkt);
-    if (rxWakeHook_)
-        rxWakeHook_(pair);
-    else if (wakeHook_)
-        wakeHook_();
+    wake(UnitKind::NetPair, pair);
 }
 
 void
@@ -280,24 +291,22 @@ VirtioIoService::start()
 {
     panic_if(running_, name(), ": started twice");
     running_ = true;
-    if (!externallyDriven_)
-        scheduleNext();
 }
 
 void
 VirtioIoService::stop()
 {
     running_ = false;
-    if (pollEvent_.scheduled())
-        eventq().deschedule(&pollEvent_);
+    for (auto &u : units_)
+        u.replan();
 }
 
 void
 VirtioIoService::stall(Tick duration)
 {
     stallUntil_ = std::max(stallUntil_, curTick() + duration);
-    if (running_ && !externallyDriven_)
-        eventq().reschedule(&pollEvent_, stallUntil_);
+    for (auto &u : units_)
+        u.replan();
 }
 
 void
@@ -309,52 +318,49 @@ VirtioIoService::markDead()
     blkInflight_ = 0;
 }
 
-void
-VirtioIoService::scheduleNext()
-{
-    if (!running_)
-        return;
-    Tick next = curTick() + params_.pollPeriod;
-    if (core_.busyUntil() > next)
-        next = core_.busyUntil();
-    if (stallUntil_ > next)
-        next = stallUntil_;
-    eventq().reschedule(&pollEvent_, next);
-}
-
-void
-VirtioIoService::poll()
-{
-    servicePoll(std::numeric_limits<unsigned>::max());
-    scheduleNext();
-}
-
 unsigned
-VirtioIoService::servicePoll(unsigned budget)
+VirtioIoService::drain(const Unit &u, unsigned budget,
+                       hw::CpuExecutor &core)
 {
-    if (params_.pollRegisterCost > 0)
-        core_.charge(params_.pollRegisterCost);
+    // A queue the guest never set up (or dropped on a re-init) makes
+    // no visit: nothing is charged or counted.
+    if ((u.kind == UnitKind::NetPair &&
+         (u.idx >= netPairs_.size() || !netPairs_[u.idx].tx)) ||
+        (u.kind == UnitKind::BlkQueue &&
+         (u.idx >= blkQueues_.size() || !blkQueues_[u.idx].vq)) ||
+        (u.kind == UnitKind::Console && !conTx_))
+        return 0;
+    // Every visit reads the mailbox but the console's: it rides the
+    // home core and is never the fast path.
+    if (u.kind != UnitKind::Console && params_.pollRegisterCost > 0)
+        core.charge(params_.pollRegisterCost);
+    const bool shared = u.sharedLoop();
     // Drain until the budget is spent or a full pass over every
-    // role (and every queue of each role) finds nothing: work that
-    // appears mid-visit (rx buffers replenished, a burst published
-    // while a role was draining) is picked up now rather than
-    // waiting out a poll period. Each queue signals its completion
-    // barrier once per drained pass, not once per chain.
+    // covered queue finds nothing: work that appears mid-visit (rx
+    // buffers replenished, a burst published while a queue was
+    // draining) is picked up now rather than waiting out a poll
+    // period.
     unsigned work = 0;
     while (work < budget) {
         unsigned pass = 0;
-        for (auto &np : netPairs_) {
+        for (unsigned p = 0; p < netPairs_.size(); ++p) {
+            NetPair &np = netPairs_[p];
+            if (!u.covers(UnitKind::NetPair, p))
+                continue;
             if (np.tx && work + pass < budget)
-                pass += pollNetTx(np, budget - work - pass, core_);
+                pass += pollNetTx(np, budget - work - pass, core,
+                                  shared);
             if (np.rx && work + pass < budget)
-                pass += pollNetRx(np, budget - work - pass, core_);
+                pass += pollNetRx(np, budget - work - pass, core);
         }
         for (unsigned q = 0; q < blkQueues_.size(); ++q) {
-            if (blkQueues_[q].vq && work + pass < budget)
-                pass += pollBlk(q, budget - work - pass, core_);
+            if (u.covers(UnitKind::BlkQueue, q) && blkQueues_[q].vq &&
+                work + pass < budget)
+                pass += pollBlk(q, budget - work - pass, core, shared);
         }
-        if (conTx_ && work + pass < budget)
-            pass += pollConsole(budget - work - pass);
+        if (u.covers(UnitKind::Console, 0) && conTx_ &&
+            work + pass < budget)
+            pass += pollConsole(budget - work - pass, core);
         work += pass;
         if (pass == 0)
             break;
@@ -363,80 +369,12 @@ VirtioIoService::servicePoll(unsigned budget)
     if (work > 0)
         pollsBusy_.inc();
     pollBatch_.record(double(work));
-    return work;
-}
-
-unsigned
-VirtioIoService::servicePollNetPair(unsigned pair, unsigned budget,
-                                    hw::CpuExecutor *core)
-{
-    if (pair >= netPairs_.size() || !netPairs_[pair].tx)
-        return 0;
-    hw::CpuExecutor &exec = core ? *core : core_;
-    if (params_.pollRegisterCost > 0)
-        exec.charge(params_.pollRegisterCost);
-    NetPair &np = netPairs_[pair];
-    unsigned work = 0;
-    while (work < budget) {
-        unsigned pass = 0;
-        pass += pollNetTx(np, budget - work - pass, exec);
-        if (work + pass < budget)
-            pass += pollNetRx(np, budget - work - pass, exec);
-        work += pass;
-        if (pass == 0)
-            break;
-    }
-    pollsTotal_.inc();
-    if (work > 0)
-        pollsBusy_.inc();
-    pollBatch_.record(double(work));
-    return work;
-}
-
-unsigned
-VirtioIoService::servicePollBlkQueue(unsigned q, unsigned budget,
-                                     hw::CpuExecutor *core)
-{
-    if (q >= blkQueues_.size() || !blkQueues_[q].vq)
-        return 0;
-    hw::CpuExecutor &exec = core ? *core : core_;
-    if (params_.pollRegisterCost > 0)
-        exec.charge(params_.pollRegisterCost);
-    unsigned work = 0;
-    while (work < budget) {
-        unsigned served = pollBlk(q, budget - work, exec);
-        work += served;
-        if (served == 0)
-            break;
-    }
-    pollsTotal_.inc();
-    if (work > 0)
-        pollsBusy_.inc();
-    pollBatch_.record(double(work));
-    return work;
-}
-
-unsigned
-VirtioIoService::servicePollConsole(unsigned budget)
-{
-    if (!conTx_)
-        return 0;
-    unsigned work = 0;
-    while (work < budget) {
-        unsigned served = pollConsole(budget - work);
-        work += served;
-        if (served == 0)
-            break;
-    }
-    pollsTotal_.inc();
-    if (work > 0)
-        pollsBusy_.inc();
     return work;
 }
 
 unsigned
 VirtioIoService::pollNetTx(NetPair &np, unsigned max,
-                           hw::CpuExecutor &core)
+                           hw::CpuExecutor &core, bool shared)
 {
     // One batched drain: every chain available at this visit is
     // popped, processed, and completed together; one used-index
@@ -449,10 +387,10 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
     used.reserve(chains.size());
     for (const auto &chain : chains) {
         if (netTracer_) {
-            // Under a shared scheduler the wait for a poll visit
-            // is its own stage; dedicated polling never stamps it
-            // and the pickup span carries the whole wait.
-            if (externallyDriven_)
+            // On a Shared loop the wait for a poll visit is its
+            // own stage; a Dedicated loop never stamps it and the
+            // pickup span carries the whole wait.
+            if (shared)
                 netTracer_->stamp(np.txKeyBase | chain.head,
                                   obs::Stage::SchedDelay,
                                   curTick());
@@ -538,7 +476,7 @@ VirtioIoService::pollNetRx(NetPair &np, unsigned max,
 }
 
 unsigned
-VirtioIoService::pollConsole(unsigned max)
+VirtioIoService::pollConsole(unsigned max, hw::CpuExecutor &core)
 {
     // Guest output: drain the tx queue into the sink.
     unsigned out = 0;
@@ -554,14 +492,14 @@ VirtioIoService::pollConsole(unsigned max)
             text.append(blob.begin(), blob.end());
         }
         conTx_->pushUsed(chain->head, 0);
-        core_.charge(usToTicks(0.5));
+        core.charge(usToTicks(0.5));
         if (consoleSink_)
             consoleSink_(text);
         ++out;
     }
     if (out > 0) {
         if (params_.completionRegisterCost > 0)
-            core_.charge(params_.completionRegisterCost);
+            core.charge(params_.completionRegisterCost);
         if (conTxDone_)
             conTxDone_();
     }
@@ -591,7 +529,7 @@ VirtioIoService::pollConsole(unsigned max)
     }
     if (in > 0) {
         if (params_.completionRegisterCost > 0)
-            core_.charge(params_.completionRegisterCost);
+            core.charge(params_.completionRegisterCost);
         if (conRxDone_)
             conRxDone_();
     }
@@ -608,7 +546,7 @@ VirtioIoService::blkExecutor(unsigned q)
 
 unsigned
 VirtioIoService::pollBlk(unsigned q, unsigned max,
-                         hw::CpuExecutor &core)
+                         hw::CpuExecutor &core, bool shared)
 {
     BlkQueue &bq = blkQueues_[q];
     // Completions for this queue follow the core that polls it, so
@@ -628,7 +566,7 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
             break;
         ++picked;
         if (blkTracer_) {
-            if (externallyDriven_)
+            if (shared)
                 blkTracer_->stamp(bq.keyBase | chain->head,
                                   obs::Stage::SchedDelay,
                                   curTick());

@@ -19,13 +19,17 @@
  * Multi-queue: the net role holds a vector of rx/tx queue pairs
  * and the blk role a vector of submission queues. Pair/queue 0 is
  * attached through the classic attachNet/attachBlk entry points;
- * further queues through attachNetPair/attachBlkQueue. Each queue
- * can be serviced independently via servicePollNetPair /
- * servicePollBlkQueue with an explicit executor, so a shared DWRR
- * scheduler (or a dedicated passthrough poller) can spread one
- * guest's queues across poll cores — the costs charge to the core
- * actually doing the work, which is what makes multi-queue PPS
- * scale past a single poller.
+ * further queues through attachNetPair/attachBlkQueue.
+ *
+ * The service runs no loop of its own: it owns scheduling units
+ * (sched::Pollable) that a PollScheduler loop visits, and one drain
+ * routine serves them all. The whole service is one unit (the PMD
+ * of one bm-hypervisor or vhost process); a multi-queue guest under
+ * the shared pool splits into one unit per net pair, per blk queue,
+ * and the console, so one guest's queues can burn different poll
+ * cores in parallel — the costs charge to the core actually doing
+ * the work, which is what makes multi-queue PPS scale past a single
+ * poller.
  */
 
 #ifndef BMHIVE_HV_IO_SERVICE_HH
@@ -56,8 +60,6 @@ namespace hv {
 /** Timing knobs distinguishing the two backend flavours. */
 struct IoServiceParams
 {
-    /** Poll period of the PMD loop. */
-    Tick pollPeriod = paper::backendPollPeriod;
     /** Register read at the top of each poll (bm: mailbox). */
     Tick pollRegisterCost = 0;
     /** Register write per completion batch (bm: tail register). */
@@ -96,12 +98,11 @@ struct IoServiceParams
  */
 using CompletionBarrier = std::function<void()>;
 
-class VirtioIoService : public SimObject, public sched::Pollable
+class VirtioIoService : public SimObject
 {
   public:
     VirtioIoService(Simulation &sim, std::string name,
                     hw::CpuExecutor &core, IoServiceParams params);
-    ~VirtioIoService() override;
 
     /**
      * Attach the network role: device views of the guest's rx/tx
@@ -165,9 +166,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
     /** Per-packet processing cost (PMD burst mode amortizes it). */
     void setPerPacketCost(Tick t) { params_.perPacketCost = t; }
 
-    /** Poll period of the PMD loop (ablation studies). */
-    void setPollPeriod(Tick t) { params_.pollPeriod = t; }
-
     /**
      * Run block completions on @p core instead of the main poll
      * core (the vm baseline uses a separate, preemptible
@@ -175,70 +173,23 @@ class VirtioIoService : public SimObject, public sched::Pollable
      */
     void setBlkCore(hw::CpuExecutor *core) { blkCore_ = core; }
 
-    /** Begin the poll loop. */
+    /** Accept work: the service's units may now be visited. */
     void start();
 
-    /**
-     * Hand the poll loop to an external driver (the shared
-     * PollScheduler): start()/stall() stop scheduling the
-     * dedicated poll event and the driver calls servicePoll()
-     * instead. Must be set before start().
-     */
-    void setExternallyDriven(bool b) { externallyDriven_ = b; }
-    bool externallyDriven() const { return externallyDriven_; }
+    /** What a scheduling unit polls: the whole service (every role
+     *  and queue), or one net pair, one blk queue, or the console. */
+    enum class UnitKind { Whole, NetPair, BlkQueue, Console };
+
+    /** Scheduling unit for queue @p idx of @p kind, for the owner to
+     *  register with a loop. */
+    sched::Pollable &unit(UnitKind kind, unsigned idx = 0);
 
     /**
-     * Called whenever backend-side work arrives outside the guest
-     * doorbell path (vSwitch rx delivery, console input) so an
-     * external driver can wake a sleeping poll core.
+     * Work arrived for queue @p idx of @p kind (a guest doorbell,
+     * vSwitch rx delivery, console input): wake whichever registered
+     * unit polls it.
      */
-    void setWakeHook(std::function<void()> hook)
-    {
-        wakeHook_ = std::move(hook);
-    }
-
-    /**
-     * Per-pair variant for multi-queue backends: rx delivery onto
-     * pair @p k wakes only that pair's pollable. When set it
-     * replaces the coarse hook for steered deliveries.
-     */
-    void setRxWakeHook(std::function<void(unsigned)> hook)
-    {
-        rxWakeHook_ = std::move(hook);
-    }
-
-    // --- sched::Pollable ---
-    /**
-     * One budget-capped scheduler visit: passes over every
-     * attached role (all queue pairs) until the budget is spent or
-     * a full pass finds no work, draining each role as a batch —
-     * one used-ring publish, one completion-register charge, and
-     * one completion barrier per role per drained pass, never per
-     * chain.
-     */
-    unsigned servicePoll(unsigned budget) override;
-    bool pollAlive() const override { return running_; }
-    Tick pollBlockedUntil() const override { return stallUntil_; }
-    const std::string &pollableName() const override
-    {
-        return name();
-    }
-
-    /**
-     * Per-queue scheduling units: service exactly one net queue
-     * pair (tx then rx) or one blk submission queue, charging CPU
-     * costs to @p core (defaults to the service's own core). These
-     * are what per-queue QueuePollables and passthrough pollers
-     * call, so one guest's queues can burn different poll cores in
-     * parallel.
-     */
-    unsigned servicePollNetPair(unsigned pair, unsigned budget,
-                                hw::CpuExecutor *core = nullptr);
-    unsigned servicePollBlkQueue(unsigned q, unsigned budget,
-                                 hw::CpuExecutor *core = nullptr);
-    /** Console-only visit (per-queue mode leaves the console as
-     *  its own small scheduling unit on the home core). */
-    unsigned servicePollConsole(unsigned budget);
+    void wake(UnitKind kind, unsigned idx = 0);
 
     unsigned netPairCount() const
     {
@@ -258,7 +209,7 @@ class VirtioIoService : public SimObject, public sched::Pollable
 
     /** Block I/Os submitted but not yet completed. */
     std::uint64_t blkInflight() const { return blkInflight_; }
-    /** Stop polling (guest powered off / destroyed). */
+    /** Stop accepting work (guest powered off / destroyed). */
     void stop();
 
     /**
@@ -421,15 +372,54 @@ class VirtioIoService : public SimObject, public sched::Pollable
         unsigned attempt = 0;
     };
 
-    void poll();
+    /** One scheduling unit: the slice of this service a loop
+     *  visits. */
+    struct Unit final : sched::Pollable
+    {
+        Unit(VirtioIoService &s, UnitKind k, unsigned i)
+            : svc(s), kind(k), idx(i)
+        {}
+
+        unsigned
+        servicePoll(unsigned budget, hw::CpuExecutor &core) override
+        {
+            return svc.drain(*this, budget, core);
+        }
+        bool pollAlive() const override { return svc.running_; }
+        Tick
+        pollBlockedUntil() const override
+        {
+            return svc.stallUntil_;
+        }
+
+        /** Does this unit poll queue @p i of role @p k? */
+        bool
+        covers(UnitKind k, unsigned i) const
+        {
+            return kind == UnitKind::Whole || (kind == k && idx == i);
+        }
+
+        VirtioIoService &svc;
+        const UnitKind kind;
+        const unsigned idx;
+    };
+
+    /**
+     * One visit of unit @p u: passes over every queue it covers
+     * until the budget is spent or a full pass finds no work,
+     * draining each queue as a batch — one used-ring publish, one
+     * completion-register charge, and one completion barrier per
+     * queue per drained pass, never per chain.
+     */
+    unsigned drain(const Unit &u, unsigned budget,
+                   hw::CpuExecutor &core);
     unsigned pollNetTx(NetPair &np, unsigned max,
-                       hw::CpuExecutor &core);
+                       hw::CpuExecutor &core, bool shared);
     unsigned pollNetRx(NetPair &np, unsigned max,
                        hw::CpuExecutor &core);
-    unsigned pollBlk(unsigned q, unsigned max,
-                     hw::CpuExecutor &core);
-    unsigned pollConsole(unsigned max);
-    void scheduleNext();
+    unsigned pollBlk(unsigned q, unsigned max, hw::CpuExecutor &core,
+                     bool shared);
+    unsigned pollConsole(unsigned max, hw::CpuExecutor &core);
     void submitBlkAttempt(std::uint64_t seq, Tick copy_cost);
     void onBlkServiceDone(std::uint64_t seq, std::uint64_t gen,
                           bool wire_corrupt);
@@ -470,10 +460,10 @@ class VirtioIoService : public SimObject, public sched::Pollable
         cloud::DualRateLimiter::unlimited();
 
     bool running_ = false;
-    bool externallyDriven_ = false;
     bool blkIntegrity_ = false;
-    std::function<void()> wakeHook_;
-    std::function<void(unsigned)> rxWakeHook_;
+    /** Whole service first, then per-queue units as asked for
+     *  (a deque: registered units must not move). */
+    std::deque<Unit> units_;
     std::uint64_t blkInflight_ = 0;
     std::map<std::uint64_t, PendingBlk> blkPending_;
     std::uint64_t blkNextSeq_ = 0;
@@ -481,7 +471,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
      *  timers carrying an older generation are ignored. */
     std::uint64_t blkGen_ = 0;
     Tick stallUntil_ = 0;
-    EventFunctionWrapper pollEvent_;
     /** Registry-backed: accessors and exports read the same cell. */
     Counter &txPkts_;
     Counter &rxPkts_;

@@ -967,12 +967,10 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
         flight_->record(curTick(), obs::FlightEvent::DoorbellAccept,
                         fi, q);
     // An accepted mailbox write is what a sleeping poll core
-    // observes; the per-queue hook carries the queue identity so
-    // only that queue's pollable is woken.
+    // observes; the hook carries the queue identity so only the
+    // unit polling that queue is woken.
     if (queueWake_)
         queueWake_(fi, q);
-    else if (doorbellWake_)
-        doorbellWake_();
     // The notification crosses to the mailbox side of the FPGA
     // before descriptor fetch begins.
     auto *ev = new OneShotEvent(
@@ -1081,8 +1079,6 @@ IoBond::syncAvail(unsigned fn, unsigned q)
             // so swept-up chains never wait on a sleeping core.
             if (queueWake_)
                 queueWake_(fn, q);
-            else if (doorbellWake_)
-                doorbellWake_();
         });
     return picked;
 }

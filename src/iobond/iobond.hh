@@ -221,22 +221,12 @@ class IoBond : public SimObject
     }
 
     /**
-     * Invoked when an accepted doorbell (or a resync sweep)
-     * publishes guest work toward the backend — the mailbox write
-     * a shared poll scheduler uses to wake a sleeping poll core.
-     * Quarantined, dropped, and storm-throttled doorbells post no
-     * wake: a contained guest cannot spin a core back up.
-     */
-    void setDoorbellWake(std::function<void()> hook)
-    {
-        doorbellWake_ = std::move(hook);
-    }
-
-    /**
-     * Per-queue variant of setDoorbellWake for multi-queue
-     * backends: the wake carries (fn, q) so the scheduler can wake
-     * exactly the pollable registered for that queue. When set it
-     * replaces the coarse hook.
+     * Invoked with (fn, q) when an accepted doorbell (or a resync
+     * sweep) publishes guest work toward the backend — the mailbox
+     * write a shared poll scheduler uses to wake the sleeping core
+     * of exactly the unit polling that queue. Quarantined, dropped,
+     * and storm-throttled doorbells post no wake: a contained guest
+     * cannot spin a core back up.
      */
     void setQueueWake(std::function<void(unsigned, unsigned)> hook)
     {
@@ -581,7 +571,6 @@ class IoBond : public SimObject
     std::vector<TokenBucket> fnDoorbells_;
     Tracer tracer_;
     std::function<void(unsigned)> readyCb_;
-    std::function<void()> doorbellWake_;
     std::function<void(unsigned, unsigned)> queueWake_;
     std::function<void(unsigned, unsigned)> queuePairsCb_;
     std::function<void(unsigned)> resetCb_;

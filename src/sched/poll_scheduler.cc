@@ -1,6 +1,7 @@
 #include "sched/poll_scheduler.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "base/logging.hh"
@@ -8,18 +9,37 @@
 namespace bmhive {
 namespace sched {
 
+void
+Pollable::wake()
+{
+    if (sched_)
+        sched_->wake(handle_);
+}
+
+void
+Pollable::replan()
+{
+    if (sched_)
+        sched_->replan(handle_);
+}
+
+bool
+Pollable::sharedLoop() const
+{
+    return sched_ && handle_.loop < sched_->coreCount();
+}
+
 PollScheduler::PollScheduler(Simulation &sim, std::string name,
                              std::vector<hw::CpuExecutor *> cores,
                              PollSchedulerParams params)
-    : SimObject(sim, std::move(name)), params_(params)
+    : SimObject(sim, std::move(name)), params_(params),
+      sharedCores_(unsigned(cores.size()))
 {
-    fatal_if(cores.empty(), this->name(),
-             ": a poll scheduler needs at least one core");
     fatal_if(params_.quantum == 0, this->name(),
              ": DWRR quantum must be positive");
-    cores_.resize(cores.size());
+    loops_.resize(cores.size());
     for (unsigned i = 0; i < cores.size(); ++i) {
-        Core &c = cores_[i];
+        Loop &c = loops_[i];
         c.exec = cores[i];
         c.period = params_.pollPeriod;
         std::string base =
@@ -33,7 +53,7 @@ PollScheduler::PollScheduler(Simulation &sim, std::string name,
         c.roundItems =
             &metrics().histogram(base + ".round_items", 0, 1024, 32);
         c.wakeToPoll = &metrics().latency(base + ".wake_to_poll");
-        c.roundEvent = std::make_unique<EventFunctionWrapper>(
+        c.event = std::make_unique<EventFunctionWrapper>(
             [this, i] { runRound(i); }, base + ".round",
             Event::pollPri);
     }
@@ -41,43 +61,58 @@ PollScheduler::PollScheduler(Simulation &sim, std::string name,
 
 PollScheduler::~PollScheduler()
 {
-    for (Core &c : cores_) {
-        if (c.roundEvent->scheduled())
-            eventq().deschedule(c.roundEvent.get());
+    for (Loop &l : loops_) {
+        if (l.event->scheduled())
+            eventq().deschedule(l.event.get());
     }
 }
 
 hw::CpuExecutor &
 PollScheduler::coreExecutor(unsigned i)
 {
-    panic_if(i >= cores_.size(), name(), ": bad core ", i);
-    return *cores_[i].exec;
+    panic_if(i >= sharedCores_, name(), ": bad core ", i);
+    return *loops_[i].exec;
 }
 
 unsigned
 PollScheduler::leastLoadedCore() const
 {
-    unsigned best = 0;
-    for (unsigned i = 1; i < cores_.size(); ++i) {
-        if (cores_[i].members.size() <
-            cores_[best].members.size())
-            best = i;
+    // A Dedicated loop on a pool core's executor (a passthrough
+    // queue) occupies that core as much as a Shared unit does.
+    std::vector<std::size_t> load(sharedCores_);
+    for (unsigned li = 0; li < loops_.size(); ++li) {
+        const Loop &l = loops_[li];
+        for (unsigned c = 0; c < sharedCores_; ++c) {
+            if (l.exec == loops_[c].exec)
+                load[c] += l.members.size();
+        }
     }
-    return best;
+    return unsigned(std::min_element(load.begin(), load.end()) -
+                    load.begin());
 }
 
 PollScheduler::Handle
-PollScheduler::add(unsigned core, Pollable &p, double weight)
+PollScheduler::enroll(Pollable &p, unsigned li, Member m)
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    Core &c = cores_[core];
-    Member m;
+    panic_if(p.registered(), name(), ": unit registered twice");
     m.id = nextId_++;
     m.pollable = &p;
+    loops_[li].members.push_back(m);
+    p.sched_ = this;
+    p.handle_ = Handle{li, m.id};
+    return p.handle_;
+}
+
+PollScheduler::Handle
+PollScheduler::add(unsigned core, Pollable &p, double weight,
+                   const std::string &label)
+{
+    panic_if(core >= sharedCores_, name(), ": bad core ", core);
+    Member m;
     m.weight = weight;
-    m.served =
-        &metrics().counter(name() + ".served." + p.pollableName());
-    c.members.push_back(m);
+    m.served = &metrics().counter(name() + ".served." + label);
+    Handle h = enroll(p, core, m);
+    Loop &c = loops_[core];
     c.pollables->set(double(c.members.size()));
     // Kick the core: work queued before registration (bring-up,
     // recovery republish) has no doorbell left to post a wake.
@@ -87,21 +122,53 @@ PollScheduler::add(unsigned core, Pollable &p, double weight)
         c.idleRounds = 0;
     }
     kick(core, curTick() + params_.wakeLatency);
-    return Handle{core, m.id};
+    return h;
+}
+
+PollScheduler::Handle
+PollScheduler::addDedicated(hw::CpuExecutor &exec, Pollable &p,
+                            Tick period)
+{
+    unsigned li;
+    if (!freeLoops_.empty()) {
+        li = freeLoops_.back();
+        freeLoops_.pop_back();
+    } else {
+        li = unsigned(loops_.size());
+        loops_.emplace_back().event =
+            std::make_unique<EventFunctionWrapper>(
+                [this, li] { runDedicated(li); },
+                name() + ".loop" + std::to_string(li),
+                Event::pollPri);
+    }
+    loops_[li].exec = &exec;
+    loops_[li].period = period;
+    Member m;
+    m.lastServiced = curTick();
+    Handle h = enroll(p, li, m);
+    planDedicated(li);
+    return h;
 }
 
 void
 PollScheduler::remove(Handle h)
 {
-    if (!h.valid())
+    if (!h.valid() || h.loop >= loops_.size())
         return;
-    Core &c = cores_[h.core];
-    for (auto it = c.members.begin(); it != c.members.end(); ++it) {
-        if (it->id == h.id) {
-            c.members.erase(it);
-            c.pollables->set(double(c.members.size()));
-            return;
+    Loop &l = loops_[h.loop];
+    for (auto it = l.members.begin(); it != l.members.end(); ++it) {
+        if (it->id != h.id)
+            continue;
+        it->pollable->sched_ = nullptr;
+        l.members.erase(it);
+        if (dedicated(h.loop)) {
+            if (l.event->scheduled())
+                eventq().deschedule(l.event.get());
+            freeLoops_.push_back(h.loop);
+        } else {
+            l.pollables->set(double(l.members.size()));
         }
+        return;
     }
 }
 
@@ -109,7 +176,7 @@ void
 PollScheduler::setWeight(Handle h, double w)
 {
     Member *m = find(h);
-    if (!m)
+    if (!m || dedicated(h.loop))
         return;
     m->weight = w;
     if (w <= 0.0) {
@@ -121,7 +188,7 @@ PollScheduler::setWeight(Handle h, double w)
     // Work posted while starved or deprioritized waits for the
     // weight to come back; the restore is its wake.
     if (m->wakePending)
-        expedite(h.core, true);
+        expedite(h.loop, true);
 }
 
 void
@@ -133,10 +200,17 @@ PollScheduler::setFlightRecorder(Handle h, obs::FlightRecorder *fr)
 }
 
 void
+PollScheduler::setPeriod(Handle h, Tick period)
+{
+    if (find(h) && dedicated(h.loop))
+        loops_[h.loop].period = period;
+}
+
+void
 PollScheduler::wake(Handle h)
 {
     Member *m = find(h);
-    if (!m || !m->pollable->pollAlive())
+    if (!m || dedicated(h.loop) || !m->pollable->pollAlive())
         return;
     if (!m->wakePending) {
         m->wakePending = true;
@@ -144,23 +218,38 @@ PollScheduler::wake(Handle h)
     }
     if (m->weight <= 0.0)
         return; // starved by containment: no wake for you
-    expedite(h.core, true);
+    expedite(h.loop, true);
+}
+
+void
+PollScheduler::replan(Handle h)
+{
+    Member *m = find(h);
+    if (!m || !dedicated(h.loop))
+        return;
+    Event *ev = loops_[h.loop].event.get();
+    if (!m->pollable->pollAlive()) {
+        if (ev->scheduled())
+            eventq().deschedule(ev);
+        return;
+    }
+    Tick blocked = m->pollable->pollBlockedUntil();
+    if (blocked > curTick())
+        eventq().reschedule(ev, blocked);
 }
 
 void
 PollScheduler::expedite(unsigned ci, bool count_wake)
 {
-    Core &c = cores_[ci];
+    Loop &c = loops_[ci];
     Tick at = curTick() + params_.wakeLatency;
     bool resting = c.state != CoreState::Busy ||
-                   !c.roundEvent->scheduled() ||
-                   c.roundEvent->when() > at;
+                   !c.event->scheduled() || c.event->when() > at;
     if (!resting)
         return; // already polling at least as fast as the bound
     if (count_wake &&
-        (c.state == CoreState::Sleep ||
-         !c.roundEvent->scheduled() ||
-         c.roundEvent->when() > at))
+        (c.state == CoreState::Sleep || !c.event->scheduled() ||
+         c.event->when() > at))
         c.wakes->inc();
     c.state = CoreState::Busy;
     c.period = params_.pollPeriod;
@@ -171,20 +260,57 @@ PollScheduler::expedite(unsigned ci, bool count_wake)
 void
 PollScheduler::kick(unsigned ci, Tick at)
 {
-    Core &c = cores_[ci];
-    if (c.roundEvent->scheduled()) {
-        if (c.roundEvent->when() <= at)
+    Loop &c = loops_[ci];
+    if (c.event->scheduled()) {
+        if (c.event->when() <= at)
             return;
-        eventq().reschedule(c.roundEvent.get(), at);
+        eventq().reschedule(c.event.get(), at);
     } else {
-        eventq().schedule(c.roundEvent.get(), at);
+        eventq().schedule(c.event.get(), at);
     }
+}
+
+void
+PollScheduler::runDedicated(unsigned li)
+{
+    Loop &l = loops_[li];
+    Member &m = l.members.front();
+    Pollable &p = *m.pollable;
+    const std::uint64_t id = m.id;
+    const Tick now = curTick();
+    if (!p.pollAlive())
+        return;
+    if (p.pollBlockedUntil() > now) {
+        eventq().schedule(l.event.get(), p.pollBlockedUntil());
+        return;
+    }
+    ++m.visits;
+    m.lastServiced = now;
+    p.servicePoll(std::numeric_limits<unsigned>::max(), *l.exec);
+    // The visit may have stopped the unit or taken its loop down.
+    if (!l.members.empty() && l.members.front().id == id)
+        planDedicated(li);
+}
+
+void
+PollScheduler::planDedicated(unsigned li)
+{
+    Loop &l = loops_[li];
+    Pollable &p = *l.members.front().pollable;
+    if (!p.pollAlive()) {
+        if (l.event->scheduled())
+            eventq().deschedule(l.event.get());
+        return;
+    }
+    Tick at = std::max({curTick() + l.period, l.exec->busyUntil(),
+                        p.pollBlockedUntil()});
+    eventq().reschedule(l.event.get(), at);
 }
 
 void
 PollScheduler::runRound(unsigned ci)
 {
-    Core &c = cores_[ci];
+    Loop &c = loops_[ci];
     const Tick now = curTick();
     c.rounds->inc();
     unsigned total = 0;
@@ -211,7 +337,7 @@ PollScheduler::runRound(unsigned ci)
             c.wakeToPoll->record(now - m.postedAt);
             m.wakePending = false;
         }
-        unsigned served = m.pollable->servicePoll(budget);
+        unsigned served = m.pollable->servicePoll(budget, *c.exec);
         ++m.visits;
         m.lastServiced = now;
         if (served < budget)
@@ -255,7 +381,7 @@ PollScheduler::runRound(unsigned ci)
 
     if (c.state == CoreState::Sleep) {
         if (next_blocked != maxTick) {
-            // A stalled pollable exists; resume when it unblocks
+            // A stalled unit exists; resume when it unblocks
             // instead of waiting for a doorbell it already rang.
             c.state = CoreState::Backoff;
             c.period = params_.maxBackoff;
@@ -275,9 +401,9 @@ PollScheduler::runRound(unsigned ci)
 PollScheduler::Member *
 PollScheduler::find(Handle h)
 {
-    if (!h.valid() || h.core >= cores_.size())
+    if (!h.valid() || h.loop >= loops_.size())
         return nullptr;
-    for (Member &m : cores_[h.core].members) {
+    for (Member &m : loops_[h.loop].members) {
         if (m.id == h.id)
             return &m;
     }
@@ -301,68 +427,58 @@ bool
 PollScheduler::wedged(Handle h, Tick window) const
 {
     const Member *m = find(h);
-    if (!m || m->weight <= 0.0 || !m->pollable->pollAlive())
+    if (!m || !m->pollable->pollAlive())
+        return false;
+    if (dedicated(h.loop))
+        return curTick() - m->lastServiced > window;
+    if (m->weight <= 0.0)
         return false;
     return m->wakePending && curTick() - m->postedAt > window;
+}
+
+const PollScheduler::Loop &
+PollScheduler::sharedCore(unsigned core) const
+{
+    panic_if(core >= sharedCores_, name(), ": bad core ", core);
+    return loops_[core];
 }
 
 std::uint64_t
 PollScheduler::rounds(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    return cores_[core].rounds->value();
-}
-
-std::uint64_t
-PollScheduler::busyRounds(unsigned core) const
-{
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    return cores_[core].busy->value();
+    return sharedCore(core).rounds->value();
 }
 
 std::uint64_t
 PollScheduler::wakes(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    return cores_[core].wakes->value();
+    return sharedCore(core).wakes->value();
 }
 
 std::uint64_t
 PollScheduler::sleeps(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    return cores_[core].sleeps->value();
+    return sharedCore(core).sleeps->value();
 }
 
 unsigned
 PollScheduler::pollablesOn(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    return unsigned(cores_[core].members.size());
+    return unsigned(sharedCore(core).members.size());
 }
 
 double
 PollScheduler::busyRatio(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    std::uint64_t r = cores_[core].rounds->value();
-    return r ? double(cores_[core].busy->value()) / double(r) : 0.0;
-}
-
-std::uint64_t
-PollScheduler::totalRounds() const
-{
-    std::uint64_t sum = 0;
-    for (const Core &c : cores_)
-        sum += c.rounds->value();
-    return sum;
+    const Loop &c = sharedCore(core);
+    std::uint64_t r = c.rounds->value();
+    return r ? double(c.busy->value()) / double(r) : 0.0;
 }
 
 const LatencyRecorder &
 PollScheduler::wakeToPoll(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
-    return *cores_[core].wakeToPoll;
+    return *sharedCore(core).wakeToPoll;
 }
 
 } // namespace sched

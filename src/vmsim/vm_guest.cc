@@ -15,7 +15,8 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
                  VmGuestParams params, cloud::VSwitch &vswitch,
                  cloud::BlockService *storage, cloud::Volume *volume)
     : SimObject(sim, std::move(name)), params_(params),
-      vswitch_(vswitch), storage_(storage), volume_(volume)
+      vswitch_(vswitch), storage_(storage), volume_(volume),
+      loops_(sim, this->name() + ".loops")
 {
     if (params_.cpu.model.empty())
         params_.cpu = hw::CpuCatalog::xeonE5_2682v4();
@@ -89,7 +90,6 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
 
     // vhost-user backend service over the guest's own memory.
     hv::IoServiceParams sp;
-    sp.pollPeriod = paper::backendPollPeriod;
     sp.pollRegisterCost = 0;         // rings are in shared memory
     sp.completionRegisterCost = 0;
     sp.perPacketCost = nsToTicks(100);     // tuned vhost PMD fwd
@@ -182,6 +182,10 @@ VmGuest::connectBackends()
     if (any) {
         connected_ = true;
         service_->start();
+        loops_.addDedicated(
+            *backendCore_,
+            service_->unit(hv::VirtioIoService::UnitKind::Whole),
+            paper::backendPollPeriod);
     }
     return any;
 }

@@ -23,6 +23,7 @@
 #include "guest/net_driver.hh"
 #include "hv/io_service.hh"
 #include "hw/cpu_model.hh"
+#include "sched/poll_scheduler.hh"
 #include "vmsim/vm_exec.hh"
 #include "virtio/virtio_pci.hh"
 
@@ -157,6 +158,8 @@ class VmGuest : public SimObject
     std::unique_ptr<guest::NetDriver> netDrv_;
     std::unique_ptr<guest::BlkDriver> blkDrv_;
     std::unique_ptr<hv::VirtioIoService> service_;
+    /** The vhost thread's poll loop (Dedicated policy). */
+    sched::PollScheduler loops_;
     cloud::PortId port_ = 0;
     bool connected_ = false;
 };

@@ -13,7 +13,8 @@
  *  - passthrough bind/unbind round-trip, including demotion to
  *    shared scheduling when the guest is deprioritized;
  *  - hostile out-of-range queue selectors are contained faults;
- *  - same-seed 4-queue runs produce byte-identical metrics;
+ *  - same-seed 4-queue runs produce byte-identical metrics, and
+ *    every visit of every unit records its batch;
  *  - doorbell-budget regression: a 4-queue guest gets the same
  *    per-function doorbell allowance as a 1-queue guest.
  */
@@ -299,6 +300,30 @@ TEST(MqHostile, OutOfRangeQueueSelectorIsContained)
     EXPECT_EQ(exchange(bed, a, b, 20, 8), 20u);
 }
 
+/** Every visit of every scheduling unit records its batch: per
+ *  service, the poll.batch sample total equals poll.total. */
+void
+expectBatchPerVisit(obs::MetricRegistry &reg)
+{
+    const std::string total = ".poll.total";
+    std::vector<std::string> services;
+    reg.forEach([&](const std::string &name,
+                    obs::MetricRegistry::Kind) {
+        if (name.size() > total.size() &&
+            name.compare(name.size() - total.size(), total.size(),
+                         total) == 0)
+            services.push_back(
+                name.substr(0, name.size() - total.size()));
+    });
+    EXPECT_FALSE(services.empty());
+    for (const auto &svc : services) {
+        EXPECT_EQ(
+            reg.histogram(svc + ".poll.batch", 0, 1024, 32).total(),
+            reg.counter(svc + total).value())
+            << svc;
+    }
+}
+
 /** One fixed 4-queue scenario; returns end-of-run metrics JSON. */
 std::string
 mqScenarioJson(std::uint64_t seed)
@@ -326,6 +351,7 @@ mqScenarioJson(std::uint64_t seed)
         workloads::GuestContext::of(b), fp);
     auto r = flood.run();
     EXPECT_GT(r.received, 0u);
+    expectBatchPerVisit(sim.metrics());
     return sim.metrics().toJson();
 }
 

@@ -2,7 +2,8 @@
  * @file
  * PollScheduler tests: DWRR fairness and batching, the adaptive
  * poll governor (busy -> backoff -> sleep and bounded-latency
- * wake), containment weights, per-pollable wedge detection — plus
+ * wake), containment weights, the Dedicated loop's fixed cadence,
+ * per-unit wedge detection under both policies — plus
  * shared-mode BmHiveServer integration: end-to-end I/O on a
  * 2-core pool, scheduler-level quarantine starvation, and
  * same-seed determinism of the metrics snapshot.
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,7 +40,7 @@ class FakePollable : public sched::Pollable
     }
 
     unsigned
-    servicePoll(unsigned budget) override
+    servicePoll(unsigned budget, hw::CpuExecutor &) override
     {
         ++polls_;
         lastBudget_ = budget;
@@ -54,7 +56,6 @@ class FakePollable : public sched::Pollable
 
     bool pollAlive() const override { return alive_; }
     Tick pollBlockedUntil() const override { return blockedUntil_; }
-    const std::string &pollableName() const override { return name_; }
 
     std::string name_;
     Simulation *sim_ = nullptr;
@@ -100,8 +101,8 @@ TEST_F(SchedTest, DwrrSharesFollowWeights)
     auto &s = make();
     FakePollable a("a"), b("b");
     a.pending_ = b.pending_ = 1u << 30; // always backlogged
-    s.add(0, a, 1.0);
-    s.add(0, b, 0.25);
+    s.add(0, a, 1.0, a.name_);
+    s.add(0, b, 0.25, b.name_);
     sim.run(sim.now() + msToTicks(2));
     ASSERT_GT(b.served_, 0u);
     double ratio = double(a.served_) / double(b.served_);
@@ -115,7 +116,7 @@ TEST_F(SchedTest, DryRunForfeitsDeficit)
 {
     auto &s = make();
     FakePollable a("a");
-    auto h = s.add(0, a, 1.0);
+    auto h = s.add(0, a, 1.0, a.name_);
     a.pending_ = 3; // runs dry on the first round
     sim.run(sim.now() + msToTicks(1));
     EXPECT_EQ(a.served_, 3u);
@@ -131,7 +132,7 @@ TEST_F(SchedTest, GovernorBacksOffAndSleeps)
 {
     auto &s = make();
     FakePollable a("a");
-    s.add(0, a, 1.0); // registered but idle
+    s.add(0, a, 1.0, a.name_); // registered but idle
     sim.run(sim.now() + msToTicks(2));
     // Busy-polling 2 ms at the 2 us period would be ~1000 rounds;
     // the governor backs off exponentially and then sleeps.
@@ -146,7 +147,7 @@ TEST_F(SchedTest, WakeResumesWithinBoundedLatency)
 {
     auto &s = make();
     FakePollable a("a", &sim);
-    auto h = s.add(0, a, 1.0);
+    auto h = s.add(0, a, 1.0, a.name_);
     sim.run(sim.now() + msToTicks(2)); // drift into sleep
     ASSERT_GE(s.sleeps(0), 1u);
 
@@ -165,7 +166,7 @@ TEST_F(SchedTest, WeightZeroStarvesUntilRestored)
 {
     auto &s = make();
     FakePollable a("a");
-    auto h = s.add(0, a, 1.0);
+    auto h = s.add(0, a, 1.0, a.name_);
     s.setWeight(h, 0.0);
     a.pending_ = 100;
     s.wake(h); // a starved guest's doorbell must not buy service
@@ -184,19 +185,89 @@ TEST_F(SchedTest, WedgedSeesStalledNotIdleOrStarved)
         starved("starved");
     stalled.blockedUntil_ = secToTicks(10); // e.g. hv stall fault
     stalled.pending_ = 5;
-    auto hs = s.add(0, stalled, 1.0);
-    auto hi = s.add(0, idle, 1.0);
-    auto hz = s.add(1, starved, 1.0);
+    auto hs = s.add(0, stalled, 1.0, stalled.name_);
+    auto hi = s.add(0, idle, 1.0, idle.name_);
+    auto hz = s.add(1, starved, 1.0, starved.name_);
     s.setWeight(hz, 0.0);
     starved.pending_ = 5;
     s.wake(hs);
     s.wake(hz);
+
+    // Dedicated loops need no posted work: alive and unvisited for
+    // a whole window is wedged, stalls included.
+    FakePollable dstalled("dstalled"), didle("didle"),
+        dstopped("dstopped");
+    dstalled.blockedUntil_ = secToTicks(10);
+    Tick period = s.params().pollPeriod;
+    auto ds = s.addDedicated(*cpus[0], dstalled, period);
+    auto di = s.addDedicated(*cpus[1], didle, period);
+    auto dz = s.addDedicated(*cpus[1], dstopped, period);
+    dstopped.alive_ = false; // e.g. mid live-upgrade
+    dstopped.replan();
+
     sim.run(sim.now() + msToTicks(4));
     Tick window = msToTicks(2);
     EXPECT_TRUE(s.wedged(hs, window));  // posted, never visited
     EXPECT_FALSE(s.wedged(hi, window)); // never posted: just idle
     EXPECT_FALSE(s.wedged(hz, window)); // starvation is deliberate
     EXPECT_EQ(s.serviceVisits(hs), 0u);
+
+    EXPECT_TRUE(s.wedged(ds, window));  // stalled past the window
+    EXPECT_FALSE(s.wedged(di, window)); // idle, but visited
+    EXPECT_FALSE(s.wedged(dz, window)); // stopped on purpose
+    EXPECT_EQ(s.serviceVisits(ds), 0u);
+    EXPECT_GT(s.serviceVisits(di), 0u);
+    EXPECT_EQ(dstopped.polls_, 0u);
+
+    // The window runs from registration: a unit that has not had
+    // its first visit yet (a fresh respawn or migration) is not
+    // wedged.
+    FakePollable fresh("fresh");
+    auto df = s.addDedicated(*cpus[0], fresh, period);
+    EXPECT_FALSE(s.wedged(df, 0));
+}
+
+TEST_F(SchedTest, DedicatedLoopKeepsItsCadence)
+{
+    auto &s = make();
+    const auto names = sim.metrics().size();
+    FakePollable a("a", &sim);
+    const Tick period = s.params().pollPeriod;
+    const Tick t0 = sim.now();
+    auto h = s.addDedicated(*cpus[0], a, period);
+
+    // Idle, yet visited exactly once per period with an unlimited
+    // budget: no backoff, no sleep, and no metrics of its own.
+    sim.run(t0 + 100 * period);
+    EXPECT_EQ(a.polls_, 100u);
+    EXPECT_EQ(s.serviceVisits(h), 100u);
+    EXPECT_EQ(a.lastPollAt_, t0 + 100 * period);
+    EXPECT_EQ(a.lastBudget_, std::numeric_limits<unsigned>::max());
+    EXPECT_EQ(sim.metrics().size(), names);
+
+    // A busy core holds the visit after next until busyUntil().
+    const Tick busy = cpus[0]->charge(10 * period);
+    sim.run(busy - 1);
+    EXPECT_EQ(a.lastPollAt_, t0 + 101 * period);
+    sim.run(busy);
+    EXPECT_EQ(a.lastPollAt_, busy);
+
+    // A reported stall moves the next visit to its end at once.
+    auto polls = a.polls_;
+    a.blockedUntil_ = sim.now() + 50 * period;
+    a.replan();
+    sim.run(a.blockedUntil_ - 1);
+    EXPECT_EQ(a.polls_, polls);
+    sim.run(a.blockedUntil_);
+    EXPECT_EQ(a.polls_, polls + 1);
+    EXPECT_EQ(a.lastPollAt_, a.blockedUntil_);
+
+    // An unreported one is found at the next visit and waited out.
+    a.blockedUntil_ = sim.now() + 50 * period;
+    sim.run(a.blockedUntil_ - 1);
+    EXPECT_EQ(a.polls_, polls + 1);
+    sim.run(a.blockedUntil_);
+    EXPECT_EQ(a.lastPollAt_, a.blockedUntil_);
 }
 
 TEST_F(SchedTest, PlacementPicksLeastLoadedCore)
@@ -204,11 +275,11 @@ TEST_F(SchedTest, PlacementPicksLeastLoadedCore)
     auto &s = make();
     FakePollable a("a"), b("b"), c("c");
     EXPECT_EQ(s.leastLoadedCore(), 0u);
-    auto ha = s.add(0, a, 1.0);
+    auto ha = s.add(0, a, 1.0, a.name_);
     EXPECT_EQ(s.leastLoadedCore(), 1u);
-    s.add(1, b, 1.0);
+    s.add(1, b, 1.0, b.name_);
     EXPECT_EQ(s.leastLoadedCore(), 0u);
-    s.add(0, c, 1.0);
+    s.add(0, c, 1.0, c.name_);
     EXPECT_EQ(s.pollablesOn(0), 2u);
     s.remove(ha);
     EXPECT_EQ(s.pollablesOn(0), 1u);
@@ -220,7 +291,7 @@ TEST_F(SchedTest, AddKicksASleepingCore)
     sim.run(sim.now() + msToTicks(1)); // both cores asleep, empty
     FakePollable a("a");
     a.pending_ = 4;
-    s.add(0, a, 1.0); // registration alone must discover the work
+    s.add(0, a, 1.0, a.name_); // registration alone must discover the work
     sim.run(sim.now() + msToTicks(1));
     EXPECT_EQ(a.served_, 4u);
 }

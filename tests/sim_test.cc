@@ -76,9 +76,9 @@ TEST(EventQueueTest, DescheduleRemovesEvent)
 
 // A descheduled event may be destroyed immediately, even though
 // its stale entry is still in the heap; the queue must drop that
-// entry without touching the dead event. This is how a demoted
-// passthrough poller tears down mid-simulation (ASan catches any
-// regression here as a use-after-free).
+// entry without touching the dead event. Any event owner torn down
+// mid-simulation relies on this (ASan catches any regression here
+// as a use-after-free).
 TEST(EventQueueTest, DescheduledEventCanBeDestroyedBeforePop)
 {
     EventQueue q;

@@ -17,10 +17,11 @@ Every registry value is one of four shapes (MetricRegistry::toJson):
 
 Validation checks the wrapper, the schema_version of every registry,
 the shape of every metric, histogram bucket ordering / count
-consistency, and percentile monotonicity. Metric families with a
-declared kind (the fleet controller's fleet.* names, the
-end-to-end *.integrity.* family, and the simulation core's sim.*
-counters) are additionally pinned: a fleet
+consistency, percentile monotonicity, and that every backend poll
+visit recorded its batch (<svc>.poll.batch total == <svc>.poll.total).
+Metric families with a declared kind (the fleet controller's
+fleet.* names, the end-to-end *.integrity.* family, and the
+simulation core's sim.* counters) are additionally pinned: a fleet
 counter that turns into a histogram is a schema break even though
 both are valid shapes.
 
@@ -108,20 +109,24 @@ SIM_KINDS = {
 
 
 # Multi-queue family (DESIGN.md §17). Queue indices are part of the
-# name ("...hv.mq.pass.netp0.rounds", "...sched.served.<hv>.mq.blkq3"),
-# so these are pinned by pattern rather than literal suffix. All are
-# counters; a shape change is a schema break.
+# name ("...sched.served.<hv>.mq.blkq3"), so these are pinned by
+# pattern rather than literal suffix. All are counters; a shape
+# change is a schema break.
 MQ_PATTERNS = [
     (re.compile(r"\.mq\.queue_regs$"), "counter"),
     (re.compile(r"\.mq\.passthrough_binds$"), "counter"),
     (re.compile(r"\.mq\.passthrough_demotions$"), "counter"),
-    (re.compile(r"\.mq\.pass\.(netp|blkq)\d+\."
-                r"(rounds|busy_rounds|items|wakes)$"), "counter"),
     # Per-queue scheduling units' served counters (and the console
     # unit): "<sched>.served.<hv>.mq.{netp<i>,blkq<i>,con}".
     (re.compile(r"\.served\..*\.mq\.(netp\d+|blkq\d+|con)$"),
      "counter"),
 ]
+
+
+# Backend poll accounting (DESIGN.md §12): every visit of every
+# scheduling unit counts <svc>.poll.total and records one
+# <svc>.poll.batch sample.
+POLL_TOTAL = ".poll.total"
 
 
 def metric_kind(v):
@@ -276,6 +281,12 @@ def check_registry(errs, path, reg):
             if got is not None and got != want:
                 errs.append(f"{path}.{name}: declared {want}, "
                             f"shaped like {got}")
+        if name.endswith(POLL_TOTAL) and is_num(v):
+            batch = reg.get(name[:-len(POLL_TOTAL)] + ".poll.batch")
+            if (metric_kind(batch) == "histogram"
+                    and batch["total"] != v):
+                errs.append(f"{path}.{name}: {v} visits but "
+                            f"{batch['total']} poll.batch samples")
 
 
 def check_file(fname):
