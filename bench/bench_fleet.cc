@@ -15,6 +15,10 @@
  *  - fewer completed migrations than the target, or no failovers;
  *  - a control-group guest migrated, or the control group's storm
  *    throughput fell below 95% of its baseline.
+ *
+ * The fleet always polls dedicated: --sched=shared and
+ * --poll-cores=N are fatal errors rather than silently ignored
+ * (shared-mode fleets on 2 sim threads panic, DESIGN.md 18.7).
  */
 
 #include <chrono>
@@ -88,6 +92,12 @@ int
 main(int argc, char **argv)
 {
     Session session(argc, argv);
+    // The fleet builds its own server params and overlays only the
+    // obs flags: a scheduler flag would otherwise be ignored.
+    fatal_if(Session::schedShared || Session::pollCores > 0,
+             "bench_fleet runs dedicated polling only and rejects "
+             "--sched=shared / --poll-cores: shared-mode fleets on 2 "
+             "sim threads panic (DESIGN.md section 18.7)");
     banner("fleet",
            "rack-scale failover: migration storm + power-loss "
            "failovers over 8 servers / 64 bm-guests");

@@ -42,9 +42,6 @@ main()
     std::string stage_report;
     {
         Simulation sim(11);
-        // Capture Chrome trace events and per-stage request spans
-        // on the bare-metal side (paper Fig. 6 datapath).
-        sim.trace().enable();
         cloud::VSwitch vswitch(sim, "vswitch");
         cloud::BlockService storage(sim, "storage");
         core::BmServerParams sp;
@@ -53,18 +50,24 @@ main()
                                   sp);
         auto &g = server.provision(
             core::InstanceCatalog::evaluated(), 0xAA);
+        // Per-stage request spans on the bare-metal side (paper
+        // Fig. 6 datapath), collected for a Chrome trace.
         g.hypervisor().enableIoTracing();
+        obs::FlightRecorder spans("server.guest0.spans", sim.metrics(),
+                                  1 << 16);
+        g.hypervisor().netTracer()->setSpanTarget(&spans);
+        g.hypervisor().blkTracer()->setSpanTarget(&spans);
         sim.run(sim.now() + msToTicks(1));
         bm = serveOn(GuestContext::of(g), sim, vswitch);
 
         auto *tracer = g.hypervisor().netTracer();
-        if (tracer && tracer->completed() > 0)
+        if (tracer->completed() > 0)
             stage_report = tracer->breakdown();
         const char *trace_path = "bm_vs_vm_trace.json";
-        sim.trace().writeJson(trace_path);
+        spans.writeChromeJson(trace_path);
         std::printf("wrote %zu trace events to %s "
                     "(open in chrome://tracing)\n\n",
-                    sim.trace().size(), trace_path);
+                    spans.size(), trace_path);
     }
     {
         Simulation sim(12);

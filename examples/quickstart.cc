@@ -4,8 +4,9 @@
  *
  * Builds one bare-metal server with cloud networking and storage,
  * provisions two bm-guests, and shows the IO-Bond datapath at
- * work: the Fig. 6 trace of a packet crossing the shadow vrings,
- * and a block read served by the cloud storage.
+ * work: the Fig. 6 events of a packet crossing the shadow vrings,
+ * and of a block read served by the cloud storage, as alice's
+ * flight recorder saw them.
  *
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
@@ -17,6 +18,27 @@
 #include "bmhive.hh"
 
 using namespace bmhive;
+
+namespace {
+
+/** Print the events @p fr recorded since the previous call. */
+void
+printNewEvents(const obs::FlightRecorder &fr, std::uint64_t &seen)
+{
+    std::uint64_t fresh = fr.recorded() - seen;
+    seen = fr.recorded();
+    if (fresh == 0)
+        return;
+    std::printf("  -- %s --\n", fr.path().c_str());
+    for (const auto &r : fr.lastEvents(fresh))
+        std::printf("  [%8.2f us] %-16s fn=%u q=%u a=%llu b=%llu\n",
+                    ticksToUs(r.at), obs::flightEventName(r.ev),
+                    unsigned(r.fn), unsigned(r.q),
+                    (unsigned long long)r.a,
+                    (unsigned long long)r.b);
+}
+
+} // namespace
 
 int
 main()
@@ -51,11 +73,10 @@ main()
                 alice.instance().cpu.model.c_str(),
                 bob.instance().name.c_str());
 
-    // Watch the IO-Bond datapath (the 14 steps of paper Fig. 6).
-    alice.bond().setTracer([&](const std::string &msg) {
-        std::printf("  [%8.2f us] %s\n", ticksToUs(sim.now()),
-                    msg.c_str());
-    });
+    // Watch the IO-Bond datapath (the 14 steps of paper Fig. 6)
+    // through alice's always-on flight recorder.
+    const obs::FlightRecorder &flight = *alice.flight();
+    std::uint64_t seen = flight.recorded();
 
     // --- 1. Send a packet from alice to bob ---
     std::printf("\n== tx: alice -> bob (64B UDP) ==\n");
@@ -75,6 +96,7 @@ main()
     alice.net().sendPacket(pkt, /*kick_now=*/true,
                            alice.os().cpu(0));
     sim.run(sim.now() + msToTicks(2));
+    printNewEvents(flight, seen);
 
     // --- 2. Read a block from the cloud volume ---
     std::printf("\n== blk: alice reads 4 KiB at sector 0 ==\n");
@@ -88,6 +110,7 @@ main()
                               ticksToUs(sim.now() - issued));
                       });
     sim.run(sim.now() + msToTicks(5));
+    printNewEvents(flight, seen);
 
     std::printf("\nIO-Bond counters: %llu doorbells, %llu chains "
                 "forwarded, %llu completions, %llu bytes DMAd\n",

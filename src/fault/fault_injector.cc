@@ -205,12 +205,6 @@ FaultInjector::deliver(const PlanEntry &e)
     }
     if (observer_)
         observer_(e, hit);
-    auto &sink = traceSink();
-    if (sink.enabled()) {
-        sink.recordInstant(
-            std::string(kindName(e.spec.kind)) + "@" + e.target,
-            "fault", curTick(), sink.lane(name()));
-    }
     logDebug("fault ", kindName(e.spec.kind), " -> ", e.target,
              hit ? "" : " (unmatched)");
 }

@@ -501,7 +501,7 @@ BmHypervisor::enableIoTracing()
 {
     if (!netTracer_) {
         netTracer_ = std::make_unique<obs::RequestTracer>(
-            name() + ".net", metrics(), &traceSink());
+            name() + ".net", metrics());
         // The guest's net driver suppresses tx completion MSIs and
         // reclaims used buffers from its xmit path, so a tx flow's
         // last observable event is the completion DMA.
@@ -509,7 +509,7 @@ BmHypervisor::enableIoTracing()
     }
     if (!blkTracer_)
         blkTracer_ = std::make_unique<obs::RequestTracer>(
-            name() + ".blk", metrics(), &traceSink());
+            name() + ".blk", metrics());
     traceIo_ = true;
     if (connected_)
         wireTracers();

@@ -141,9 +141,10 @@ class BmHypervisor : public SimObject
      * Trace every request through the full Fig. 6 path: doorbell,
      * shadow sync, poll pickup, service, completion DMA, MSI.
      * Spans land in per-stage latency recorders under
-     * "<name>.net.stage.*" / "<name>.blk.stage.*" and, when the
-     * simulation's TraceSink is enabled, as Chrome trace events.
-     * Cheap enough to leave on; off by default anyway.
+     * "<name>.net.stage.*" / "<name>.blk.stage.*"; a FlightRecorder
+     * attached with RequestTracer::setSpanTarget() also receives
+     * each span, for a Chrome trace of the run. BmHiveServer turns
+     * this on for every guest while observability is on.
      */
     void enableIoTracing();
 

@@ -164,8 +164,6 @@ IoBond::injectFault(const fault::FaultSpec &spec)
         if (flight_)
             flight_->record(curTick(), obs::FlightEvent::FaultInject,
                             0, 0, std::uint64_t(spec.kind));
-        trace(name() + ": PCIe link down for " +
-              std::to_string(ticksToUs(dur)) + "us");
         // When the link comes back, sweep every ready queue: any
         // doorbell lost during the outage is recovered here.
         auto *ev = new OneShotEvent(
@@ -265,8 +263,6 @@ IoBond::onIntegrityEscalation()
         unsigned(lastActiveFn_) >= functions_.size())
         return;
     unsigned fn = unsigned(lastActiveFn_);
-    trace(name() + ": ECRC retries exhausted, resetting fn=" +
-          std::to_string(fn));
     failFunction(fn);
     if (integrityEscalationCb_)
         integrityEscalationCb_(fn);
@@ -341,10 +337,6 @@ IoBond::scrubPass()
                 flight_->record(curTick(),
                                 obs::FlightEvent::IntegrityDetect,
                                 fi, q, /*where=*/1, repairs);
-            trace(name() + ": scrub repaired " +
-                  std::to_string(repairs) +
-                  " shadow-metadata fields fn=" +
-                  std::to_string(fi) + " q=" + std::to_string(q));
             // A repair IS the heal for metadata: the chain keeps
             // flowing on the corrected descriptors. Repeated dirt
             // on one queue escalates to a reset instead.
@@ -362,8 +354,6 @@ IoBond::scrubPass()
             flight_->record(curTick(),
                             obs::FlightEvent::IntegrityEscalate, fn,
                             0, /*where=*/1);
-        trace(name() + ": persistent metadata corruption, " +
-              "resetting fn=" + std::to_string(fn));
         failFunction(fn);
         if (integrityEscalationCb_)
             integrityEscalationCb_(fn);
@@ -475,8 +465,6 @@ void
 IoBond::failFunction(unsigned fn)
 {
     panic_if(fn >= functions_.size(), name(), ": bad function ", fn);
-    trace(name() + ": function " + std::to_string(fn) +
-          " failed, raising DEVICE_NEEDS_RESET");
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::Reset, fn);
     functionReset(*functions_[fn]);
@@ -490,7 +478,6 @@ IoBond::guestFault(fault::GuestFaultKind k)
 {
     guestFaultCounters_[std::size_t(k)]->inc();
     guestFaultsTotal_.inc();
-    trace(name() + ": guest fault " + fault::guestFaultName(k));
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::GuestFault,
                         lastActiveFn_ >= 0 ? unsigned(lastActiveFn_)
@@ -506,8 +493,6 @@ IoBond::setQuarantined(bool on)
     if (quarantined_ == on)
         return;
     quarantined_ = on;
-    trace(name() + (on ? ": quarantined"
-                       : ": quarantine released"));
     // On release, sweep the ready queues: doorbells swallowed
     // during the quarantine must not strand queued work forever.
     if (!on)
@@ -520,8 +505,6 @@ IoBond::setDrained(bool on)
     if (drained_ == on)
         return;
     drained_ = on;
-    trace(name() + (on ? ": drained (doorbells deferred)"
-                       : ": drain lifted"));
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::Drain, 0, 0,
                         on ? 1 : 0);
@@ -646,8 +629,6 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
                                       meta > 0 ? meta : 1});
     if (replayed > 0)
         faultRecovered_.inc(replayed);
-    trace(name() + ": rebased onto " + new_base.name() + ", " +
-          std::to_string(replayed) + " chains replayed");
     dma_.copyv(
         std::move(segs),
         [this, finish = std::move(finish),
@@ -842,8 +823,6 @@ IoBond::driverReady(IoBondFunction &fn)
             sq.guestLayout.setAvailEvent(board_.memory(), 0);
         sq.ready = true;
         any_ready = true;
-        trace(name() + ": shadow vring ready fn=" +
-              std::to_string(fi) + " q=" + std::to_string(q));
     }
     if (any_ready && readyCb_)
         readyCb_(fi);
@@ -876,8 +855,6 @@ IoBond::functionReset(IoBondFunction &fn)
 void
 IoBond::queuePairsSet(IoBondFunction &fn, unsigned pairs)
 {
-    trace(name() + ": fn=" + std::to_string(fn.index()) +
-          " set-queue-pairs -> " + std::to_string(pairs));
     if (queuePairsCb_)
         queuePairsCb_(fn.index(), pairs);
 }
@@ -926,8 +903,6 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
         if (dropDoorbells_ > 0)
             --dropDoorbells_;
         droppedDoorbells_.inc();
-        trace(name() + ": doorbell fn=" + std::to_string(fi) +
-              " q=" + std::to_string(q) + " dropped (fault)");
         if (flight_)
             flight_->record(curTick(),
                             obs::FlightEvent::DoorbellDrop, fi, q,
@@ -961,8 +936,6 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
         }
         return;
     }
-    trace(name() + ": doorbell fn=" + std::to_string(fi) +
-          " q=" + std::to_string(q));
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::DoorbellAccept,
                         fi, q);
@@ -1070,10 +1043,6 @@ IoBond::syncAvail(unsigned fn, unsigned q)
                 flight_->record(curTick(),
                                 obs::FlightEvent::AvailSync, fn, q,
                                 heads.size(), s.shadowAvail);
-            trace(name() + ": burst of " +
-                  std::to_string(heads.size()) +
-                  " chains published on shadow vring, head " +
-                  "register -> " + std::to_string(s.shadowAvail));
             // Resync sweeps (storm throttle, link flap, recovery)
             // publish work without a fresh doorbell; wake here too
             // so swept-up chains never wait on a sleeping core.
@@ -1331,9 +1300,6 @@ IoBond::backendCompleted(unsigned fn, unsigned q)
                 flight_->record(curTick(),
                                 obs::FlightEvent::UsedPublish, fn,
                                 q, batch.size(), s.guestUsed);
-            trace(name() + ": batch of " +
-                  std::to_string(batch.size()) +
-                  " completions returned to guest");
             // Respect the driver's interrupt suppression: flag bit
             // in classic mode, used_event crossing anywhere inside
             // the batch span with F_EVENT_IDX (all arithmetic
@@ -1410,17 +1376,7 @@ IoBond::recoverQueue(unsigned fn, unsigned q)
     sq.shadowLayout.setAvailIdx(*baseMem_, sq.shadowAvail);
     if (window > 0)
         faultRecovered_.inc(window);
-    trace(name() + ": recovered fn=" + std::to_string(fn) +
-          " q=" + std::to_string(q) + ", " +
-          std::to_string(window) + " chains republished");
     return window;
-}
-
-void
-IoBond::trace(const std::string &msg)
-{
-    if (tracer_)
-        tracer_(msg);
 }
 
 } // namespace iobond

@@ -154,8 +154,6 @@ class IoBondFunction : public virtio::VirtioPciDevice
 class IoBond : public SimObject
 {
   public:
-    using Tracer = std::function<void(const std::string &)>;
-
     IoBond(Simulation &sim, std::string name, hw::ComputeBoard &board,
            GuestMemory &base_memory, Addr shadow_region_base,
            IoBondParams params = {});
@@ -314,9 +312,6 @@ class IoBond : public SimObject
     {
         return drainDeferred_.value();
     }
-
-    /** Observe the datapath (used by the quickstart example). */
-    void setTracer(Tracer t) { tracer_ = std::move(t); }
 
     /**
      * Stamp request spans for chains of (fn, q): GuestPost at the
@@ -546,10 +541,9 @@ class IoBond : public SimObject
      *  the number of fields repaired. */
     unsigned scrubQueue(unsigned fn, unsigned q);
 
-    /** Count + trace + escalate one contained guest fault. */
+    /** Count, flight-record and escalate one contained guest
+     *  fault. */
     void guestFault(fault::GuestFaultKind k);
-
-    void trace(const std::string &msg);
 
     hw::ComputeBoard &board_;
     /** Pointer, not reference: rebase() re-homes the bond onto a
@@ -569,7 +563,6 @@ class IoBond : public SimObject
      * allowance by spreading the storm across queue selectors.
      */
     std::vector<TokenBucket> fnDoorbells_;
-    Tracer tracer_;
     std::function<void(unsigned)> readyCb_;
     std::function<void(unsigned, unsigned)> queueWake_;
     std::function<void(unsigned, unsigned)> queuePairsCb_;

@@ -9,6 +9,28 @@ namespace bmhive {
 namespace obs {
 
 const char *
+stageName(Stage s)
+{
+    switch (s) {
+      case Stage::GuestPost:
+        return "guest_post";
+      case Stage::ShadowSync:
+        return "shadow_sync";
+      case Stage::SchedDelay:
+        return "sched_delay";
+      case Stage::PollPickup:
+        return "poll_pickup";
+      case Stage::Service:
+        return "service";
+      case Stage::CompleteDma:
+        return "complete_dma";
+      case Stage::GuestIrq:
+        return "guest_irq";
+    }
+    return "?";
+}
+
+const char *
 flightEventName(FlightEvent e)
 {
     switch (e) {
@@ -62,6 +84,8 @@ flightEventName(FlightEvent e)
         return "integrity_retry";
       case FlightEvent::IntegrityEscalate:
         return "integrity_escalate";
+      case FlightEvent::Span:
+        return "span";
     }
     return "?";
 }
@@ -112,13 +136,23 @@ FlightRecorder::toChromeJson(std::size_t n,
     out += buf;
     for (const Record &r : lastEvents(n)) {
         // Ticks are picoseconds; trace_event "ts" is microseconds.
+        if (r.ev == FlightEvent::Span)
+            std::snprintf(buf, sizeof(buf),
+                          ",\n{\"name\":\"%s\",\"cat\":\"flight\","
+                          "\"ph\":\"X\",\"ts\":%.6f,\"dur\":%.6f,",
+                          stageName(r.stage), ticksToUs(r.at),
+                          ticksToUs(r.a));
+        else
+            std::snprintf(buf, sizeof(buf),
+                          ",\n{\"name\":\"%s\",\"cat\":\"flight\","
+                          "\"ph\":\"i\",\"s\":\"t\",\"ts\":%.6f,",
+                          flightEventName(r.ev), ticksToUs(r.at));
+        out += buf;
         std::snprintf(
             buf, sizeof(buf),
-            ",\n{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"i\","
-            "\"s\":\"t\",\"ts\":%.6f,\"pid\":1,\"tid\":0,"
+            "\"pid\":1,\"tid\":0,"
             "\"args\":{\"fn\":%u,\"q\":%u,\"a\":%llu,\"b\":%llu}}",
-            flightEventName(r.ev), ticksToUs(r.at), unsigned(r.fn),
-            unsigned(r.q), (unsigned long long)r.a,
+            unsigned(r.fn), unsigned(r.q), (unsigned long long)r.a,
             (unsigned long long)r.b);
         out += buf;
     }

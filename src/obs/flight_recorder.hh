@@ -1,20 +1,24 @@
 /**
  * @file
- * FlightRecorder: always-on per-guest ring of compact datapath
- * events — the black box that is still there when something goes
- * wrong. Unlike TraceSink (opt-in, compile-gated by
- * BMHIVE_TRACING), the flight recorder runs unconditionally: each
- * record() writes one fixed-size POD slot of a preallocated ring,
- * O(1) with zero steady-state allocation, so it is cheap enough to
- * instrument every doorbell, DMA burst, used publish, MSI, and
- * scheduler visit of every guest in every configuration.
+ * FlightRecorder: the simulator's one event stream. Each record()
+ * writes one fixed-size POD slot of a preallocated ring, O(1) with
+ * zero steady-state allocation, so it is cheap enough to instrument
+ * every doorbell, DMA burst, used publish, MSI, and scheduler visit
+ * of every guest in every configuration.
  *
- * The payoff comes at anomaly time: on quarantine entry, watchdog
+ * Every guest owns one, always on: the black box that is still
+ * there when something goes wrong. On quarantine entry, watchdog
  * recovery, reset propagation, or an SLO breach, BmHiveServer dumps
  * the implicated guest's last-N events as a Chrome trace_event JSON
- * (same format TraceSink emits, loadable in chrome://tracing or
- * Perfetto) next to the bench's --metrics-out snapshot — no
- * recompile, no re-run, no -DBMHIVE_TRACING.
+ * (loadable in chrome://tracing or Perfetto) next to the bench's
+ * --metrics-out snapshot — no recompile, no re-run.
+ *
+ * The same ring carries request spans. A RequestTracer given a span
+ * target writes each Fig. 6 stage transition as one Span record
+ * (at = span start, a = duration, b = flow key), which the Chrome
+ * export renders as a complete event. A full-run trace is just a
+ * recorder the caller sizes for the run and attaches to a guest's
+ * tracers.
  */
 
 #ifndef BMHIVE_OBS_FLIGHT_RECORDER_HH
@@ -22,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/stats.hh"
@@ -30,6 +35,22 @@
 
 namespace bmhive {
 namespace obs {
+
+/** Layer boundaries a request crosses on the BM-Hive datapath
+ *  (paper Fig. 6); RequestTracer documents each one. */
+enum class Stage : std::uint8_t {
+    GuestPost = 0,
+    ShadowSync,
+    SchedDelay,
+    PollPickup,
+    Service,
+    CompleteDma,
+    GuestIrq,
+};
+
+constexpr unsigned numStages = 7;
+
+const char *stageName(Stage s);
 
 /** Compact event vocabulary of the BM-Hive datapath (Fig. 6) plus
  *  the fault/containment machinery wrapped around it. */
@@ -59,6 +80,7 @@ enum class FlightEvent : std::uint8_t {
     IntegrityDetect,    ///< checksum/scrub mismatch (a=where)
     IntegrityRetry,     ///< detected corruption healed by retry
     IntegrityEscalate,  ///< repeated corruption -> reset/migrate
+    Span,               ///< request stage span (a=dur, b=flow key)
 };
 
 const char *flightEventName(FlightEvent e);
@@ -71,11 +93,16 @@ class FlightRecorder
     {
         Tick at = 0;
         FlightEvent ev = FlightEvent::DoorbellAccept;
+        Stage stage = Stage::GuestPost; ///< the stage a Span closes
         std::uint16_t fn = 0;
         std::uint16_t q = 0;
         std::uint64_t a = 0;
         std::uint64_t b = 0;
     };
+    static_assert(std::is_trivially_copyable_v<Record> &&
+                      std::is_standard_layout_v<Record> &&
+                      sizeof(Record) == 32,
+                  "flight records are 32-byte PODs");
 
     /**
      * @param path hierarchical name, e.g. "server.guest0.flight";
@@ -92,20 +119,18 @@ class FlightRecorder
     record(Tick now, FlightEvent ev, unsigned fn = 0, unsigned q = 0,
            std::uint64_t a = 0, std::uint64_t b = 0)
     {
-        Record &r = ring_[head_];
-        r.at = now;
-        r.ev = ev;
-        r.fn = std::uint16_t(fn);
-        r.q = std::uint16_t(q);
-        r.a = a;
-        r.b = b;
-        if (++head_ == ring_.size())
-            head_ = 0;
-        if (count_ < ring_.size())
-            ++count_;
-        else
-            overwritten_->inc();
-        events_->inc();
+        push({now, ev, Stage::GuestPost, std::uint16_t(fn),
+              std::uint16_t(q), a, b});
+    }
+
+    /** Append the span of stage @p s of flow @p key on (@p fn,
+     *  @p q), which ran [@p start, @p start + @p dur]. */
+    void
+    recordSpan(Tick start, Stage s, Tick dur, unsigned fn, unsigned q,
+               std::uint64_t key)
+    {
+        push({start, FlightEvent::Span, s, std::uint16_t(fn),
+              std::uint16_t(q), dur, key});
     }
 
     std::size_t capacity() const { return ring_.size(); }
@@ -122,10 +147,11 @@ class FlightRecorder
     std::vector<Record> lastEvents(std::size_t n = 0) const;
 
     /**
-     * Chrome trace_event JSON of the last @p n events: one instant
-     * per record on a lane named after this recorder, with fn/q/a/b
-     * carried in args. @p trigger lands in metadata so a dump says
-     * why it exists. Independent of BMHIVE_TRACING.
+     * Chrome trace_event JSON of the last @p n events on a lane
+     * named after this recorder: a complete ("X") event named by
+     * stageName() per Span record, an instant per other record,
+     * with fn/q/a/b carried in args. @p trigger lands in metadata
+     * so a dump says why it exists.
      */
     std::string toChromeJson(std::size_t n = 0,
                              const std::string &trigger = "") const;
@@ -137,6 +163,19 @@ class FlightRecorder
     const std::string &path() const { return path_; }
 
   private:
+    void
+    push(const Record &r)
+    {
+        ring_[head_] = r;
+        if (++head_ == ring_.size())
+            head_ = 0;
+        if (count_ < ring_.size())
+            ++count_;
+        else
+            overwritten_->inc();
+        events_->inc();
+    }
+
     std::string path_;
     std::vector<Record> ring_;
     std::size_t head_ = 0;  ///< next write position

@@ -8,32 +8,9 @@
 namespace bmhive {
 namespace obs {
 
-const char *
-stageName(Stage s)
-{
-    switch (s) {
-      case Stage::GuestPost:
-        return "guest_post";
-      case Stage::ShadowSync:
-        return "shadow_sync";
-      case Stage::SchedDelay:
-        return "sched_delay";
-      case Stage::PollPickup:
-        return "poll_pickup";
-      case Stage::Service:
-        return "service";
-      case Stage::CompleteDma:
-        return "complete_dma";
-      case Stage::GuestIrq:
-        return "guest_irq";
-    }
-    return "?";
-}
-
 RequestTracer::RequestTracer(std::string path,
-                             MetricRegistry &registry,
-                             TraceSink *sink)
-    : path_(std::move(path)), sink_(sink)
+                             MetricRegistry &registry)
+    : path_(std::move(path))
 {
     for (unsigned i = 1; i < numStages; ++i) {
         stage_[i] = &registry.latency(
@@ -48,8 +25,6 @@ RequestTracer::RequestTracer(std::string path,
     // Shared across every tracer in the registry: one place to see
     // whether any guest is leaking open flows.
     evictedGlobal_ = &registry.counter("obs.tracer.evicted_flows");
-    if (sink_)
-        lane_ = sink_->lane(path_);
 }
 
 void
@@ -58,18 +33,11 @@ RequestTracer::stamp(std::uint64_t key, Stage s, Tick now)
     if (s == Stage::GuestPost) {
         // (Re)open the flow; a key reuse implicitly abandons any
         // earlier flow that never saw its MSI.
-        OpenFlow f;
-        f.at[0] = now;
-        f.stageSeen = 1;
-        f.last = Stage::GuestPost;
-        f.seq = ++seq_;
+        OpenFlow f{now, now, Stage::GuestPost, ++seq_};
         open_[key] = f;
         order_.emplace_back(key, f.seq);
         started_->inc();
         enforceBound();
-        if (sink_ && sink_->enabled())
-            sink_->recordInstant(stageName(s), "io", now, lane_,
-                                 key);
         return;
     }
 
@@ -81,28 +49,20 @@ RequestTracer::stamp(std::uint64_t key, Stage s, Tick now)
         return;
     }
     OpenFlow &f = it->second;
-    Tick prev = f.at[unsigned(f.last)];
+    Tick prev = f.lastAt;
     panic_if(now < prev, path_, ": flow ", key, " stamped ",
              stageName(s), " before ", stageName(f.last));
     stage_[unsigned(s)]->record(now - prev);
-    if (sink_ && sink_->enabled())
-        sink_->recordComplete(stageName(s), "io", prev, now - prev,
-                              lane_, key);
-    f.at[unsigned(s)] = now;
-    f.stageSeen |= 1u << unsigned(s);
+    if (spans_)
+        spans_->recordSpan(prev, s, now - prev, unsigned(key >> 32),
+                           unsigned(key >> 16) & 0xffff, key);
+    f.lastAt = now;
     f.last = s;
 
     if (s == finalStage_) {
-        Tick e2e = now - f.at[0];
+        Tick e2e = now - f.start;
         total_->record(e2e);
         completed_->inc();
-        FlowRecord rec;
-        rec.key = key;
-        rec.at = f.at;
-        rec.stageSeen = f.stageSeen;
-        recent_.push_back(rec);
-        if (recent_.size() > recentCap)
-            recent_.pop_front();
         open_.erase(it);
         if (closeHook_)
             closeHook_(e2e, now);

@@ -17,8 +17,8 @@
  * Every transition feeds a LatencyRecorder registered under
  * "<path>.stage.<name>" in the owning simulation's MetricRegistry,
  * so stage sums reconstruct the end-to-end latency exactly. When a
- * TraceSink is attached (and BMHIVE_TRACING is on), each
- * transition additionally emits a Chrome trace_event span.
+ * span target is attached, each transition is also written to that
+ * FlightRecorder as a Span record (a Chrome complete event).
  *
  * Stamping with no tracer attached costs one null check at the
  * instrumentation site; the tracer itself is allocated only when
@@ -37,45 +37,20 @@
 
 #include "base/stats.hh"
 #include "base/units.hh"
+#include "obs/flight_recorder.hh"
 #include "obs/metric_registry.hh"
-#include "obs/trace.hh"
 
 namespace bmhive {
 namespace obs {
 
-enum class Stage : unsigned {
-    GuestPost = 0,
-    ShadowSync,
-    SchedDelay,
-    PollPickup,
-    Service,
-    CompleteDma,
-    GuestIrq,
-};
-
-constexpr unsigned numStages = 7;
-
-const char *stageName(Stage s);
-
 class RequestTracer
 {
   public:
-    /** A finished flow: when each stage was stamped. */
-    struct FlowRecord
-    {
-        std::uint64_t key = 0;
-        /** Tick of each stage; stageSeen masks validity. */
-        std::array<Tick, numStages> at{};
-        unsigned stageSeen = 0; ///< bit i = stage i stamped
-    };
-
     /**
      * @param path hierarchical name, e.g. "server.guest0.hv.net";
      *        stage recorders register under "<path>.stage.*"
-     * @param sink optional Chrome trace sink (one lane per tracer)
      */
-    RequestTracer(std::string path, MetricRegistry &registry,
-                  TraceSink *sink = nullptr);
+    RequestTracer(std::string path, MetricRegistry &registry);
 
     /** Flow key: one in-flight request is unique per (fn, q, head). */
     static std::uint64_t
@@ -112,6 +87,13 @@ class RequestTracer
     void setCloseHook(CloseHook cb) { closeHook_ = std::move(cb); }
 
     /**
+     * Write every stage transition to @p fr as a Span record (null
+     * detaches). Only the guest's partition stamps its tracers, so
+     * a recorder shared by one guest's tracers needs no lock.
+     */
+    void setSpanTarget(FlightRecorder *fr) { spans_ = fr; }
+
+    /**
      * Drop every open flow on (fn, q) without closing it — a queue
      * reset means those requests will never see their MSI, so the
      * entries would otherwise pin the open table forever. Counted
@@ -139,9 +121,6 @@ class RequestTracer
     std::uint64_t aborted() const { return aborted_->value(); }
     std::size_t openFlows() const { return open_.size(); }
 
-    /** Most recently completed flows, newest last (capped). */
-    const std::deque<FlowRecord> &recent() const { return recent_; }
-
     const std::string &path() const { return path_; }
 
     /**
@@ -154,13 +133,12 @@ class RequestTracer
   private:
     struct OpenFlow
     {
-        std::array<Tick, numStages> at{};
-        unsigned stageSeen = 0;
+        Tick start = 0;  ///< GuestPost tick
+        Tick lastAt = 0; ///< tick of the latest stamp
         Stage last = Stage::GuestPost;
         std::uint64_t seq = 0; ///< insertion order, for eviction
     };
 
-    static constexpr std::size_t recentCap = 128;
     static constexpr std::size_t defaultMaxOpen = 4096;
 
     /** Evict oldest open flows until the table fits maxOpen_. */
@@ -168,8 +146,7 @@ class RequestTracer
 
     std::string path_;
     Stage finalStage_ = Stage::GuestIrq;
-    TraceSink *sink_;
-    std::uint32_t lane_ = 0;
+    FlightRecorder *spans_ = nullptr;
     std::array<LatencyRecorder *, numStages> stage_{};
     LatencyRecorder *total_;
     Counter *started_;
@@ -184,7 +161,6 @@ class RequestTracer
     /** Insertion order as (key, seq); entries whose seq no longer
      *  matches open_ are stale and popped lazily. */
     std::deque<std::pair<std::uint64_t, std::uint64_t>> order_;
-    std::deque<FlowRecord> recent_;
     CloseHook closeHook_;
 };
 

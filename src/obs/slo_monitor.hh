@@ -11,9 +11,10 @@
  * window of log-bucketed histograms per role (net, blk), rotated
  * in fixed sub-window epochs.
  *
- * Log bucketing (HDR-style, 4 sub-buckets per octave, ~19% worst
- * resolution) keeps record() at a handful of integer ops with no
- * allocation, so the monitor is always on. Each window rotation
+ * Log bucketing (HDR-style, 4 sub-buckets per octave: a reported
+ * percentile overstates the true value by at most 25%) keeps
+ * record() at a handful of integer ops with no allocation, so the
+ * monitor is always on. Each window rotation
  * exports p50/p90/p99/p999 and the SLO burn rate into the metric
  * registry; a burn rate at or above the policy threshold with
  * enough samples raises the breach signal (BmHiveServer wires it
@@ -84,7 +85,8 @@ class SloMonitor
     /**
      * Percentile in microseconds over the live window (merged
      * epochs), @p q in [0,1]. Reports the bucket upper edge, so the
-     * estimate is conservative by at most one sub-bucket (~19%).
+     * estimate is conservative by at most one sub-bucket: 25%, at
+     * a bucket's lower edge.
      */
     double percentileUs(SloRole role, double q) const;
 

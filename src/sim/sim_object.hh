@@ -25,7 +25,6 @@
 #include "base/units.hh"
 #include "fault/fault.hh"
 #include "obs/metric_registry.hh"
-#include "obs/trace.hh"
 #include "sim/eventq.hh"
 #include "sim/partition.hh"
 
@@ -33,9 +32,8 @@ namespace bmhive {
 
 /**
  * Owner of simulated time and randomness for one experiment run.
- * Also owns the run's observability surface: the metric registry
- * every SimObject registers into and the (off-by-default) Chrome
- * trace sink. Keeping these per-simulation, not process-global,
+ * Also owns the run's metric registry, which every SimObject
+ * registers into. Keeping it per-simulation, not process-global,
  * means benches that build several testbeds never mix samples.
  */
 class Simulation
@@ -88,7 +86,6 @@ class Simulation
     }
 
     obs::MetricRegistry &metrics() { return metrics_; }
-    obs::TraceSink &trace() { return trace_; }
     fault::FaultHookRegistry &faults() { return faults_; }
 
     /** Run the event loop until empty or @p limit. */
@@ -187,7 +184,6 @@ class Simulation
     EventQueue eventq_;
     Rng rng_;
     obs::MetricRegistry metrics_;
-    obs::TraceSink trace_;
     fault::FaultHookRegistry faults_;
     std::unique_ptr<psim::Coordinator> psim_;
 };
@@ -228,7 +224,6 @@ class SimObject
     Rng &rng() { return sim_.partitionRng(partition()); }
     Tick curTick() const { return sim_.partitionTick(partition()); }
     obs::MetricRegistry &metrics() { return sim_.metrics(); }
-    obs::TraceSink &traceSink() { return sim_.trace(); }
     fault::FaultHookRegistry &faults() { return sim_.faults(); }
 
     /** Debug log attributed to this object (see Logger::debugEnable). */

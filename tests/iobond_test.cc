@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "fault/fault.hh"
 #include "hw/compute_board.hh"
@@ -26,6 +28,7 @@ namespace iobond {
 namespace {
 
 using namespace virtio;
+using obs::FlightEvent;
 
 class IoBondTest : public ::testing::Test
 {
@@ -320,19 +323,28 @@ TEST_F(IoBondTest, AsicParamsCutPciTiming)
     EXPECT_EQ(asic.pciAccess * 4, paper::ioBondPciAccess);
 }
 
-TEST_F(IoBondTest, TracerObservesDatapath)
+TEST_F(IoBondTest, FlightRecorderObservesDatapath)
 {
-    std::vector<std::string> events;
-    bond.setTracer([&](const std::string &m) {
-        events.push_back(m);
-    });
+    obs::FlightRecorder flight("bond.flight", sim.metrics(), 64);
+    bond.setFlightRecorder(&flight);
     driver->submit({{0x20000, 64, false}}, {}, 1);
     kick();
     sim.run(sim.now() + msToTicks(1));
-    ASSERT_GE(events.size(), 2u);
-    EXPECT_NE(events[0].find("doorbell"), std::string::npos);
-    EXPECT_NE(events[1].find("published on shadow vring"),
-              std::string::npos);
+    // The doorbell is accepted first; the chain then lands on the
+    // kicked queue's shadow vring.
+    auto events = flight.lastEvents();
+    auto onTxq = [](FlightEvent ev) {
+        return [ev](const obs::FlightRecorder::Record &r) {
+            return r.ev == ev && r.fn == 0 && r.q == NET_TXQ;
+        };
+    };
+    auto bell = std::find_if(events.begin(), events.end(),
+                             onTxq(FlightEvent::DoorbellAccept));
+    ASSERT_NE(bell, events.end());
+    auto sync = std::find_if(bell, events.end(),
+                             onTxq(FlightEvent::AvailSync));
+    ASSERT_NE(sync, events.end());
+    EXPECT_EQ(sync->a, 1u); // one chain in the burst
 }
 
 TEST_F(IoBondTest, DeviceConfigExposesMac)

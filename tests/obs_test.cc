@@ -1,17 +1,21 @@
 /**
  * @file
  * Tests for the observability subsystem: the MetricRegistry
- * (get-or-create handles, exporters), the Chrome trace sink ring,
- * the RequestTracer's flow accounting, and — end to end — one net
- * packet and one block request traced through every layer of the
- * BM-Hive datapath with per-stage spans.
+ * (get-or-create handles, exporters), the RequestTracer's flow
+ * accounting, the SLO monitor, the flight recorder and the span
+ * records it carries, and — end to end — one net packet and one
+ * block request traced through every layer of the BM-Hive datapath
+ * with per-stage spans, plus a check that observers never move the
+ * simulated model.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -22,16 +26,16 @@
 #include "obs/metric_registry.hh"
 #include "obs/request_tracer.hh"
 #include "obs/slo_monitor.hh"
-#include "obs/trace.hh"
 #include "virtio/virtio_blk.hh"
 
 namespace bmhive {
 namespace {
 
+using obs::FlightEvent;
+using obs::FlightRecorder;
 using obs::MetricRegistry;
 using obs::RequestTracer;
 using obs::Stage;
-using obs::TraceSink;
 
 TEST(MetricRegistryTest, HandlesAreGetOrCreate)
 {
@@ -86,50 +90,6 @@ TEST(MetricRegistryTest, ResetAllClearsValues)
     EXPECT_EQ(l.count(), 0u);
 }
 
-TEST(TraceSinkTest, DisabledSinkRecordsNothing)
-{
-    TraceSink sink;
-    EXPECT_FALSE(sink.enabled());
-    sink.recordComplete("n", "c", 0, 10, sink.lane("l"));
-    EXPECT_EQ(sink.size(), 0u);
-}
-
-#if BMHIVE_TRACING
-TEST(TraceSinkTest, RecordsAndExportsChromeJson)
-{
-    TraceSink sink;
-    sink.enable(16);
-    std::uint32_t lane = sink.lane("guest0.net");
-    sink.recordComplete("shadow_sync", "iobond", usToTicks(1),
-                        usToTicks(2), lane, 42);
-    sink.recordInstant("doorbell", "iobond", usToTicks(1), lane);
-    EXPECT_EQ(sink.size(), 2u);
-    std::string json = sink.toJson();
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"shadow_sync\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-    EXPECT_NE(json.find("guest0.net"), std::string::npos);
-}
-
-TEST(TraceSinkTest, RingOverwritesOldestAndCountsDrops)
-{
-    TraceSink sink;
-    sink.enable(4);
-    for (int i = 0; i < 10; ++i) {
-        sink.recordInstant("e" + std::to_string(i), "t", Tick(i),
-                           0);
-    }
-    EXPECT_EQ(sink.size(), 4u);
-    EXPECT_EQ(sink.dropped(), 6u);
-    auto events = sink.events();
-    ASSERT_EQ(events.size(), 4u);
-    // Oldest-first unwrap: the survivors are e6..e9.
-    EXPECT_EQ(events.front().name, "e6");
-    EXPECT_EQ(events.back().name, "e9");
-}
-#endif // BMHIVE_TRACING
-
 TEST(RequestTracerTest, StampsPartitionEndToEndLatency)
 {
     MetricRegistry reg;
@@ -176,24 +136,39 @@ TEST(RequestTracerTest, UnmatchedStampsAreCountedNotRecorded)
     EXPECT_EQ(tracer.stageLatency(Stage::CompleteDma).count(), 0u);
 }
 
-TEST(RequestTracerTest, RecentKeepsCompletedFlowRecords)
+TEST(RequestTracerTest, SpanTargetRecordsEveryTransition)
 {
     MetricRegistry reg;
     RequestTracer tracer("g0.blk", reg);
+    FlightRecorder spans("g0.spans", reg, 16);
+    tracer.setSpanTarget(&spans);
     for (std::uint16_t h = 0; h < 3; ++h) {
         std::uint64_t key = RequestTracer::flowKey(1, 0, h);
         tracer.stamp(key, Stage::GuestPost, usToTicks(h * 100));
         tracer.stamp(key, Stage::GuestIrq,
                      usToTicks(h * 100 + 50));
     }
-    ASSERT_EQ(tracer.recent().size(), 3u);
-    const auto &rec = tracer.recent().back();
-    EXPECT_EQ(rec.key, RequestTracer::flowKey(1, 0, 2));
-    EXPECT_TRUE(rec.stageSeen &
-                (1u << unsigned(Stage::GuestPost)));
-    EXPECT_TRUE(rec.stageSeen & (1u << unsigned(Stage::GuestIrq)));
-    EXPECT_FALSE(rec.stageSeen &
-                 (1u << unsigned(Stage::ShadowSync)));
+    // GuestPost opens a flow without a span; each later stamp
+    // closes one span that starts at the previous stamp.
+    auto recs = spans.lastEvents();
+    ASSERT_EQ(recs.size(), 3u);
+    for (std::uint16_t h = 0; h < 3; ++h) {
+        EXPECT_EQ(recs[h].ev, FlightEvent::Span);
+        EXPECT_EQ(recs[h].stage, Stage::GuestIrq);
+        EXPECT_EQ(recs[h].at, usToTicks(h * 100));
+        EXPECT_EQ(recs[h].a, usToTicks(50));
+        EXPECT_EQ(recs[h].b, RequestTracer::flowKey(1, 0, h));
+        EXPECT_EQ(recs[h].fn, 1u);
+        EXPECT_EQ(recs[h].q, 0u);
+    }
+    // Detached, the tracer stops writing spans.
+    tracer.setSpanTarget(nullptr);
+    tracer.stamp(RequestTracer::flowKey(1, 0, 9), Stage::GuestPost,
+                 usToTicks(400));
+    tracer.stamp(RequestTracer::flowKey(1, 0, 9), Stage::GuestIrq,
+                 usToTicks(450));
+    EXPECT_EQ(spans.recorded(), 3u);
+    EXPECT_EQ(tracer.completed(), 4u);
 }
 
 TEST(RequestTracerTest, NonMonotonicStampPanics)
@@ -347,18 +322,25 @@ tightSlo()
 
 TEST(SloMonitorTest, LogBucketsAreMonotonicAndConservative)
 {
-    unsigned prev = 0;
-    for (Tick us = 1; us <= 100000; us *= 3) {
-        Tick lat = usToTicks(double(us));
-        unsigned b = SloMonitor::bucketOf(lat);
-        EXPECT_GE(b, prev);
-        prev = b;
-        double upper = SloMonitor::bucketUpperUs(b);
-        // Upper edge covers the value and over-reports by at most
-        // one sub-bucket (4/octave => <= 25%).
-        EXPECT_GE(upper, double(us));
-        EXPECT_LE(upper, double(us) * 1.26);
+    // Walk every bucket from 1 ns to 1000 s by its lower edge, the
+    // value the reported upper edge overstates the most: with 4
+    // sub-buckets per octave that is exactly 25%.
+    double worst = 0.0;
+    std::uint64_t lower_ns = 1;
+    for (unsigned b = 1; lower_ns < 1000000000000ull; ++b) {
+        Tick lat = Tick(lower_ns) * 1000;
+        ASSERT_EQ(SloMonitor::bucketOf(lat), b);
+        ASSERT_EQ(SloMonitor::bucketOf(lat - 1), b - 1);
+        double upper_ns = SloMonitor::bucketUpperUs(b) * 1e3;
+        double over = upper_ns / double(lower_ns);
+        EXPECT_GE(over, 1.0 - 1e-12);
+        EXPECT_LE(over, 1.25 + 1e-12);
+        worst = std::max(worst, over);
+        // Single-ns buckets are exact; above them a bucket starts
+        // where the previous one ends.
+        lower_ns = b < 4 ? b + 1 : std::uint64_t(std::llround(upper_ns));
     }
+    EXPECT_NEAR(worst, 1.25, 1e-9);
 }
 
 TEST(SloMonitorTest, PercentilesTrackTheDistribution)
@@ -371,9 +353,9 @@ TEST(SloMonitorTest, PercentilesTrackTheDistribution)
     double p50 = slo.percentileUs(SloRole::Net, 0.50);
     double p99 = slo.percentileUs(SloRole::Net, 0.99);
     EXPECT_GE(p50, 50.0);
-    EXPECT_LE(p50, 50.0 * 1.26);
+    EXPECT_LE(p50, 50.0 * 1.25);
     EXPECT_GE(p99, 99.0);
-    EXPECT_LE(p99, 99.0 * 1.26);
+    EXPECT_LE(p99, 99.0 * 1.25);
     EXPECT_LE(p50, p99);
     // Roles are independent: blk saw nothing.
     EXPECT_EQ(slo.windowSamples(SloRole::Blk), 0u);
@@ -439,9 +421,6 @@ TEST(SloMonitorTest, FewSamplesNeverBreach)
 
 // --- FlightRecorder ---
 
-using obs::FlightEvent;
-using obs::FlightRecorder;
-
 TEST(FlightRecorderTest, RingWrapsAndKeepsTheTail)
 {
     obs::MetricRegistry reg;
@@ -471,12 +450,19 @@ TEST(FlightRecorderTest, ChromeJsonCarriesTriggerAndEvents)
     FlightRecorder fr("g0.flight", reg, 8);
     fr.record(usToTicks(5), FlightEvent::DoorbellAccept, 3, 1);
     fr.record(usToTicks(6), FlightEvent::Msi, 3, 1, 42);
+    fr.recordSpan(usToTicks(5), Stage::ShadowSync, usToTicks(2), 3, 1,
+                  7);
     std::string json = fr.toChromeJson(0, "quarantine");
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"trigger\":\"quarantine\""),
               std::string::npos);
     EXPECT_NE(json.find("\"doorbell_accept\""), std::string::npos);
     EXPECT_NE(json.find("\"msi\""), std::string::npos);
+    // A span is a complete event named after its stage.
+    EXPECT_NE(json.find("\"name\":\"shadow_sync\",\"cat\":\"flight\","
+                        "\"ph\":\"X\",\"ts\":5.000000,"
+                        "\"dur\":2.000000,"),
+              std::string::npos);
     EXPECT_NE(json.find("g0.flight"), std::string::npos);
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
@@ -496,7 +482,8 @@ class ObsIntegrationTest : public ::testing::Test
   protected:
     ObsIntegrationTest()
         : sim(97), vswitch(sim, "vs"), storage(sim, "st"),
-          server(sim, "srv", vswitch, &storage, params())
+          server(sim, "srv", vswitch, &storage, params()),
+          spans("srv.spans", sim.metrics(), 64)
     {
     }
 
@@ -508,34 +495,48 @@ class ObsIntegrationTest : public ::testing::Test
         return p;
     }
 
+    /** Check the one flow @p tracer closed, as written to the
+     *  span target @p spans. */
     static void
-    expectCompleteMonotonicFlow(const RequestTracer &tracer)
+    expectCompleteMonotonicFlow(const RequestTracer &tracer,
+                                const FlightRecorder &spans)
     {
         ASSERT_EQ(tracer.completed(), 1u);
-        ASSERT_EQ(tracer.recent().size(), 1u);
-        const auto &rec = tracer.recent().front();
-        unsigned last = unsigned(tracer.finalStage());
         // Every span of the Fig. 6 path up to the flow's final
-        // stage, exactly once — except SchedDelay, which is
-        // zero-width (skipped) under dedicated busy polling.
-        unsigned sched_bit = 1u << unsigned(Stage::SchedDelay);
-        EXPECT_EQ(rec.stageSeen | sched_bit,
-                  (1u << (last + 1)) - 1);
-        // ...with non-decreasing timestamps along the path.
-        Tick prev = rec.at[0];
-        for (unsigned s = 1; s <= last; ++s) {
-            if (!(rec.stageSeen & (1u << s)))
-                continue;
-            EXPECT_GE(rec.at[s], prev)
-                << "stage " << s << " precedes its predecessor";
-            prev = rec.at[s];
+        // stage, exactly once and in path order — except
+        // SchedDelay, which a Dedicated poll loop never stamps.
+        std::vector<Stage> path;
+        for (unsigned s = unsigned(Stage::ShadowSync);
+             s <= unsigned(tracer.finalStage()); ++s)
+            if (Stage(s) != Stage::SchedDelay)
+                path.push_back(Stage(s));
+        auto recs = spans.lastEvents();
+        ASSERT_EQ(recs.size(), path.size());
+        Tick start = recs.front().at;
+        Tick sum = 0;
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+            EXPECT_EQ(recs[i].ev, FlightEvent::Span);
+            EXPECT_EQ(recs[i].stage, path[i]);
+            EXPECT_EQ(recs[i].b, recs.front().b) << "one flow";
+            EXPECT_EQ(RequestTracer::flowKey(
+                          recs[i].fn, recs[i].q,
+                          std::uint16_t(recs[i].b)),
+                      recs[i].b);
+            // ...with span starts that never decrease...
+            EXPECT_GE(recs[i].at, start)
+                << obs::stageName(recs[i].stage)
+                << " starts before its predecessor";
+            start = recs[i].at;
+            sum += recs[i].a;
         }
-        // The doorbell really is earlier than the closing event.
-        EXPECT_GT(rec.at[last], rec.at[unsigned(Stage::GuestPost)]);
+        // ...and durations that tile the doorbell -> close latency.
+        EXPECT_GT(sum, 0u);
+        EXPECT_DOUBLE_EQ(ticksToUs(sum), tracer.totalLatency().meanUs());
         // Per-stage recorders saw exactly this one flow.
         EXPECT_EQ(tracer.stageLatency(Stage::ShadowSync).count(),
                   1u);
-        EXPECT_EQ(tracer.stageLatency(Stage(last)).count(), 1u);
+        EXPECT_EQ(tracer.stageLatency(tracer.finalStage()).count(),
+                  1u);
         EXPECT_EQ(tracer.totalLatency().count(), 1u);
     }
 
@@ -543,6 +544,7 @@ class ObsIntegrationTest : public ::testing::Test
     cloud::VSwitch vswitch;
     cloud::BlockService storage;
     core::BmHiveServer server;
+    FlightRecorder spans;
 };
 
 TEST_F(ObsIntegrationTest, OneNetPacketYieldsEverySpanOnce)
@@ -553,6 +555,7 @@ TEST_F(ObsIntegrationTest, OneNetPacketYieldsEverySpanOnce)
                                0xB);
     sim.run(sim.now() + msToTicks(1));
     a.hypervisor().enableIoTracing();
+    a.hypervisor().netTracer()->setSpanTarget(&spans);
 
     unsigned delivered = 0;
     b.net().setRxHandler(
@@ -570,7 +573,7 @@ TEST_F(ObsIntegrationTest, OneNetPacketYieldsEverySpanOnce)
     // Tx completion MSIs are suppressed by the driver, so the flow
     // ends at the completion DMA.
     EXPECT_EQ(tracer->finalStage(), Stage::CompleteDma);
-    expectCompleteMonotonicFlow(*tracer);
+    expectCompleteMonotonicFlow(*tracer, spans);
     // The tx flow matched; nothing leaked onto other queues.
     EXPECT_EQ(tracer->openFlows(), 0u);
 }
@@ -582,6 +585,7 @@ TEST_F(ObsIntegrationTest, OneBlockRequestYieldsEverySpanOnce)
                                0xA, &vol);
     sim.run(sim.now() + msToTicks(1));
     g.hypervisor().enableIoTracing();
+    g.hypervisor().blkTracer()->setSpanTarget(&spans);
 
     bool done = false;
     ASSERT_TRUE(g.blk()->read(
@@ -596,7 +600,7 @@ TEST_F(ObsIntegrationTest, OneBlockRequestYieldsEverySpanOnce)
     ASSERT_NE(tracer, nullptr);
     // Block completions raise a real MSI: all six spans appear.
     EXPECT_EQ(tracer->finalStage(), Stage::GuestIrq);
-    expectCompleteMonotonicFlow(*tracer);
+    expectCompleteMonotonicFlow(*tracer, spans);
     // The Service stage covers the storage round trip: two fabric
     // crossings plus SSD service time dominate it.
     EXPECT_GT(tracer->stageLatency(Stage::Service).meanUs(),
@@ -680,15 +684,14 @@ TEST_F(ObsIntegrationTest, ComponentCountersLiveInTheRegistry)
                   .value());
 }
 
-#if BMHIVE_TRACING
 TEST_F(ObsIntegrationTest, TracedRunEmitsChromeSpans)
 {
-    sim.trace().enable();
     auto &vol = storage.createVolume("v", 16 * MiB);
     auto &g = server.provision(core::InstanceCatalog::evaluated(),
                                0xA, &vol);
     sim.run(sim.now() + msToTicks(1));
     g.hypervisor().enableIoTracing();
+    g.hypervisor().blkTracer()->setSpanTarget(&spans);
 
     bool done = false;
     ASSERT_TRUE(g.blk()->read(0, 4 * KiB, g.os().cpu(1),
@@ -698,24 +701,27 @@ TEST_F(ObsIntegrationTest, TracedRunEmitsChromeSpans)
     sim.run(sim.now() + msToTicks(30));
     ASSERT_TRUE(done);
 
-    EXPECT_GT(sim.trace().size(), 0u);
-    std::string json = sim.trace().toJson();
+    // Every span record is a complete event whose ts/dur are the
+    // record's start and duration.
+    std::string json = spans.toChromeJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("shadow_sync"), std::string::npos);
-    EXPECT_NE(json.find("guest_irq"), std::string::npos);
+    EXPECT_NE(json.find("srv.spans"), std::string::npos);
+    auto recs = spans.lastEvents();
+    ASSERT_GE(recs.size(), 4u);
+    for (const auto &r : recs) {
+        char want[128];
+        std::snprintf(want, sizeof(want),
+                      "\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"X\","
+                      "\"ts\":%.6f,\"dur\":%.6f,",
+                      obs::stageName(r.stage), ticksToUs(r.at),
+                      ticksToUs(r.a));
+        EXPECT_NE(json.find(want), std::string::npos) << want;
+    }
+    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+              std::count(json.begin(), json.end(), '}'));
+    // Spans are the only records here: no instants.
+    EXPECT_EQ(json.find("\"ph\":\"i\""), std::string::npos);
 }
-#else
-TEST_F(ObsIntegrationTest, TracingCompiledOutIsInert)
-{
-    sim.trace().enable();
-    EXPECT_FALSE(sim.trace().enabled());
-    auto &g = server.provision(core::InstanceCatalog::evaluated(),
-                               0xA);
-    g.hypervisor().enableIoTracing();
-    sim.run(sim.now() + msToTicks(1));
-    EXPECT_EQ(sim.trace().size(), 0u);
-}
-#endif // BMHIVE_TRACING
 
 // --- Anomaly-triggered flight dumps ---
 
@@ -914,6 +920,132 @@ TEST(FlightDumpSloTest, SloBreachDumpsAndCounts)
     // The breach landed in the guest's own ring too.
     std::string body = slurp(server.lastFlightDumpPath());
     EXPECT_NE(body.find("\"slo_breach\""), std::string::npos);
+}
+
+// --- Observers do not move the model ---
+
+/** Metric name -> its JSON value, one toJson() line per metric. */
+std::map<std::string, std::string>
+metricValues(const MetricRegistry &reg)
+{
+    std::map<std::string, std::string> out;
+    std::istringstream in(reg.toJson());
+    std::string line;
+    while (std::getline(in, line)) {
+        auto colon = line.find("\": ");
+        if (line.rfind("  \"", 0) != 0 || colon == std::string::npos)
+            continue;
+        std::string value = line.substr(colon + 3);
+        if (!value.empty() && value.back() == ',')
+            value.pop_back();
+        out[line.substr(3, colon - 3)] = value;
+    }
+    return out;
+}
+
+/**
+ * One seeded two-guest run: net tx both ways, block reads and
+ * writes on both guests, and a NIC reset on guest 0 half-way.
+ * @p obs_on selects BmServerParams::obs.enabled; @p spans attaches
+ * a span recorder to both tracers of each guest.
+ */
+std::map<std::string, std::string>
+observedRun(bool obs_on, bool spans)
+{
+    Simulation sim(31);
+    cloud::VSwitch vswitch(sim, "vs");
+    cloud::BlockService storage(sim, "st");
+    core::BmServerParams p;
+    p.maxBoards = 2;
+    p.obs.enabled = obs_on;
+    core::BmHiveServer server(sim, "srv", vswitch, &storage, p);
+    std::vector<core::BmGuest *> guests;
+    std::vector<std::unique_ptr<FlightRecorder>> recorders;
+    for (unsigned i = 0; i < 2; ++i) {
+        auto &vol = storage.createVolume("v" + std::to_string(i),
+                                         16 * MiB);
+        auto &g = server.provision(core::InstanceCatalog::evaluated(),
+                                   0xA + i, &vol);
+        g.net().setRxHandler([](const cloud::Packet &) {});
+        guests.push_back(&g);
+        if (!spans)
+            continue;
+        recorders.push_back(std::make_unique<FlightRecorder>(
+            "srv.guest" + std::to_string(i) + ".spans", sim.metrics(),
+            4096));
+        g.hypervisor().netTracer()->setSpanTarget(recorders.back().get());
+        g.hypervisor().blkTracer()->setSpanTarget(recorders.back().get());
+    }
+    sim.run(sim.now() + msToTicks(1));
+
+    for (unsigned round = 0; round < 20; ++round) {
+        if (round == 10)
+            guests[0]->bond().failFunction(0);
+        for (unsigned i = 0; i < 2; ++i) {
+            core::BmGuest &g = *guests[i];
+            cloud::Packet pkt;
+            pkt.src = 0xA + i;
+            pkt.dst = 0xA + (1 - i);
+            pkt.len = 256;
+            pkt.seq = round;
+            g.net().sendPacket(pkt, true, g.os().cpu(1));
+            std::uint64_t sector = (round * 2 + i) * 8;
+            if (round % 2)
+                g.blk()->write(sector, 4 * KiB, nullptr, g.os().cpu(0),
+                               [](std::uint8_t, Addr) {});
+            else
+                g.blk()->read(sector, 4 * KiB, g.os().cpu(0),
+                              [](std::uint8_t, Addr) {});
+        }
+        sim.run(sim.now() + usToTicks(500));
+    }
+    sim.run(sim.now() + msToTicks(20));
+    return metricValues(sim.metrics());
+}
+
+/** Names both runs register, compared value by value; the server's
+ *  own obs dump counters are skipped when @p skip_dumps. */
+unsigned
+expectSharedMetricsEqual(const std::map<std::string, std::string> &a,
+                         const std::map<std::string, std::string> &b,
+                         bool skip_dumps)
+{
+    unsigned shared = 0;
+    for (const auto &[name, value] : a) {
+        auto it = b.find(name);
+        if (it == b.end())
+            continue;
+        if (skip_dumps && name.rfind("srv.obs.", 0) == 0)
+            continue;
+        ++shared;
+        EXPECT_EQ(value, it->second) << name;
+    }
+    return shared;
+}
+
+TEST(ObserverInvarianceTest, ObsAndSpansNeverMoveTheModel)
+{
+    auto off = observedRun(false, false);
+    auto on = observedRun(true, false);
+    auto traced = observedRun(true, true);
+
+    // The run did what it says: traffic both ways, a reset (it
+    // triggers a flight dump), closed flows, span records.
+    EXPECT_NE(off.at("srv.guest0.hv.svc.tx_pkts"), "0");
+    EXPECT_NE(off.at("srv.guest1.hv.svc.tx_pkts"), "0");
+    EXPECT_NE(off.at("st.writes"), "0");
+    EXPECT_EQ(on.at("srv.obs.dump_triggers"), "1");
+    EXPECT_NE(on.at("srv.guest1.hv.blk.flows.completed"), "0");
+    EXPECT_NE(traced.at("srv.guest0.spans.events"), "0");
+
+    for (const auto &[name, value] : off) {
+        EXPECT_TRUE(on.count(name)) << name << " only with obs off";
+        EXPECT_TRUE(traced.count(name)) << name << " only with obs off";
+    }
+    EXPECT_GT(expectSharedMetricsEqual(off, on, true), 50u);
+    EXPECT_GT(expectSharedMetricsEqual(off, traced, true), 50u);
+    // Span targets add their own counters and change nothing else.
+    EXPECT_EQ(expectSharedMetricsEqual(on, traced, false), on.size());
 }
 
 } // namespace

@@ -20,10 +20,10 @@ the shape of every metric, histogram bucket ordering / count
 consistency, percentile monotonicity, and that every backend poll
 visit recorded its batch (<svc>.poll.batch total == <svc>.poll.total).
 Metric families with a declared kind (the fleet controller's
-fleet.* names, the end-to-end *.integrity.* family, and the
-simulation core's sim.* counters) are additionally pinned: a fleet
-counter that turns into a histogram is a schema break even though
-both are valid shapes.
+fleet.* names, the end-to-end *.integrity.* family, the simulation
+core's sim.* counters, and the flight-recorder and request-tracer
+obs names) are additionally pinned: a fleet counter that turns into
+a histogram is a schema break even though both are valid shapes.
 
     metrics_check.py A.json [B.json ...]      validate each file
     metrics_check.py --diff A.json B.json     validate + require
@@ -108,6 +108,26 @@ SIM_KINDS = {
 }
 
 
+# Observability family (DESIGN.md §9, §14): each flight recorder's
+# "<path>.flight.*" counters and each request tracer's flow counters
+# and per-stage latencies ("<path>.stage.<stage|total>"). Consumers
+# sum .flight.events and read .stage.total as a latency, so a
+# reshaped metric would silently break their attribution.
+OBS_KINDS = {
+    "flight.events": "counter",
+    "flight.overwritten": "counter",
+    "flows.started": "counter",
+    "flows.completed": "counter",
+    "flows.unmatched": "counter",
+    "flows.evicted": "counter",
+    "flows.aborted": "counter",
+    "obs.tracer.evicted_flows": "counter",
+}
+for _stage in ("shadow_sync", "sched_delay", "poll_pickup", "service",
+               "complete_dma", "guest_irq", "total"):
+    OBS_KINDS["stage." + _stage] = "latency"
+
+
 # Multi-queue family (DESIGN.md §17). Queue indices are part of the
 # name ("...sched.served.<hv>.mq.blkq3"), so these are pinned by
 # pattern rather than literal suffix. All are counters; a shape
@@ -146,7 +166,7 @@ def metric_kind(v):
 
 
 def declared_kind(name):
-    for kinds in (FLEET_KINDS, INTEGRITY_KINDS, SIM_KINDS):
+    for kinds in (FLEET_KINDS, INTEGRITY_KINDS, SIM_KINDS, OBS_KINDS):
         for suffix, kind in kinds.items():
             if name == suffix or name.endswith("." + suffix):
                 return kind
