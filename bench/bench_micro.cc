@@ -2,14 +2,15 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot paths:
  * vring serialization, virtqueue submit/pop/complete cycles, the
- * event queue, the DMA engine, the pool allocator, and one full
- * guest-to-guest packet round trip. These measure *simulator*
- * performance (host wall time), not simulated time — they bound
- * how large an experiment the harness can run.
+ * event queue, the DMA engine, the integrity checksums, the pool
+ * allocator, and one full guest-to-guest packet round trip. These
+ * measure *simulator* performance (host wall time), not simulated
+ * time — they bound how large an experiment the harness can run.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "base/checksum.hh"
 #include "bench/common.hh"
 #include "mem/pool_allocator.hh"
 #include "virtio/virtqueue.hh"
@@ -109,6 +110,40 @@ BM_DmaEngineCopy4K(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_DmaEngineCopy4K);
+
+std::vector<std::uint8_t>
+randomBlock()
+{
+    std::vector<std::uint8_t> block(4096);
+    Rng rng(3);
+    for (auto &b : block)
+        b = std::uint8_t(rng.uniformInt(0, 255));
+    return block;
+}
+
+void
+BM_Crc32c4K(benchmark::State &state)
+{
+    // One DMA ECRC pass over a 4 KiB transfer.
+    const auto block = randomBlock();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32c(block.data(), block.size()));
+    state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_Crc32c4K);
+
+void
+BM_Crc16T10Dif4K(benchmark::State &state)
+{
+    // The eight DIF guard tags of one 4 KiB block.
+    const auto block = randomBlock();
+    for (auto _ : state) {
+        for (std::size_t s = 0; s < block.size(); s += 512)
+            benchmark::DoNotOptimize(crc16T10dif(block.data() + s, 512));
+    }
+    state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_Crc16T10Dif4K);
 
 void
 BM_PoolAllocatorChurn(benchmark::State &state)
