@@ -12,6 +12,7 @@
 
 #include "base/checksum.hh"
 #include "bench/common.hh"
+#include "hw/cpu_executor.hh"
 #include "mem/pool_allocator.hh"
 #include "virtio/virtqueue.hh"
 #include "workloads/guest_iface.hh"
@@ -96,6 +97,26 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_CpuExecutorRun(benchmark::State &state)
+{
+    // One modelled CPU hop per iteration: CpuExecutor::run with a
+    // 32-byte capture (past std::function's 16-byte inline buffer)
+    // on a core named like a guest's, scheduled as a one-shot and
+    // stepped. The baseline for pooling one-shots.
+    Simulation sim;
+    hw::CpuExecutor cpu(sim, "server.guest0.board.t0");
+    std::uint64_t a = 1, b = 2, c = 3, sink = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cpu.run(
+            nsToTicks(100), [&sink, a, b, c] { sink += a + b + c; }));
+        sim.eventq().step();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpuExecutorRun);
 
 void
 BM_DmaEngineCopy4K(benchmark::State &state)

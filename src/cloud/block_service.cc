@@ -211,10 +211,10 @@ BlockService::submit(Volume &vol, BlockIo io)
     // (it claims takeCorruption() itself, preserving the historical
     // claim ordering), so done always reports a clean wire here.
     auto done = std::move(io.done);
-    auto *ev = new OneShotEvent([done = std::move(done)] {
-            done(false);
-        }, name() + ".complete");
-    eventq().schedule(ev, completion);
+    eventq().schedule(
+        new OneShotEvent([done = std::move(done)] { done(false); },
+                         "storage.complete"),
+        completion);
 }
 
 void
@@ -249,7 +249,7 @@ BlockService::submitArrived(Volume &vol, BlockIo io)
     auto done = std::move(io.done);
     sim_.post(io.srcPartition, completion,
               [done = std::move(done), wire] { done(wire); },
-              Event::defaultPri, name() + ".complete");
+              Event::defaultPri, "storage.complete");
 }
 
 } // namespace cloud

@@ -59,9 +59,9 @@ VSwitch::stallPort(PortId id, Tick duration)
         return; // already stalled at least that long
     port.stallUntil = until;
     faultInjected_.inc();
-    auto *ev = new OneShotEvent([this, id] { flushPort(id); },
-                                name() + ".unstall");
-    eventq().schedule(ev, until);
+    eventq().schedule(new OneShotEvent([this, id] { flushPort(id); },
+                                       "vswitch.unstall"),
+                      until);
 }
 
 void
@@ -203,12 +203,13 @@ VSwitch::forward(const Packet &pktIn)
             auto fn = uplink_;
             sim_.post(uplinkPartition_, hand,
                       [fn, copy] { fn(copy); }, Event::defaultPri,
-                      name() + ".uplink");
+                      "vswitch.uplink");
             return;
         }
-        auto *ev = new OneShotEvent(
-            [this, copy] { uplink_(copy); }, name() + ".uplink");
-        eventq().schedule(ev, arrive);
+        eventq().schedule(new OneShotEvent(
+                              [this, copy] { uplink_(copy); },
+                              "vswitch.uplink"),
+                          arrive);
         return;
     }
 
@@ -227,20 +228,21 @@ VSwitch::deliverTo(PortId pid, const Packet &pkt, Tick ready)
     forwarded_.inc();
     bytes_.inc(pkt.len);
     Packet copy = pkt;
-    auto *ev = new OneShotEvent(
-        [this, pid, copy] {
-            Port &p = ports_[pid];
-            if (p.rxq) {
-                // RSS: hash the flow tuple through the port's
-                // indirection table to pick the rx queue.
-                p.rxq(copy, p.rss.queueFor(copy.src, copy.dst,
-                                           copy.flow));
-            } else if (p.rx) {
-                p.rx(copy);
-            }
-        },
-        name() + ".deliver");
-    eventq().schedule(ev, arrive);
+    eventq().schedule(
+        new OneShotEvent(
+            [this, pid, copy] {
+                Port &p = ports_[pid];
+                if (p.rxq) {
+                    // RSS: hash the flow tuple through the port's
+                    // indirection table to pick the rx queue.
+                    p.rxq(copy, p.rss.queueFor(copy.src, copy.dst,
+                                               copy.flow));
+                } else if (p.rx) {
+                    p.rx(copy);
+                }
+            },
+            "vswitch.deliver"),
+        arrive);
 }
 
 NetFabric::NetFabric(Simulation &sim, std::string name,
@@ -275,10 +277,10 @@ NetFabric::route(const Packet &pkt)
     // classic simulation (one shared queue), and in a partitioned
     // one the delivery executes inside the destination partition at
     // the correct tick instead of against its parked clock.
-    auto *ev = new OneShotEvent(
-        [sw, copy] { sw->receiveFromUplink(copy); },
-        name() + ".route");
-    sw->eventq().schedule(ev, curTick() + propagation_);
+    sw->eventq().schedule(
+        new OneShotEvent([sw, copy] { sw->receiveFromUplink(copy); },
+                         "fabric.route"),
+        curTick() + propagation_);
 }
 
 } // namespace cloud

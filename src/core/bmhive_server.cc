@@ -94,10 +94,8 @@ BmHiveServer::BmHiveServer(Simulation &sim, std::string name,
           this->name() + ".watchdog.recovery_ticks")),
       quarantineDwell_(metrics().latency(
           this->name() + ".guest.quarantine_dwell")),
-      statsEvent_([this] { dumpStats(); },
-                  this->name() + ".stats_dump"),
-      watchdogEvent_([this] { watchdogCheck(); },
-                     this->name() + ".watchdog")
+      statsEvent_([this] { dumpStats(); }, "server.stats_dump"),
+      watchdogEvent_([this] { watchdogCheck(); }, "server.watchdog")
 {
     fatal_if(params_.maxBoards == 0 ||
                  params_.maxBoards > paper::maxComputeBoards,
@@ -539,10 +537,10 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
     // its release-and-reset.
     if (containment_[idx].state == GuestHealth::Quarantined) {
         containment_[idx].quarantinedAt = curTick();
-        auto *ev = new OneShotEvent(
-            [this, idx] { releaseQuarantine(idx); },
-            name() + ".quarantine_release");
-        scheduleIn(ev, params_.containment.quarantineDwell);
+        scheduleIn(new OneShotEvent(
+                       [this, idx] { releaseQuarantine(idx); },
+                       "server.quarantine_release"),
+                   params_.containment.quarantineDwell);
     }
 
     // Target core for the re-homed PMD: same placement policy as a
@@ -761,10 +759,9 @@ BmHiveServer::quarantineGuest(unsigned i)
         guests_[i]->flight_->record(
             curTick(), obs::FlightEvent::Containment, 0, 0, 2);
     flightDump(i, "quarantine");
-    auto *ev = new OneShotEvent(
-        [this, i] { releaseQuarantine(i); },
-        name() + ".quarantine_release");
-    scheduleIn(ev, params_.containment.quarantineDwell);
+    scheduleIn(new OneShotEvent([this, i] { releaseQuarantine(i); },
+                                "server.quarantine_release"),
+               params_.containment.quarantineDwell);
 }
 
 void

@@ -185,10 +185,11 @@ FaultInjector::arm()
     for (; armed_ < plan_.size(); ++armed_) {
         const PlanEntry &e = plan_[armed_];
         Tick when = e.at < curTick() ? curTick() : e.at;
-        auto *ev = new OneShotEvent(
-            [this, idx = armed_] { deliver(plan_[idx]); },
-            name() + ".fire");
-        eventq().schedule(ev, when);
+        eventq().schedule(
+            new OneShotEvent(
+                [this, idx = armed_] { deliver(plan_[idx]); },
+                "fault.fire"),
+            when);
     }
 }
 

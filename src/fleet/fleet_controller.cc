@@ -34,8 +34,7 @@ FleetController::FleetController(Simulation &sim, std::string name,
       blackoutHist_(metrics().histogram(
           this->name() + ".migration.blackout_hist_us", 0.0,
           params.blackoutHistMaxUs, params.blackoutHistBuckets)),
-      healthEvent_([this] { healthSweep(); },
-                   this->name() + ".health_sweep")
+      healthEvent_([this] { healthSweep(); }, "fleet.health_sweep")
 {
     fatal_if(params_.servers == 0,
              this->name(), ": a fleet needs at least one server");
@@ -78,8 +77,7 @@ FleetController::FleetController(Simulation &sim, std::string name,
             if (sim_.partitioned()) {
                 sim_.post(0, sim_.now() + sim_.lookahead(),
                           [this, s, idx] { onAbortSignal(s, idx); },
-                          Event::defaultPri,
-                          this->name() + ".abort_signal");
+                          Event::defaultPri, "fleet.abort_signal");
                 return;
             }
             onAbortSignal(s, idx);
@@ -103,12 +101,12 @@ FleetController::FleetController(Simulation &sim, std::string name,
             if (sim_.partitioned()) {
                 sim_.post(0, sim_.now() + sim_.lookahead(),
                           std::move(fire), Event::defaultPri,
-                          this->name() + ".integrity_drain");
+                          "fleet.integrity_drain");
                 return;
             }
-            auto *ev = new OneShotEvent(
-                std::move(fire), this->name() + ".integrity_drain");
-            scheduleIn(ev, 0);
+            scheduleIn(new OneShotEvent(std::move(fire),
+                                        "fleet.integrity_drain"),
+                       0);
         });
         // Server-level fault surface: power, boards, fabric.
         faults().add(srv.name(),
@@ -390,9 +388,9 @@ FleetController::settle(GuestId id)
             abortMigration(id, /*reason=*/2);
             return;
         }
-        auto *ev = new OneShotEvent([this, id] { settle(id); },
-                                    name() + ".settle");
-        scheduleIn(ev, params_.settleRetry);
+        scheduleIn(new OneShotEvent([this, id] { settle(id); },
+                                    "fleet.settle"),
+                   params_.settleRetry);
         return;
     }
     commit(id);
@@ -428,8 +426,7 @@ FleetController::commit(GuestId id)
                           [this, id, new_idx] {
                               finish(id, new_idx);
                           },
-                          Event::defaultPri,
-                          this->name() + ".finish");
+                          Event::defaultPri, "fleet.finish");
             } else {
                 finish(id, new_idx);
             }

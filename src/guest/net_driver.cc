@@ -270,9 +270,10 @@ NetDriver::napiPoll(unsigned pair)
         // Stay in polling mode: softirq re-poll after a budgetary
         // slice (charged to the interrupt CPU).
         os_.cpu(0).charge(nsToTicks(300));
-        auto *ev = new OneShotEvent([this, pair] { napiPoll(pair); },
-                                    "napi.repoll");
-        os_.eventq().schedule(ev, os_.curTick() + usToTicks(2));
+        os_.eventq().schedule(
+            new OneShotEvent([this, pair] { napiPoll(pair); },
+                             "napi.repoll"),
+            os_.curTick() + usToTicks(2));
         return;
     }
     // Ring dry: unmask interrupts and close the race window. The

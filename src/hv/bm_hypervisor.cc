@@ -576,10 +576,10 @@ void
 BmHypervisor::finishUpgrade(Tick t0, std::function<void(Tick)> done)
 {
     if (service_->blkInflight() > 0) {
-        auto *ev = new OneShotEvent(
-            [this, t0, done] { finishUpgrade(t0, done); },
-            name() + ".quiesce");
-        scheduleIn(ev, usToTicks(10));
+        scheduleIn(new OneShotEvent(
+                       [this, t0, done] { finishUpgrade(t0, done); },
+                       "hv.quiesce"),
+                   usToTicks(10));
         return;
     }
     ++upgrades_;

@@ -414,15 +414,15 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
                            std::max(when, curTick()) +
                                sim().lookahead(),
                            [sw, port, pkt] { sw->send(port, pkt); },
-                           Event::defaultPri,
-                           name() + ".paced_tx");
+                           Event::defaultPri, "svc.paced_tx");
             } else if (when <= curTick()) {
                 sw->send(port, pkt);
             } else {
-                auto *ev = new OneShotEvent(
-                    [sw, port, pkt] { sw->send(port, pkt); },
-                    name() + ".paced_tx");
-                eventq().schedule(ev, when);
+                eventq().schedule(
+                    new OneShotEvent(
+                        [sw, port, pkt] { sw->send(port, pkt); },
+                        "svc.paced_tx"),
+                    when);
             }
             txPkts_.inc();
         }
@@ -728,12 +728,12 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
         // Bounded exponential backoff: every resubmission doubles
         // the wait before the next one.
         Tick wait = params_.blkTimeout << p.attempt;
-        auto *tev = new OneShotEvent(
-            [this, seq, gen, attempt = p.attempt] {
-                onBlkTimeout(seq, gen, attempt);
-            },
-            name() + ".blk_timeout");
-        eventq().schedule(tev, curTick() + wait);
+        scheduleIn(new OneShotEvent(
+                       [this, seq, gen, attempt = p.attempt] {
+                           onBlkTimeout(seq, gen, attempt);
+                       },
+                       "svc.blk_timeout"),
+                   wait);
     }
 
     // The submission path: CPU work (touch + payload copy)
@@ -769,16 +769,16 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
                                svc->submitArrived(
                                    *vol, std::move(*io_box));
                            },
-                           Event::defaultPri,
-                           name() + ".blk_submit");
+                           Event::defaultPri, "svc.blk_submit");
                 return;
             }
-            auto *ev = new OneShotEvent(
-                [svc, vol, io_box] {
-                    svc->submit(*vol, std::move(*io_box));
-                },
-                name() + ".blk_submit");
-            eventq().schedule(ev, at);
+            eventq().schedule(
+                new OneShotEvent(
+                    [svc, vol, io_box] {
+                        svc->submit(*vol, std::move(*io_box));
+                    },
+                    "svc.blk_submit"),
+                at);
         });
 }
 

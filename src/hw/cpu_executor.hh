@@ -79,9 +79,8 @@ class CpuExecutor : public SimObject
         Tick end = start + dur;
         busyUntil_ = end;
         busyTime_ += dur;
-        auto *ev = new OneShotEvent(std::move(fn),
-                                    name() + ".work");
-        eventq().schedule(ev, end);
+        eventq().schedule(new OneShotEvent(std::move(fn), "cpu.work"),
+                          end);
         return end;
     }
 

@@ -166,13 +166,13 @@ IoBond::injectFault(const fault::FaultSpec &spec)
                             0, 0, std::uint64_t(spec.kind));
         // When the link comes back, sweep every ready queue: any
         // doorbell lost during the outage is recovered here.
-        auto *ev = new OneShotEvent(
-            [this] {
-                if (curTick() >= linkDownUntil_)
-                    rescanReady();
-            },
-            name() + ".linkup");
-        eventq().schedule(ev, linkDownUntil_);
+        eventq().schedule(new OneShotEvent(
+                              [this] {
+                                  if (curTick() >= linkDownUntil_)
+                                      rescanReady();
+                              },
+                              "iobond.linkup"),
+                          linkDownUntil_);
         return true;
       }
       case fault::FaultKind::DropDoorbell: {
@@ -183,10 +183,9 @@ IoBond::injectFault(const fault::FaultSpec &spec)
                             0, 0, std::uint64_t(spec.kind));
         // The mailbox-timeout resync sweep bounds how long a lost
         // notification can strand queued work.
-        auto *ev = new OneShotEvent([this] { rescanReady(); },
-                                    name() + ".resync");
-        scheduleIn(ev, spec.duration ? spec.duration
-                                     : usToTicks(100));
+        scheduleIn(new OneShotEvent([this] { rescanReady(); },
+                                    "iobond.resync"),
+                   spec.duration ? spec.duration : usToTicks(100));
         return true;
       }
       case fault::FaultKind::DmaCorruptMeta: {
@@ -296,13 +295,13 @@ IoBond::scheduleScrub()
     // one-shot stays behind in the source partition's queue after
     // the guest re-homes, and must not touch bond state that now
     // runs in another partition (retireScrub bumps the epoch).
-    auto *ev = new OneShotEvent(
-        [this, epoch = scrubEpoch_] {
-            if (epoch == scrubEpoch_)
-                scrubPass();
-        },
-        name() + ".scrub");
-    scheduleIn(ev, params_.scrubPeriod);
+    scheduleIn(new OneShotEvent(
+                   [this, epoch = scrubEpoch_] {
+                       if (epoch == scrubEpoch_)
+                           scrubPass();
+                   },
+                   "iobond.scrub"),
+               params_.scrubPeriod);
 }
 
 void
@@ -923,16 +922,18 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
             Tick at = std::max<Tick>(
                 fnDoorbells_[fi].nextAvailable(curTick(), 1.0),
                 curTick() + 1);
-            auto *ev = new OneShotEvent(
-                [this, fi, q] {
-                    ShadowQueue &s = shadow_[fi][q];
-                    s.stormResync = false;
-                    if (!quarantined_ && !drained_ && s.ready &&
-                        fnDoorbells_[fi].tryConsume(curTick(), 1.0))
-                        syncAvail(fi, q);
-                },
-                name() + ".storm_resync");
-            eventq().schedule(ev, at);
+            eventq().schedule(
+                new OneShotEvent(
+                    [this, fi, q] {
+                        ShadowQueue &s = shadow_[fi][q];
+                        s.stormResync = false;
+                        if (!quarantined_ && !drained_ && s.ready &&
+                            fnDoorbells_[fi].tryConsume(curTick(),
+                                                        1.0))
+                            syncAvail(fi, q);
+                    },
+                    "iobond.storm_resync"),
+                at);
         }
         return;
     }
@@ -946,9 +947,9 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
         queueWake_(fi, q);
     // The notification crosses to the mailbox side of the FPGA
     // before descriptor fetch begins.
-    auto *ev = new OneShotEvent(
-        [this, fi, q] { syncAvail(fi, q); }, name() + ".mailbox");
-    scheduleIn(ev, params_.mailboxAccess);
+    scheduleIn(new OneShotEvent([this, fi, q] { syncAvail(fi, q); },
+                                "iobond.mailbox"),
+               params_.mailboxAccess);
 }
 
 unsigned

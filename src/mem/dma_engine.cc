@@ -31,7 +31,7 @@ DmaEngine::DmaEngine(Simulation &sim, std::string name,
       batchSegs_(
           metrics().histogram(this->name() + ".batch_segs", 0, 256,
                               32)),
-      completeEvent_([this] { complete(); }, this->name() + ".complete")
+      completeEvent_([this] { complete(); }, "dma.complete")
 {
     panic_if(!bandwidth.valid(), "DMA engine needs positive bandwidth");
     sim_.faults().add(this->name(), [this](const fault::FaultSpec &s) {

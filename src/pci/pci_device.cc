@@ -125,14 +125,14 @@ PciBus::deliverMsi(int slot, unsigned vec)
     msis_.inc();
     if (!msiHandler_)
         return;
-    // Deliver after the interrupt latency via a self-deleting event.
-    auto *ev = new OneShotEvent(
-        [this, slot, vec] {
-            if (msiHandler_)
-                msiHandler_(slot, vec);
-        },
-        name() + ".msi");
-    scheduleIn(ev, msiLatency_);
+    // Deliver after the interrupt latency via a one-shot event.
+    scheduleIn(new OneShotEvent(
+                   [this, slot, vec] {
+                       if (msiHandler_)
+                           msiHandler_(slot, vec);
+                   },
+                   "pci.msi"),
+               msiLatency_);
 }
 
 } // namespace pci

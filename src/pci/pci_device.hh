@@ -131,9 +131,6 @@ class PciBus : public SimObject
     MsiHandler msiHandler_;
     Counter accesses_;
     Counter msis_;
-
-    /** Pending MSI deliveries (self-deleting events). */
-    struct PendingMsi;
 };
 
 } // namespace pci

@@ -54,8 +54,7 @@ PollScheduler::PollScheduler(Simulation &sim, std::string name,
             &metrics().histogram(base + ".round_items", 0, 1024, 32);
         c.wakeToPoll = &metrics().latency(base + ".wake_to_poll");
         c.event = std::make_unique<EventFunctionWrapper>(
-            [this, i] { runRound(i); }, base + ".round",
-            Event::pollPri);
+            [this, i] { runRound(i); }, "sched.round", Event::pollPri);
     }
 }
 
@@ -137,8 +136,7 @@ PollScheduler::addDedicated(hw::CpuExecutor &exec, Pollable &p,
         li = unsigned(loops_.size());
         loops_.emplace_back().event =
             std::make_unique<EventFunctionWrapper>(
-                [this, li] { runDedicated(li); },
-                name() + ".loop" + std::to_string(li),
+                [this, li] { runDedicated(li); }, "sched.loop",
                 Event::pollPri);
     }
     loops_[li].exec = &exec;

@@ -6,19 +6,32 @@ namespace bmhive {
 
 Event::~Event()
 {
-    panic_if(scheduled_,
-             "event '", name(), "' destroyed while scheduled");
+    panic_if(scheduled_, "event '", tag_,
+             "' destroyed while scheduled at ", when_);
+}
+
+EventQueue::~EventQueue()
+{
+    // The queue owns the one-shots it holds. A stale entry's event
+    // may already be gone, so only live entries are looked at.
+    for (const Entry &e : heap_) {
+        if (staleSeqs_.contains(e.seq))
+            continue;
+        if (auto *os = dynamic_cast<OneShotEvent *>(e.ev)) {
+            os->scheduled_ = false;
+            delete os;
+        }
+    }
 }
 
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
     panic_if(ev == nullptr, "scheduling a null event");
-    panic_if(ev->scheduled_,
-             "event '", ev->name(), "' is already scheduled");
-    panic_if(when < curTick_,
-             "scheduling event '", ev->name(), "' in the past: ",
-             when, " < ", curTick_);
+    panic_if(ev->scheduled_, "event '", ev->tag_,
+             "' is already scheduled at ", ev->when_);
+    panic_if(when < curTick_, "scheduling event '", ev->tag_,
+             "' in the past: ", when, " < ", curTick_);
     ev->when_ = when;
     ev->sequence_ = nextSeq_++;
     ev->scheduled_ = true;
@@ -33,9 +46,8 @@ EventQueue::deschedule(Event *ev)
 {
     panic_if(ev == nullptr, "descheduling a null event");
     panic_if(!ev->scheduled_,
-             "event '", ev->name(), "' is not scheduled");
-    panic_if(ev->queue_ != this,
-             "event '", ev->name(),
+             "event '", ev->tag_, "' is not scheduled");
+    panic_if(ev->queue_ != this, "event '", ev->tag_,
              "' descheduled through a foreign queue");
     // Lazy deletion: the heap entry stays behind, keyed by its
     // sequence number, and skim() drops it without dereferencing
@@ -118,7 +130,7 @@ EventQueue::step()
     panic_if(++sameTickCount_ > sameTickLimit,
              "event livelock: ", sameTickLimit,
              " events at tick ", curTick_, "; last: '",
-             e.ev->name(), "'");
+             e.ev->tag_, "'");
     e.ev->scheduled_ = false;
     e.ev->queue_ = nullptr;
     --liveCount_;

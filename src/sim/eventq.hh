@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -29,12 +28,16 @@ class EventQueue;
  * and implement process(), or use EventFunctionWrapper for
  * lambda-based events.
  *
+ * Every event carries a static tag — a string literal that names
+ * it in diagnostics and is never copied or freed.
+ *
  * Events do not own themselves; the creating object manages their
  * lifetime and must keep them alive while scheduled. Once
  * descheduled, an event may be destroyed immediately: the queue
  * identifies its stale heap entry by sequence number and never
  * touches the event pointer again (this is what lets a demoted
- * passthrough poller be torn down mid-simulation).
+ * passthrough poller be torn down mid-simulation). The one
+ * exception is OneShotEvent, which the queue owns.
  */
 class Event
 {
@@ -48,7 +51,8 @@ class Event
     /** Statistics collection runs last at a given tick. */
     static constexpr Priority statsPri = 100;
 
-    explicit Event(Priority pri = defaultPri) : priority_(pri) {}
+    explicit Event(const char *tag, Priority pri = defaultPri)
+        : tag_(tag), priority_(pri) {}
     virtual ~Event();
 
     Event(const Event &) = delete;
@@ -57,9 +61,6 @@ class Event
     /** Called by the queue when simulated time reaches when(). */
     virtual void process() = 0;
 
-    /** Human-readable label for tracing. */
-    virtual std::string name() const { return "event"; }
-
     bool scheduled() const { return scheduled_; }
     Tick when() const { return when_; }
     Priority priority() const { return priority_; }
@@ -67,6 +68,8 @@ class Event
   private:
     friend class EventQueue;
 
+    /** Static label for the queue's diagnostics. */
+    const char *tag_;
     Tick when_ = 0;
     Priority priority_;
     std::uint64_t sequence_ = 0;
@@ -82,29 +85,29 @@ class Event
 class EventFunctionWrapper : public Event
 {
   public:
-    EventFunctionWrapper(std::function<void()> fn, std::string name,
+    EventFunctionWrapper(std::function<void()> fn, const char *tag,
                          Priority pri = defaultPri)
-        : Event(pri), fn_(std::move(fn)), name_(std::move(name)) {}
+        : Event(tag, pri), fn_(std::move(fn)) {}
 
     void process() override { fn_(); }
-    std::string name() const override { return name_; }
 
   private:
     std::function<void()> fn_;
-    std::string name_;
 };
 
 /**
- * Fire-and-forget event: runs its callable once and deletes itself.
- * Use for asynchronous completions with no owner (e.g. in-flight
- * MSI messages). Must be heap-allocated.
+ * Fire-and-forget event: runs its callable once. Use for
+ * asynchronous completions with no owner (e.g. in-flight MSI
+ * messages). Must be heap-allocated; the queue it is scheduled on
+ * owns it, freeing it when it fires or, if it is still pending,
+ * when the queue is destroyed.
  */
 class OneShotEvent : public Event
 {
   public:
-    OneShotEvent(std::function<void()> fn, std::string name,
+    OneShotEvent(std::function<void()> fn, const char *tag,
                  Priority pri = defaultPri)
-        : Event(pri), fn_(std::move(fn)), name_(std::move(name)) {}
+        : Event(tag, pri), fn_(std::move(fn)) {}
 
     void
     process() override
@@ -115,11 +118,8 @@ class OneShotEvent : public Event
             fn();
     }
 
-    std::string name() const override { return name_; }
-
   private:
     std::function<void()> fn_;
-    std::string name_;
 };
 
 /**
@@ -139,6 +139,8 @@ class EventQueue
      */
     explicit EventQueue(std::uint64_t seqBase = 0)
         : nextSeq_(seqBase) {}
+    /** Frees the one-shots still pending. */
+    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;

@@ -115,7 +115,7 @@ Coordinator::~Coordinator()
 
 void
 Coordinator::post(unsigned dst, Tick when, std::function<void()> fn,
-                  Event::Priority pri, std::string what)
+                  Event::Priority pri, const char *tag)
 {
     panic_if(dst >= queues_.size(), "post to unknown partition ",
              dst);
@@ -124,19 +124,18 @@ Coordinator::post(unsigned dst, Tick when, std::function<void()> fn,
         // Setup code, phase A control, or a same-partition send:
         // single-threaded with respect to the destination queue, so
         // a direct schedule is safe and deterministic.
-        auto *ev = new OneShotEvent(std::move(fn), std::move(what),
-                                    pri);
-        queue(dst).schedule(ev, when);
+        queue(dst).schedule(new OneShotEvent(std::move(fn), tag, pri),
+                            when);
         return;
     }
     panic_if(src == 0, "control partition posted cross-partition "
                        "during the parallel phase");
     Tick horizon = queue(src).curTick() + lookahead_;
-    panic_if(when < horizon, "cross-partition post '", what,
+    panic_if(when < horizon, "cross-partition post '", tag,
              "' at ", when, " violates lookahead horizon ", horizon);
     Outbox &ob = outboxes_[src];
     ob.msgs.push_back(Msg{when, pri, src, ob.nextSeq++, dst,
-                          std::move(fn), std::move(what)});
+                          std::move(fn), tag});
 }
 
 void
@@ -274,12 +273,11 @@ Coordinator::flush()
                   return a.seq < b.seq;
               });
     for (auto &m : all) {
-        panic_if(m.when <= windowEnd_, "mailbox message '", m.what,
+        panic_if(m.when <= windowEnd_, "mailbox message '", m.tag,
                  "' lands at ", m.when, " inside the closed window "
                  "ending ", windowEnd_);
-        auto *ev = new OneShotEvent(std::move(m.fn),
-                                    std::move(m.what), m.pri);
-        queue(m.dst).schedule(ev, m.when);
+        queue(m.dst).schedule(
+            new OneShotEvent(std::move(m.fn), m.tag, m.pri), m.when);
         ++messages_;
     }
     all.clear();

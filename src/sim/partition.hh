@@ -42,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,7 +80,8 @@ struct Msg
     std::uint64_t seq;
     unsigned dst;
     std::function<void()> fn;
-    std::string what;
+    /** Static label of the delivered event. */
+    const char *tag;
 };
 
 /**
@@ -124,7 +124,7 @@ class Coordinator
      * the lookahead contract: when >= sender's curTick + L.
      */
     void post(unsigned dst, Tick when, std::function<void()> fn,
-              Event::Priority pri, std::string what);
+              Event::Priority pri, const char *tag);
 
     /** Run the round loop until every queue is past @p limit. */
     void run(Tick limit);

@@ -161,20 +161,18 @@ class Simulation
      * the send buffers in the source partition's outbox and @p when
      * must respect the lookahead contract; everywhere else (and in
      * classic mode) it degenerates to scheduling a OneShotEvent.
+     * @p tag is a string literal naming the event in diagnostics.
      */
     void
     post(unsigned dst, Tick when, std::function<void()> fn,
          Event::Priority pri = Event::defaultPri,
-         std::string what = "xpart")
+         const char *tag = "xpart")
     {
-        if (psim_) {
-            psim_->post(dst, when, std::move(fn), pri,
-                        std::move(what));
-        } else {
-            auto *ev = new OneShotEvent(std::move(fn),
-                                        std::move(what), pri);
-            eventq_.schedule(ev, when);
-        }
+        if (psim_)
+            psim_->post(dst, when, std::move(fn), pri, tag);
+        else
+            eventq_.schedule(new OneShotEvent(std::move(fn), tag, pri),
+                             when);
     }
 
     /** @} */

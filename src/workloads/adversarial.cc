@@ -32,9 +32,8 @@ void
 AdversarialGuest::start()
 {
     stopped_ = false;
-    auto *ev = new OneShotEvent([this] { step(); },
-                                name() + ".step");
-    scheduleIn(ev, params_.period);
+    scheduleIn(new OneShotEvent([this] { step(); }, "adversary.step"),
+               params_.period);
 }
 
 Addr
@@ -285,9 +284,8 @@ AdversarialGuest::step()
         stopped_ = true;
         return;
     }
-    auto *ev = new OneShotEvent([this] { step(); },
-                                name() + ".step");
-    scheduleIn(ev, params_.period);
+    scheduleIn(new OneShotEvent([this] { step(); }, "adversary.step"),
+               params_.period);
 }
 
 } // namespace workloads

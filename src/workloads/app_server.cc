@@ -164,17 +164,17 @@ AppServerBench::clientSend(unsigned client)
 
     // Retransmit on loss (server backlog overflow under extreme
     // client counts), as a real load generator's TCP stack would.
-    auto *timeout = new OneShotEvent(
-        [this, seq, client] {
-            auto it = inflight_.find(seq);
-            if (it == inflight_.end() || stop_)
-                return;
-            inflight_.erase(it);
-            ++timeouts_;
-            clientSend(client);
-        },
-        name() + ".rto");
-    scheduleIn(timeout, msToTicks(250));
+    scheduleIn(new OneShotEvent(
+                   [this, seq, client] {
+                       auto it = inflight_.find(seq);
+                       if (it == inflight_.end() || stop_)
+                           return;
+                       inflight_.erase(it);
+                       ++timeouts_;
+                       clientSend(client);
+                   },
+                   "app.rto"),
+               msToTicks(250));
 }
 
 void
@@ -221,10 +221,10 @@ AppServerBench::respond(std::uint64_t seq, Bytes resp_len)
     unsigned w = 1 + unsigned(seq % profile_.workers);
     if (!server_.net->sendPacket(resp, true, server_.cpu(w))) {
         // Tx ring momentarily full; retry shortly.
-        auto *ev = new OneShotEvent(
-            [this, seq, resp_len] { respond(seq, resp_len); },
-            name() + ".resp_retry");
-        scheduleIn(ev, usToTicks(20));
+        scheduleIn(new OneShotEvent(
+                       [this, seq, resp_len] { respond(seq, resp_len); },
+                       "app.resp_retry"),
+                   usToTicks(20));
     }
 }
 

@@ -87,9 +87,9 @@ FioRunner::jobLoop(unsigned job)
         }
         if (!ok) {
             // Ring busy: retry shortly.
-            auto *ev = new OneShotEvent(
-                [this, job] { jobLoop(job); }, name() + ".retry");
-            scheduleIn(ev, usToTicks(10));
+            scheduleIn(new OneShotEvent([this, job] { jobLoop(job); },
+                                        "fio.retry"),
+                       usToTicks(10));
         }
     });
 }

@@ -71,9 +71,8 @@ PacketFlood::start()
 
     // Stop the senders at t1; collect() allows the pipe to drain
     // for the extra doneAt() slack.
-    auto *stopper =
-        new OneShotEvent([this] { stop_ = true; }, name() + ".stop");
-    eventq().schedule(stopper, t1_);
+    eventq().schedule(
+        new OneShotEvent([this] { stop_ = true; }, "flood.stop"), t1_);
 }
 
 PacketFloodResult
@@ -142,10 +141,10 @@ PacketFlood::senderLoop(unsigned flow)
             src_.net->kickTx(src_.cpu(flow + 1));
         if (pushed == 0) {
             // Ring full: back off one poll period and retry.
-            auto *ev = new OneShotEvent(
-                [this, flow] { senderLoop(flow); },
-                name() + ".retry");
-            scheduleIn(ev, paper::backendPollPeriod);
+            scheduleIn(new OneShotEvent(
+                           [this, flow] { senderLoop(flow); },
+                           "flood.retry"),
+                       paper::backendPollPeriod);
             return;
         }
         senderLoop(flow);

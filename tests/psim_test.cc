@@ -41,6 +41,17 @@ struct Obj : SimObject
     using SimObject::SimObject;
 };
 
+/** A copyable capture whose shared state bumps @p count when the
+ *  last copy is destroyed. */
+std::shared_ptr<int>
+dtorProbe(int &count)
+{
+    return std::shared_ptr<int>(new int(0), [&count](int *p) {
+        ++count;
+        delete p;
+    });
+}
+
 TEST(PsimScope, PartitionAffinityCapturedAtConstruction)
 {
     Simulation sim;
@@ -208,9 +219,20 @@ TEST(PsimRun, LookaheadViolationPanics)
         // below curTick + lookahead would let the destination miss
         // an event it should already have processed.
         EventFunctionWrapper bad(
-            [&] { sim.post(2, sim.now() + 1, [] {}); }, "bad");
+            [&] { sim.post(2, sim.now() + 1, [] {}, 0, "bad.post"); },
+            "bad");
         sim.partitionQueue(1).schedule(&bad, usToTicks(2));
-        EXPECT_THROW(sim.run(usToTicks(10)), PanicError);
+        std::string msg;
+        try {
+            sim.run(usToTicks(10));
+        } catch (const PanicError &e) {
+            msg = e.what();
+        }
+        // The diagnostic names the post by its tag, and the tick.
+        EXPECT_NE(msg.find("post 'bad.post' at " +
+                           std::to_string(usToTicks(2) + 1)),
+                  std::string::npos)
+            << msg;
     }
     {
         Simulation sim;
@@ -218,6 +240,36 @@ TEST(PsimRun, LookaheadViolationPanics)
         EXPECT_THROW(sim.post(7, 0, [] {}), PanicError);
     }
     Logger::global().setThrowOnDeath(false);
+}
+
+TEST(PsimMailbox, PendingPostsFreedWithSimulation)
+{
+    int direct = 0;
+    int mailed = 0;
+    {
+        Simulation sim;
+        sim.enablePartitions(2); // threads=1: phase B is inline
+        // One post scheduled directly (outside any round), one
+        // buffered in partition 1's outbox during phase B and
+        // flushed into partition 2's queue; both land after the
+        // run limit.
+        sim.post(2, usToTicks(50), [c = dtorProbe(direct)] {});
+        EventFunctionWrapper sender(
+            [&] {
+                sim.post(2, sim.now() + usToTicks(40),
+                         [c = dtorProbe(mailed)] {});
+            },
+            "sender");
+        sim.partitionQueue(1).schedule(&sender, usToTicks(2));
+        sim.run(usToTicks(10));
+        EXPECT_EQ(sim.metrics().counter("sim.psim.messages").value(),
+                  1u);
+        EXPECT_EQ(sim.partitionQueue(2).size(), 2u);
+        EXPECT_EQ(direct + mailed, 0);
+    }
+    // The partition queue owned both one-shots and freed them.
+    EXPECT_EQ(direct, 1);
+    EXPECT_EQ(mailed, 1);
 }
 
 TEST(PsimRun, EnablePartitionsRequiresPristineSimulation)

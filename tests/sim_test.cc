@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "base/logging.hh"
@@ -14,6 +16,31 @@
 
 namespace bmhive {
 namespace {
+
+/** A copyable capture whose shared state bumps @p count when the
+ *  last copy is destroyed: std::function may copy or move it, but
+ *  the capture as a whole dies exactly once. */
+std::shared_ptr<int>
+dtorProbe(int &count)
+{
+    return std::shared_ptr<int>(new int(0), [&count](int *p) {
+        ++count;
+        delete p;
+    });
+}
+
+/** Message of the panic @p fn raises ("" if it does not). */
+template <typename Fn>
+std::string
+panicText(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
 
 TEST(EventQueueTest, RunsInTimeOrder)
 {
@@ -303,7 +330,11 @@ TEST(EventQueueTest, SchedulingInPastPanics)
     EventFunctionWrapper late([] {}, "late");
     q.schedule(&mover, 100);
     q.run();
-    EXPECT_THROW(q.schedule(&late, 50), PanicError);
+    std::string msg = panicText([&] { q.schedule(&late, 50); });
+    // The diagnostic names the event by its tag, and the ticks.
+    EXPECT_NE(msg.find("event 'late' in the past: 50 < 100"),
+              std::string::npos)
+        << msg;
     Logger::global().setThrowOnDeath(false);
 }
 
@@ -313,22 +344,48 @@ TEST(EventQueueTest, DoubleSchedulePanics)
     EventQueue q;
     EventFunctionWrapper e([] {}, "e");
     q.schedule(&e, 10);
-    EXPECT_THROW(q.schedule(&e, 20), PanicError);
+    std::string msg = panicText([&] { q.schedule(&e, 20); });
+    EXPECT_NE(msg.find("event 'e' is already scheduled at 10"),
+              std::string::npos)
+        << msg;
     q.deschedule(&e);
     Logger::global().setThrowOnDeath(false);
 }
 
 TEST(EventQueueTest, OneShotSelfDeletes)
 {
-    EventQueue q;
     int runs = 0;
-    auto *ev = new OneShotEvent([&] { ++runs; }, "oneshot");
-    q.schedule(ev, 10);
-    q.run();
-    EXPECT_EQ(runs, 1);
-    // No leak checker here, but ASAN builds catch a double free /
-    // leak; the event must not be touched again.
-    EXPECT_TRUE(q.empty());
+    int fired_dtors = 0;
+    int pending_dtors = 0;
+    {
+        EventQueue q;
+        q.schedule(new OneShotEvent(
+                       [&runs, c = dtorProbe(fired_dtors)] { ++runs; },
+                       "oneshot"),
+                   10);
+        q.schedule(new OneShotEvent(
+                       [c = dtorProbe(pending_dtors)] {
+                           ADD_FAILURE() << "ran past the limit";
+                       },
+                       "pending"),
+                   1000);
+        // A stale entry the queue must skip at teardown: its event
+        // is already gone (ASan flags any touch).
+        auto gone = std::make_unique<EventFunctionWrapper>([] {}, "gone");
+        q.schedule(gone.get(), 2000);
+        q.deschedule(gone.get());
+        gone.reset();
+        q.run(100);
+        EXPECT_EQ(runs, 1);
+        // Freed, capture and all, when it fired.
+        EXPECT_EQ(fired_dtors, 1);
+        EXPECT_EQ(pending_dtors, 0);
+        EXPECT_EQ(q.size(), 1u);
+    }
+    // The queue owns the one-shots it holds: the pending one dies
+    // with it, and the fired one is not freed a second time.
+    EXPECT_EQ(fired_dtors, 1);
+    EXPECT_EQ(pending_dtors, 1);
 }
 
 TEST(EventQueueTest, ManyEventsStressOrdering)
