@@ -111,50 +111,31 @@ SampleSet::max() const
     return samples_.back();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi),
-      width_((hi - lo) / double(buckets ? buckets : 1)),
-      counts_(buckets, 0)
-{
-    panic_if(hi <= lo, "histogram range is empty: [", lo, ", ", hi, ")");
-    panic_if(buckets == 0, "histogram needs at least one bucket");
-}
-
 void
-Histogram::record(double x)
+Histogram::add(const Histogram &other)
 {
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    auto idx = std::size_t((x - lo_) / width_);
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
+    for (std::size_t b = 0; b < numBuckets; ++b)
+        counts_[b] += other.counts_[b];
+    total_ += other.total_;
 }
 
 void
 Histogram::reset()
 {
-    std::fill(counts_.begin(), counts_.end(), 0);
-    underflow_ = overflow_ = total_ = 0;
+    counts_.fill(0);
+    total_ = 0;
 }
 
 double
-Histogram::bucketLow(std::size_t i) const
+Histogram::bucketLow(std::size_t b)
 {
-    return lo_ + width_ * double(i);
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return lo_ + width_ * double(i + 1);
+    if (b < exactBelow)
+        return double(b);
+    // Bucket b is sub-bucket (b mod 4) of the octave [2^e, 2^(e+1)),
+    // whose sub-buckets are 2^(e-2) wide.
+    int exp = int(b >> subBits) + int(subBits) - 1;
+    auto sub = (1u << subBits) + (b & ((1u << subBits) - 1));
+    return std::ldexp(double(sub), exp - int(subBits));
 }
 
 double
@@ -164,19 +145,12 @@ Histogram::percentile(double q) const
     if (total_ == 0)
         return 0.0;
     auto rank = std::uint64_t(std::ceil(q * double(total_)));
-    if (rank == 0)
-        rank = 1;
-    if (rank > total_)
-        rank = total_;
-    std::uint64_t cum = underflow_;
-    if (cum >= rank)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cum += counts_[i];
-        if (cum >= rank)
-            return bucketHigh(i);
-    }
-    return hi_;
+    rank = std::clamp<std::uint64_t>(rank, 1, total_);
+    std::uint64_t cum = 0;
+    std::size_t b = 0;
+    while ((cum += counts_[b]) < rank)
+        ++b;
+    return b < exactBelow ? double(b) : bucketHigh(b);
 }
 
 void
@@ -199,39 +173,6 @@ Gauge::reset()
     min_ = max_ = value_;
     seen_ = true;
     updates_ = 0;
-}
-
-void
-TimeWeightedAverage::record(double v, Tick now)
-{
-    panic_if(started_ && now < last_,
-             "time-weighted average fed non-monotonic time");
-    if (!started_) {
-        started_ = true;
-        start_ = last_ = now;
-    }
-    weighted_ += value_ * double(now - last_);
-    value_ = v;
-    last_ = now;
-}
-
-double
-TimeWeightedAverage::average(Tick now) const
-{
-    if (!started_ || now <= start_)
-        return value_;
-    double integral = weighted_;
-    if (now > last_)
-        integral += value_ * double(now - last_);
-    return integral / double(now - start_);
-}
-
-void
-TimeWeightedAverage::reset()
-{
-    value_ = weighted_ = 0.0;
-    start_ = last_ = 0;
-    started_ = false;
 }
 
 } // namespace bmhive

@@ -1,7 +1,7 @@
 /**
  * @file
  * Statistics collection: running summary statistics, exact
- * percentile estimation over recorded samples, fixed-bucket
+ * percentile estimation over recorded samples, log-bucketed
  * histograms, and a latency recorder keyed on Ticks.
  */
 
@@ -9,6 +9,8 @@
 #define BMHIVE_BASE_STATS_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -79,40 +81,60 @@ class SampleSet
 };
 
 /**
- * Fixed-width bucket histogram over [lo, hi) with overflow and
- * underflow buckets.
+ * Log-bucketed histogram over non-negative integers (HDR-style):
+ * every value 0-7 has its own bucket and each octave above splits
+ * into 4 sub-buckets, so a reported percentile overstates the true
+ * value by at most 25%, at a bucket's lower edge. record() is a few
+ * integer ops into a fixed array and never allocates.
  */
 class Histogram
 {
   public:
-    Histogram(double lo, double hi, std::size_t buckets);
+    /** 2^subBits sub-buckets per octave. */
+    static constexpr unsigned subBits = 2;
+    /** Values below this have a bucket each. */
+    static constexpr std::uint64_t exactBelow = 2u << subBits;
+    /** Covers the whole uint64 range. */
+    static constexpr std::size_t numBuckets = 63u << subBits;
 
-    void record(double x);
+    void
+    record(std::uint64_t v)
+    {
+        ++counts_[bucketOf(v)];
+        ++total_;
+    }
+
+    /** Merge @p other in, as if its samples were recorded here. */
+    void add(const Histogram &other);
     void reset();
 
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
     std::uint64_t total() const { return total_; }
-    double bucketLow(std::size_t i) const;
-    double bucketHigh(std::size_t i) const;
+    std::uint64_t bucketCount(std::size_t b) const { return counts_[b]; }
+
+    static std::size_t
+    bucketOf(std::uint64_t v)
+    {
+        if (v < exactBelow)
+            return std::size_t(v);
+        unsigned exp = unsigned(std::bit_width(v)) - 1;
+        auto sub = (v >> (exp - subBits)) & ((1u << subBits) - 1);
+        return (std::size_t(exp - subBits + 1) << subBits) + sub;
+    }
+
+    /** Smallest value in bucket @p b. */
+    static double bucketLow(std::size_t b);
+    /** One past the largest value in bucket @p b. */
+    static double bucketHigh(std::size_t b) { return bucketLow(b + 1); }
 
     /**
-     * Nearest-rank quantile estimate from the buckets: the upper
-     * edge of the bucket holding the rank-q sample (conservative by
-     * at most one bucket width). Underflow resolves to lo, overflow
-     * to hi. @param q in [0, 1].
+     * Nearest-rank quantile: the upper edge of the bucket holding
+     * the rank-q sample, or the value itself when that bucket holds
+     * one value (0-7). 0 when empty. @param q in [0, 1].
      */
     double percentile(double q) const;
 
   private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
+    std::array<std::uint64_t, numBuckets> counts_{};
     std::uint64_t total_ = 0;
 };
 
@@ -184,32 +206,6 @@ class Gauge
     double max_ = 0.0;
     bool seen_ = false;
     std::uint64_t updates_ = 0;
-};
-
-/**
- * Time-weighted average of a piecewise-constant signal: each
- * record(v, now) holds v from now until the next record. Used for
- * averages where duration matters (mean queue depth, mean poll
- * utilization) rather than per-sample means.
- */
-class TimeWeightedAverage
-{
-  public:
-    /** The signal takes value @p v from @p now on. */
-    void record(double v, Tick now);
-
-    /** Integral / elapsed over [first record, now]. */
-    double average(Tick now) const;
-
-    double current() const { return value_; }
-    void reset();
-
-  private:
-    double value_ = 0.0;
-    double weighted_ = 0.0; ///< integral of value dt so far
-    Tick start_ = 0;
-    Tick last_ = 0;
-    bool started_ = false;
 };
 
 } // namespace bmhive

@@ -31,9 +31,6 @@ FleetController::FleetController(Simulation &sim, std::string name,
           metrics().counter(this->name() + ".integrity.drains")),
       blackout_(metrics().latency(
           this->name() + ".migration.blackout")),
-      blackoutHist_(metrics().histogram(
-          this->name() + ".migration.blackout_hist_us", 0.0,
-          params.blackoutHistMaxUs, params.blackoutHistBuckets)),
       healthEvent_([this] { healthSweep(); }, "fleet.health_sweep")
 {
     fatal_if(params_.servers == 0,
@@ -463,7 +460,6 @@ FleetController::finish(GuestId id, unsigned new_idx)
     locs_[id] = {m.dst, new_idx};
     Tick blackout = curTick() - m.drainStart;
     blackout_.record(blackout);
-    blackoutHist_.record(ticksToUs(blackout));
     migrationsDone_.inc();
     if (m.hotSwap)
         hotSwaps_.inc();

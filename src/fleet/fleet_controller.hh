@@ -66,9 +66,6 @@ struct FleetParams
      *  lost request) aborts and rolls back after this long; the
      *  respawn's recovery republish re-serves the stuck I/O. */
     Tick settleTimeout = msToTicks(2.0);
-    /** Blackout histogram range (us) and bucket count. */
-    double blackoutHistMaxUs = 2000.0;
-    std::size_t blackoutHistBuckets = 40;
     /**
      * Give every base server its own vSwitch, joined by a NetFabric
      * (the real rack topology), instead of sharing the single
@@ -291,7 +288,6 @@ class FleetController : public SimObject
     Counter &lostGuests_;
     Counter &integrityDrains_;
     LatencyRecorder &blackout_;
-    Histogram &blackoutHist_;
     EventFunctionWrapper healthEvent_;
 };
 

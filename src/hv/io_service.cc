@@ -37,9 +37,7 @@ VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
           this->name() + ".integrity.dif_retries")),
       difFails_(metrics().counter(
           this->name() + ".integrity.dif_failures")),
-      pollBatch_(
-          metrics().histogram(this->name() + ".poll.batch", 0, 1024,
-                              32))
+      pollBatch_(metrics().histogram(this->name() + ".poll.batch"))
 {
     units_.emplace_back(*this, UnitKind::Whole, 0);
 }
@@ -368,7 +366,7 @@ VirtioIoService::drain(const Unit &u, unsigned budget,
     pollsTotal_.inc();
     if (work > 0)
         pollsBusy_.inc();
-    pollBatch_.record(double(work));
+    pollBatch_.record(work);
     return work;
 }
 

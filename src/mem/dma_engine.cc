@@ -28,9 +28,7 @@ DmaEngine::DmaEngine(Simulation &sim, std::string name,
       retryLatency_(
           metrics().latency(this->name() + ".integrity.retry")),
       queueDepth_(metrics().gauge(this->name() + ".queue_depth")),
-      batchSegs_(
-          metrics().histogram(this->name() + ".batch_segs", 0, 256,
-                              32)),
+      batchSegs_(metrics().histogram(this->name() + ".batch_segs")),
       completeEvent_([this] { complete(); }, "dma.complete")
 {
     panic_if(!bandwidth.valid(), "DMA engine needs positive bandwidth");
@@ -193,7 +191,7 @@ DmaEngine::complete()
     bytesMoved_.inc(t.len);
     transfers_.inc();
     batchedSegments_.inc(t.segs.size());
-    batchSegs_.record(double(t.segs.size()));
+    batchSegs_.record(t.segs.size());
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::CopyvComplete,
                         0, 0, t.segs.size(), t.len);

@@ -127,13 +127,12 @@ MetricRegistry::gauge(const std::string &name)
 }
 
 Histogram &
-MetricRegistry::histogram(const std::string &name, double lo,
-                          double hi, std::size_t buckets)
+MetricRegistry::histogram(const std::string &name)
 {
     std::lock_guard<std::mutex> lk(mu_);
     Entry &e = fetch(name, Kind::Histogram);
     if (!e.histogram)
-        e.histogram = std::make_unique<Histogram>(lo, hi, buckets);
+        e.histogram = std::make_unique<Histogram>();
     return *e.histogram;
 }
 
@@ -217,10 +216,6 @@ MetricRegistry::appendJsonValue(std::string &out, const Entry &e)
         const Histogram &h = *e.histogram;
         out += "{\"total\":";
         appendJsonNumber(out, double(h.total()));
-        out += ",\"underflow\":";
-        appendJsonNumber(out, double(h.underflow()));
-        out += ",\"overflow\":";
-        appendJsonNumber(out, double(h.overflow()));
         out += ",\"p50\":";
         appendJsonNumber(out, h.percentile(0.50));
         out += ",\"p90\":";
@@ -231,16 +226,16 @@ MetricRegistry::appendJsonValue(std::string &out, const Entry &e)
         appendJsonNumber(out, h.percentile(0.999));
         out += ",\"buckets\":[";
         bool first = true;
-        for (std::size_t i = 0; i < h.buckets(); ++i) {
+        for (std::size_t i = 0; i < Histogram::numBuckets; ++i) {
             if (h.bucketCount(i) == 0)
                 continue;
             if (!first)
                 out += ',';
             first = false;
             out += '[';
-            appendJsonNumber(out, h.bucketLow(i));
+            appendJsonNumber(out, Histogram::bucketLow(i));
             out += ',';
-            appendJsonNumber(out, h.bucketHigh(i));
+            appendJsonNumber(out, Histogram::bucketHigh(i));
             out += ',';
             appendJsonNumber(out, double(h.bucketCount(i)));
             out += ']';
@@ -287,51 +282,6 @@ MetricRegistry::toJson() const
         appendJsonValue(out, *entry);
     }
     out += "\n}";
-    return out;
-}
-
-std::string
-MetricRegistry::toText() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    std::string out;
-    char buf[160];
-    for (const auto &[namep, entryp] : merged()) {
-        const std::string &name = *namep;
-        const Entry &entry = *entryp;
-        switch (entry.kind) {
-          case Kind::Counter:
-            std::snprintf(buf, sizeof(buf), "%s %llu\n", name.c_str(),
-                          (unsigned long long)entry.counter->value());
-            break;
-          case Kind::Gauge:
-            std::snprintf(buf, sizeof(buf),
-                          "%s %g min=%g max=%g\n", name.c_str(),
-                          entry.gauge->value(),
-                          entry.gauge->minWatermark(),
-                          entry.gauge->maxWatermark());
-            break;
-          case Kind::Histogram:
-            std::snprintf(buf, sizeof(buf),
-                          "%s total=%llu under=%llu over=%llu\n",
-                          name.c_str(),
-                          (unsigned long long)entry.histogram->total(),
-                          (unsigned long long)
-                              entry.histogram->underflow(),
-                          (unsigned long long)
-                              entry.histogram->overflow());
-            break;
-          case Kind::Latency:
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s count=%llu mean=%.3fus p99=%.3fus\n",
-                name.c_str(),
-                (unsigned long long)entry.latency->count(),
-                entry.latency->meanUs(), entry.latency->p99Us());
-            break;
-        }
-        out += buf;
-    }
     return out;
 }
 

@@ -3,7 +3,7 @@
  * MetricRegistry: named handles to Counter / Gauge / Histogram /
  * LatencyRecorder instances, registered under hierarchical
  * SimObject-path names (e.g. "server.guest0.iobond.chains"), with
- * snapshot/reset support and JSON + flat-text exporters.
+ * snapshot/reset support and a JSON exporter.
  *
  * Handles are get-or-create: the first registration with a name
  * constructs the metric, later registrations return the same
@@ -42,8 +42,9 @@ class MetricRegistry
      * "schema_version" key. Bump whenever a metric object gains,
      * loses, or reorders keys; tools/metrics_check.py validates
      * against it. v2: histogram/latency percentiles, schema field.
+     * v3: log-bucketed histograms, no underflow/overflow.
      */
-    static constexpr unsigned jsonSchemaVersion = 2;
+    static constexpr unsigned jsonSchemaVersion = 3;
 
     MetricRegistry() = default;
     MetricRegistry(const MetricRegistry &) = delete;
@@ -66,8 +67,7 @@ class MetricRegistry
      *  different kind is a bug and panics. */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name, double lo,
-                         double hi, std::size_t buckets);
+    Histogram &histogram(const std::string &name);
     LatencyRecorder &latency(const std::string &name);
 
     bool has(const std::string &name) const;
@@ -84,9 +84,6 @@ class MetricRegistry
      * trajectory files ingest.
      */
     std::string toJson() const;
-
-    /** One "name value..." line per metric, for eyeballing. */
-    std::string toText() const;
 
     /** Reset every metric (counters to zero, recorders emptied). */
     void resetAll();

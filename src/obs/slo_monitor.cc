@@ -1,8 +1,6 @@
 #include "obs/slo_monitor.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <utility>
 
 #include "base/logging.hh"
@@ -51,41 +49,15 @@ SloMonitor::SloMonitor(std::string path, MetricRegistry &registry,
     rotations_ = &registry.counter(path_ + ".rotations");
 }
 
-unsigned
-SloMonitor::bucketOf(Tick latency)
-{
-    // Ticks are picoseconds; bucket on nanoseconds (sub-ns span
-    // differences are below anything the timing model produces).
-    std::uint64_t ns = latency / 1000;
-    if (ns < (1ull << kSubBits))
-        return unsigned(ns);
-    unsigned exp = 63u - unsigned(std::countl_zero(ns));
-    auto sub = unsigned((ns >> (exp - kSubBits)) &
-                        ((1u << kSubBits) - 1));
-    unsigned b = ((exp - kSubBits + 1) << kSubBits) + sub;
-    return std::min(b, kBuckets - 1);
-}
-
-double
-SloMonitor::bucketUpperUs(unsigned b)
-{
-    if (b < (1u << kSubBits))
-        return double(b) / 1e3; // exact single-ns buckets
-    unsigned exp = b / (1u << kSubBits) + kSubBits - 1;
-    unsigned sub = b & ((1u << kSubBits) - 1);
-    double lo = std::ldexp(1.0, int(exp));
-    double step = std::ldexp(1.0, int(exp) - int(kSubBits));
-    return (lo + double(sub + 1) * step) / 1e3;
-}
-
 void
 SloMonitor::record(SloRole role, Tick latency, Tick now)
 {
     Role &r = roles_[unsigned(role)];
     advance(r, now);
     Epoch &e = r.epochs[r.curEpoch % r.epochs.size()];
-    ++e.counts[bucketOf(latency)];
-    ++e.samples;
+    // Ticks are picoseconds; bucket on nanoseconds (sub-ns span
+    // differences are below anything the timing model produces).
+    e.latencyNs.record(latency / 1000);
     r.samples->inc();
     if (latency > r.targetTicks) {
         ++e.violations;
@@ -111,10 +83,7 @@ SloMonitor::advance(Role &r, Tick now)
     // completed before any of it rotates out. The breach latch is
     // the rotation itself — at most one signal per epoch.
     double burn = burnOf(r);
-    std::uint64_t samples = 0;
-    for (const Epoch &e : r.epochs)
-        samples += e.samples;
-    if (samples >= params_.minWindowSamples &&
+    if (window(r).total() >= params_.minWindowSamples &&
         burn >= params_.breachBurn) {
         r.breaches->inc();
         if (breachCb_) {
@@ -139,31 +108,21 @@ SloMonitor::advance(Role &r, Tick now)
 void
 SloMonitor::updateGauges(Role &r)
 {
-    r.p50->set(percentileOf(r, 0.50));
-    r.p90->set(percentileOf(r, 0.90));
-    r.p99->set(percentileOf(r, 0.99));
-    r.p999->set(percentileOf(r, 0.999));
+    Histogram w = window(r);
+    r.p50->set(w.percentile(0.50) / 1e3);
+    r.p90->set(w.percentile(0.90) / 1e3);
+    r.p99->set(w.percentile(0.99) / 1e3);
+    r.p999->set(w.percentile(0.999) / 1e3);
     r.burn->set(burnOf(r));
 }
 
-double
-SloMonitor::percentileOf(const Role &r, double q) const
+Histogram
+SloMonitor::window(const Role &r)
 {
-    std::uint64_t total = 0;
+    Histogram w;
     for (const Epoch &e : r.epochs)
-        total += e.samples;
-    if (total == 0)
-        return 0.0;
-    auto rank = std::uint64_t(std::ceil(q * double(total)));
-    rank = std::max<std::uint64_t>(1, std::min(rank, total));
-    std::uint64_t cum = 0;
-    for (unsigned b = 0; b < kBuckets; ++b) {
-        for (const Epoch &e : r.epochs)
-            cum += e.counts[b];
-        if (cum >= rank)
-            return bucketUpperUs(b);
-    }
-    return bucketUpperUs(kBuckets - 1);
+        w.add(e.latencyNs);
+    return w;
 }
 
 double
@@ -171,7 +130,7 @@ SloMonitor::burnOf(const Role &r) const
 {
     std::uint64_t samples = 0, viol = 0;
     for (const Epoch &e : r.epochs) {
-        samples += e.samples;
+        samples += e.latencyNs.total();
         viol += e.violations;
     }
     if (samples == 0)
@@ -193,7 +152,7 @@ SloMonitor::refresh(Tick now)
 double
 SloMonitor::percentileUs(SloRole role, double q) const
 {
-    return percentileOf(roles_[unsigned(role)], q);
+    return window(roles_[unsigned(role)]).percentile(q) / 1e3;
 }
 
 double
@@ -205,10 +164,7 @@ SloMonitor::burnRate(SloRole role) const
 std::uint64_t
 SloMonitor::windowSamples(SloRole role) const
 {
-    std::uint64_t total = 0;
-    for (const Epoch &e : roles_[unsigned(role)].epochs)
-        total += e.samples;
-    return total;
+    return window(roles_[unsigned(role)]).total();
 }
 
 std::uint64_t

@@ -11,10 +11,10 @@
  * window of log-bucketed histograms per role (net, blk), rotated
  * in fixed sub-window epochs.
  *
- * Log bucketing (HDR-style, 4 sub-buckets per octave: a reported
- * percentile overstates the true value by at most 25%) keeps
- * record() at a handful of integer ops with no allocation, so the
- * monitor is always on. Each window rotation
+ * Each epoch is one base Histogram over nanoseconds (4 sub-buckets
+ * per octave: a reported percentile overstates the true value by
+ * at most 25%), so record() is a handful of integer ops with no
+ * allocation, and the monitor is always on. Each window rotation
  * exports p50/p90/p99/p999 and the SLO burn rate into the metric
  * registry; a burn rate at or above the policy threshold with
  * enough samples raises the breach signal (BmHiveServer wires it
@@ -107,21 +107,11 @@ class SloMonitor
     const SloParams &params() const { return params_; }
     const std::string &path() const { return path_; }
 
-    /** Log-bucket index of a latency (exposed for tests). */
-    static unsigned bucketOf(Tick latency);
-    /** Upper edge of bucket @p b in microseconds. */
-    static double bucketUpperUs(unsigned b);
-
   private:
-    /** 4 sub-buckets per octave over ns values up to 2^63. */
-    static constexpr unsigned kSubBits = 2;
-    static constexpr unsigned kBuckets = 63u << kSubBits;
-
     struct Epoch
     {
         std::uint64_t index = 0; ///< epoch number (now/epochLen)
-        std::array<std::uint32_t, kBuckets> counts{};
-        std::uint64_t samples = 0;
+        Histogram latencyNs;
         std::uint64_t violations = 0;
     };
 
@@ -145,7 +135,8 @@ class SloMonitor
      *  breach condition and refreshes gauges on each rotation. */
     void advance(Role &r, Tick now);
     void updateGauges(Role &r);
-    double percentileOf(const Role &r, double q) const;
+    /** The live window: every epoch of @p r merged. */
+    static Histogram window(const Role &r);
     double burnOf(const Role &r) const;
 
     std::string path_;

@@ -50,8 +50,7 @@ PollScheduler::PollScheduler(Simulation &sim, std::string name,
         c.wakes = &metrics().counter(base + ".wakes");
         c.sleeps = &metrics().counter(base + ".sleeps");
         c.pollables = &metrics().gauge(base + ".pollables");
-        c.roundItems =
-            &metrics().histogram(base + ".round_items", 0, 1024, 32);
+        c.roundItems = &metrics().histogram(base + ".round_items");
         c.wakeToPoll = &metrics().latency(base + ".wake_to_poll");
         c.event = std::make_unique<EventFunctionWrapper>(
             [this, i] { runRound(i); }, "sched.round", Event::pollPri);
@@ -351,7 +350,7 @@ PollScheduler::runRound(unsigned ci)
         total += served;
     }
     c.items->inc(total);
-    c.roundItems->record(double(total));
+    c.roundItems->record(total);
     if (total > 0)
         c.busy->inc();
 

@@ -144,21 +144,17 @@ EventQueue::run(Tick limit)
 {
     while (true) {
         skim();
-        if (heap_.empty()) {
-            // A drained queue still owes the caller the full
-            // window: fixed-window pumps (and parked partitions)
-            // read curTick afterwards and must see the limit, not
-            // the tick of whatever event happened to run last.
-            if (limit != maxTick && limit > curTick_)
-                curTick_ = limit;
-            return;
-        }
-        if (heap_.front().when > limit) {
-            curTick_ = limit;
-            return;
-        }
+        if (heap_.empty() || heap_.front().when > limit)
+            break;
         step();
     }
+    // Drained or not, the queue owes the caller the full window:
+    // fixed-window pumps (and parked partitions) read curTick
+    // afterwards and must see the limit, not the tick of whatever
+    // event happened to run last. A limit already behind the clock
+    // never moves it back.
+    if (limit != maxTick && limit > curTick_)
+        curTick_ = limit;
 }
 
 } // namespace bmhive

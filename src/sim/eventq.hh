@@ -174,10 +174,11 @@ class EventQueue
 
     /**
      * Run until curTick exceeds @p limit or the queue is empty.
-     * With a finite limit, curTick always lands exactly on @p limit
-     * — including when the queue drains first — so fixed-window
+     * With a finite limit, curTick lands exactly on @p limit —
+     * including when the queue drains first — so fixed-window
      * callers (fleet pumps, partition rounds) never observe stale
-     * time after an idle window.
+     * time after an idle window; a limit already in the past
+     * leaves curTick where it is.
      */
     void run(Tick limit = maxTick);
 

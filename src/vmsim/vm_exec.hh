@@ -21,7 +21,6 @@
 
 #include "base/paper_constants.hh"
 #include "base/random.hh"
-#include "base/stats.hh"
 #include "hw/cpu_executor.hh"
 
 namespace bmhive {
@@ -127,10 +126,8 @@ class VmExecutionModel : public hw::ExecutionModel
                 auto [ws, we] = windows_[idx];
                 if (cursor >= ws) {
                     // Inside a stall: wait it out.
-                    Tick wait = we - cursor;
-                    extra += wait;
+                    extra += we - cursor;
                     cursor = we;
-                    stolen_.record(double(wait));
                     continue;
                 }
                 Tick runway = ws - cursor;
@@ -145,8 +142,6 @@ class VmExecutionModel : public hw::ExecutionModel
         return Tick(dur);
     }
 
-    /** Fraction of time stolen so far (for Fig 1 style reports). */
-    const SummaryStats &stolenTime() const { return stolen_; }
     const VmExecParams &params() const { return params_; }
 
   private:
@@ -179,7 +174,6 @@ class VmExecutionModel : public hw::ExecutionModel
 
     Rng &rng_;
     VmExecParams params_;
-    SummaryStats stolen_;
     std::deque<std::pair<Tick, Tick>> windows_;
     Tick genEnd_ = 0;
 };

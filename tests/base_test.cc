@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "base/logging.hh"
 #include "base/paper_constants.hh"
 #include "base/random.hh"
@@ -145,22 +148,87 @@ TEST(SampleSetTest, RecordAfterSortStaysCorrect)
     EXPECT_DOUBLE_EQ(s.percentile(1.0), 5.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow)
+TEST(HistogramTest, SmallValuesExactThenFourBucketsPerOctave)
 {
-    Histogram h(0.0, 10.0, 10);
-    h.record(-1.0);
-    h.record(0.0);
-    h.record(9.999);
-    h.record(10.0);
-    h.record(5.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.bucketCount(5), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(5), 6.0);
+    Histogram h;
+    EXPECT_EQ(h.percentile(0.5), 0.0); // empty: 0 by convention
+    for (std::uint64_t v = 0; v < 8; ++v) {
+        EXPECT_EQ(Histogram::bucketOf(v), v);
+        EXPECT_EQ(Histogram::bucketLow(v), double(v));
+        EXPECT_EQ(Histogram::bucketHigh(v), double(v + 1));
+        Histogram one;
+        one.record(v);
+        EXPECT_EQ(one.percentile(0.5), double(v)) << v;
+    }
+    // 8 and 9 share [8, 10); the octave [16, 32) has four buckets.
+    EXPECT_EQ(Histogram::bucketOf(8), 8u);
+    EXPECT_EQ(Histogram::bucketOf(9), 8u);
+    EXPECT_EQ(Histogram::bucketLow(8), 8.0);
+    EXPECT_EQ(Histogram::bucketHigh(8), 10.0);
+    EXPECT_EQ(Histogram::bucketOf(10), 9u);
+    EXPECT_EQ(Histogram::bucketOf(16), 12u);
+    EXPECT_EQ(Histogram::bucketOf(31), 15u);
+    EXPECT_EQ(Histogram::bucketHigh(15), 32.0);
+
+    // Nearest rank over 0..9: a single-value bucket reports its
+    // value, [8, 10) its upper edge.
+    for (std::uint64_t v = 0; v < 10; ++v)
+        h.record(v);
+    EXPECT_EQ(h.total(), 10u);
+    EXPECT_EQ(h.bucketCount(8), 2u);
+    EXPECT_EQ(h.percentile(0.0), 0.0);
+    EXPECT_EQ(h.percentile(0.5), 4.0);
+    EXPECT_EQ(h.percentile(0.8), 7.0);
+    EXPECT_EQ(h.percentile(0.9), 10.0);
+    EXPECT_EQ(h.percentile(1.0), 10.0);
+    h.reset();
+    EXPECT_EQ(h.total(), 0u);
+    EXPECT_EQ(h.bucketCount(8), 0u);
+    EXPECT_EQ(h.percentile(1.0), 0.0);
+}
+
+TEST(HistogramTest, LogBucketsAreMonotonicAndConservative)
+{
+    // Walk every bucket by its lower edge, the value the reported
+    // upper edge overstates the most: with 4 sub-buckets per octave
+    // that is exactly 25%.
+    double worst = 0.0;
+    for (std::size_t b = 1; b < Histogram::numBuckets; ++b) {
+        auto low = std::uint64_t(Histogram::bucketLow(b));
+        ASSERT_EQ(double(low), Histogram::bucketLow(b));
+        ASSERT_EQ(Histogram::bucketOf(low), b);
+        ASSERT_EQ(Histogram::bucketOf(low - 1), b - 1);
+        // A bucket starts where the previous one ends.
+        ASSERT_EQ(Histogram::bucketHigh(b - 1), double(low));
+        Histogram h;
+        h.record(low);
+        double over = h.percentile(0.5) / double(low);
+        EXPECT_GE(over, 1.0);
+        EXPECT_LE(over, 1.25);
+        worst = std::max(worst, over);
+    }
+    EXPECT_EQ(worst, 1.25);
+    EXPECT_EQ(Histogram::bucketOf(~std::uint64_t(0)),
+              Histogram::numBuckets - 1);
+}
+
+TEST(HistogramTest, AddEqualsRecordingTheUnion)
+{
+    Rng rng(42);
+    Histogram a, b, both;
+    for (int i = 0; i < 2000; ++i) {
+        // Small batch sizes and a long latency-like tail.
+        auto v = rng.chance(0.5) ? rng.uniformInt(0, 40)
+                                 : std::uint64_t(rng.exponential(5e4));
+        (i % 3 ? a : b).record(v);
+        both.record(v);
+    }
+    a.add(b);
+    EXPECT_EQ(a.total(), both.total());
+    for (std::size_t k = 0; k < Histogram::numBuckets; ++k)
+        ASSERT_EQ(a.bucketCount(k), both.bucketCount(k)) << k;
+    for (double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_EQ(a.percentile(q), both.percentile(q)) << q;
 }
 
 TEST(TokenBucketTest, UnlimitedAlwaysAdmits)
@@ -281,34 +349,6 @@ TEST(GaugeTest, ResetKeepsLevelRestartsWatermarks)
     g.set(3.0);
     EXPECT_EQ(g.maxWatermark(), 3.0);
     EXPECT_EQ(g.minWatermark(), 2.0);
-}
-
-TEST(TimeWeightedAverageTest, WeightsByDuration)
-{
-    TimeWeightedAverage a;
-    // 1.0 for 10 ticks, then 3.0 for 30 ticks:
-    // (1*10 + 3*30) / 40 = 2.5.
-    a.record(1.0, 100);
-    a.record(3.0, 110);
-    EXPECT_DOUBLE_EQ(a.average(140), 2.5);
-    EXPECT_DOUBLE_EQ(a.current(), 3.0);
-}
-
-TEST(TimeWeightedAverageTest, DegenerateCases)
-{
-    TimeWeightedAverage a;
-    EXPECT_DOUBLE_EQ(a.average(50), 0.0); // nothing recorded
-    a.record(7.0, 20);
-    // Zero elapsed time: the average is the held value.
-    EXPECT_DOUBLE_EQ(a.average(20), 7.0);
-    EXPECT_DOUBLE_EQ(a.average(30), 7.0);
-}
-
-TEST_F(DeathAsThrow, TimeWeightedAverageRejectsTimeTravel)
-{
-    TimeWeightedAverage a;
-    a.record(1.0, 100);
-    EXPECT_THROW(a.record(2.0, 99), PanicError);
 }
 
 /** Captures log output and restores the logger's state. */

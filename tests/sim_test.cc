@@ -191,6 +191,26 @@ TEST(EventQueueTest, RunAdvancesToLimitWhenDrained)
     EXPECT_EQ(q.curTick(), 4000u);
 }
 
+// A limit behind the clock never moves time backwards, whether the
+// queue is drained or still holds an event past the limit: the next
+// event would otherwise run at a tick the clock already passed.
+TEST(EventQueueTest, RunWithPastLimitKeepsTheClock)
+{
+    EventQueue q;
+    int count = 0;
+    EventFunctionWrapper e([&] { ++count; }, "e");
+    q.schedule(&e, 100);
+    q.run(50);
+    EXPECT_EQ(q.curTick(), 50u);
+    q.run(20); // e still pending at 100
+    EXPECT_EQ(q.curTick(), 50u);
+    EXPECT_EQ(count, 0);
+    q.run();
+    EXPECT_EQ(count, 1);
+    q.run(20); // drained
+    EXPECT_EQ(q.curTick(), 100u);
+}
+
 // Regression for the lazy-deletion bloat fix: a reschedule-heavy
 // timer (the adaptive poll governor re-arms constantly) leaves one
 // stale heap entry per move. Entries buried below the top survive

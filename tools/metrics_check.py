@@ -4,21 +4,21 @@
 A snapshot is one JSON object mapping testbed labels to metric
 registries:
 
-    {"testbed0": {"schema_version": 2, "server.stats_dumps": 3, ...}}
+    {"testbed0": {"schema_version": 3, "server.stats_dumps": 3, ...}}
 
 Every registry value is one of four shapes (MetricRegistry::toJson):
 
     counter    number
     gauge      {"value","min","max","updates"}
-    histogram  {"total","underflow","overflow",
-                "p50","p90","p99","p999","buckets"}
+    histogram  {"total","p50","p90","p99","p999","buckets"}
     latency    {"count","mean_us","p50_us","p90_us","p99_us",
                 "p999_us","max_us"}
 
 Validation checks the wrapper, the schema_version of every registry,
-the shape of every metric, histogram bucket ordering / count
-consistency, percentile monotonicity, and that every backend poll
-visit recorded its batch (<svc>.poll.batch total == <svc>.poll.total).
+the shape of every metric, histogram bucket ordering and that the
+bucket counts sum to the total, percentile monotonicity, and that
+every backend poll visit recorded its batch (<svc>.poll.batch total
+== <svc>.poll.total).
 Metric families with a declared kind (the fleet controller's
 fleet.* names, the end-to-end *.integrity.* family, the simulation
 core's sim.* counters, and the flight-recorder and request-tracer
@@ -39,13 +39,10 @@ import json
 import re
 import sys
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 GAUGE_KEYS = {"value", "min", "max", "updates"}
-HISTOGRAM_KEYS = {
-    "total", "underflow", "overflow", "p50", "p90", "p99", "p999",
-    "buckets",
-}
+HISTOGRAM_KEYS = {"total", "p50", "p90", "p99", "p999", "buckets"}
 LATENCY_KEYS = {
     "count", "mean_us", "p50_us", "p90_us", "p99_us", "p999_us",
     "max_us",
@@ -67,7 +64,6 @@ FLEET_KINDS = {
     "hot_swaps": "counter",
     "lost_guests": "counter",
     "migration.blackout": "latency",
-    "migration.blackout_hist_us": "histogram",
 }
 
 # End-to-end data-integrity family: every component that detects,
@@ -206,16 +202,15 @@ def check_histogram(errs, path, h):
                     f"(missing {sorted(missing)}, "
                     f"extra {sorted(extra)})")
         return
-    for k in ("total", "underflow", "overflow"):
-        if not is_num(h[k]):
-            errs.append(f"{path}.{k}: not a number: {h[k]!r}")
-            return
+    if not is_num(h["total"]):
+        errs.append(f"{path}.total: not a number: {h['total']!r}")
+        return
     check_percentiles(errs, path, h, ("p50", "p90", "p99", "p999"))
     buckets = h["buckets"]
     if not isinstance(buckets, list):
         errs.append(f"{path}.buckets: not a list")
         return
-    in_range = 0
+    counted = 0
     prev_high = None
     for i, b in enumerate(buckets):
         bp = f"{path}.buckets[{i}]"
@@ -233,12 +228,10 @@ def check_histogram(errs, path, h):
             errs.append(f"{bp}: overlaps previous bucket "
                         f"(low {low} < prev high {prev_high})")
         prev_high = high
-        in_range += count
-    if in_range + h["underflow"] + h["overflow"] != h["total"]:
-        errs.append(
-            f"{path}: bucket sum {in_range} + under "
-            f"{h['underflow']} + over {h['overflow']} != total "
-            f"{h['total']}")
+        counted += count
+    if counted != h["total"]:
+        errs.append(f"{path}: bucket sum {counted} != total "
+                    f"{h['total']}")
 
 
 def check_latency(errs, path, l):
