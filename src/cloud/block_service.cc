@@ -189,14 +189,14 @@ BlockService::submit(Volume &vol, BlockIo io)
         faultLost_.inc();
         return;
     }
-    // Request travels to the storage cluster: latency + wire time
-    // of the command (reads) or command+data (writes).
+    // The request reaches the cluster one request leg after it left
+    // the server, whether the submitter hands it over then or once
+    // the leg has elapsed; the reply carries the payload (reads) or
+    // a status (writes) back.
     Bytes from_storage = io.write ? 64 : io.len + 64;
-    io.submittedAt = curTick();
-    Tick t = curTick() + requestDelay(io);
-
+    Tick arrive = io.submittedAt + requestDelay(io);
     Tick service = drawService(io);
-    Tick done_at_storage = occupyChannel(t, service);
+    Tick done_at_storage = occupyChannel(arrive, service);
     Tick completion = done_at_storage + params_.networkLatency +
                       params_.networkBandwidth.transferTime(
                           from_storage);
@@ -207,44 +207,9 @@ BlockService::submit(Volume &vol, BlockIo io)
     else
         reads_.inc();
     serviceLatency_.record(completion - io.submittedAt);
-    // Classic path: wire corruption stays the submitter's business
-    // (it claims takeCorruption() itself, preserving the historical
-    // claim ordering), so done always reports a clean wire here.
-    auto done = std::move(io.done);
-    eventq().schedule(
-        new OneShotEvent([done = std::move(done)] { done(false); },
-                         "storage.complete"),
-        completion);
-}
-
-void
-BlockService::submitArrived(Volume &vol, BlockIo io)
-{
-    (void)vol;
-    // The request leg already elapsed on the way here (the
-    // submitter posted across partitions with requestDelay() of
-    // modelled latency), so service starts now.
-    if (loseBudget_ > 0) {
-        --loseBudget_;
-        faultLost_.inc();
-        return;
-    }
-    Bytes from_storage = io.write ? 64 : io.len + 64;
-    Tick service = drawService(io);
-    Tick done_at_storage = occupyChannel(curTick(), service);
-    Tick completion = done_at_storage + params_.networkLatency +
-                      params_.networkBandwidth.transferTime(
-                          from_storage);
-
-    completed_.inc();
-    if (io.write)
-        writes_.inc();
-    else
-        reads_.inc();
-    serviceLatency_.record(completion - io.submittedAt);
-    // Claim return-leg corruption here, in arrival order on the
-    // control partition — deterministic for any thread count —
-    // and ship the verdict with the completion.
+    // Claim return-leg corruption here, in arrival order at the
+    // service (deterministic for any thread count), and ship the
+    // verdict with the completion.
     bool wire = !io.write && io.wantCorruption && takeCorruption();
     auto done = std::move(io.done);
     sim_.post(io.srcPartition, completion,

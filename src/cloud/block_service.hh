@@ -40,17 +40,17 @@ struct BlockIo
     /**
      * Completion callback. @p wire_corrupt is true when the service
      * consumed FabricCorrupt budget against this read on the
-     * return leg (partitioned-mode path; the classic path always
-     * passes false and the submitter claims the budget itself).
+     * return leg.
      */
     std::function<void(bool wire_corrupt)> done;
     /** Read completions may claim FabricCorrupt budget (set by
-     *  integrity-enabled submitters in partitioned mode). */
+     *  integrity-enabled submitters, which verify the payload). */
     bool wantCorruption = false;
     /** Partition the completion is delivered in. */
     unsigned srcPartition = 0;
-    /** Submit-side tick, for end-to-end service latency. Filled by
-     *  submit(); submitArrived() expects the caller to set it. */
+    /** Tick the request left the guest server. The submitter sets
+     *  it; the service times the request leg and the end-to-end
+     *  service latency from it. */
     Tick submittedAt = 0;
 };
 
@@ -131,21 +131,16 @@ class BlockService : public SimObject
     Volume &createVolume(const std::string &name, Bytes capacity);
 
     /**
-     * Submit @p io against @p vol. The completion callback fires
-     * when the data is durable (write) or available at the guest
-     * server's NIC (read). Host-side costs are the caller's.
+     * Submit @p io against @p vol. The request reaches the cluster
+     * at io.submittedAt + requestDelay(io), so the caller may hand
+     * it over at any tick in between: at submittedAt, or (across
+     * partitions) once the request leg has elapsed. The completion
+     * is posted to io.srcPartition when the data is durable (write)
+     * or available at the guest server's NIC (read); a read with
+     * wantCorruption set claims FabricCorrupt budget here, in
+     * arrival order. Host-side costs are the caller's.
      */
     void submit(Volume &vol, BlockIo io);
-
-    /**
-     * Partitioned-mode entry: @p io has already traversed the
-     * request leg (the submitter posted it across partitions with
-     * requestDelay() of modelled latency) and arrives at the
-     * cluster now. The completion is posted back to
-     * io.srcPartition; FabricCorrupt budget for reads is claimed
-     * here, deterministically in arrival order.
-     */
-    void submitArrived(Volume &vol, BlockIo io);
 
     /** Modelled guest-server -> storage request-leg latency. */
     Tick
@@ -162,22 +157,21 @@ class BlockService : public SimObject
     /** Requests dropped by injected BlockLose faults. */
     std::uint64_t lostIos() const { return faultLost_.value(); }
 
-    /**
-     * Consume one unit of injected FabricCorrupt budget. The
-     * backend calls this per read completion and flips a payload
-     * byte when it returns true, modelling corruption on the
-     * fabric between the storage cluster and the guest server.
-     */
-    bool takeCorruption();
     std::uint64_t fabricCorruptions() const
     {
         return fabricCorruptions_.value();
     }
 
   private:
-    /** SSD service time draw shared by both submit entries; the
-     *  rng call order (lognormal, then gc chance) is part of the
-     *  reproducibility contract. */
+    /**
+     * Consume one unit of injected FabricCorrupt budget. A read
+     * that claims it completes with wire_corrupt set, and the
+     * backend flips a payload byte, modelling corruption on the
+     * fabric between the storage cluster and the guest server.
+     */
+    bool takeCorruption();
+    /** SSD service time draw; the rng call order (lognormal, then
+     *  gc chance) is part of the reproducibility contract. */
     Tick drawService(const BlockIo &io);
     /** Pick the earliest-free channel and occupy it. */
     Tick occupyChannel(Tick start, Tick service);

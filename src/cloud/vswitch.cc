@@ -194,22 +194,14 @@ VSwitch::forward(const Packet &pktIn)
         uplinkTx_.inc();
         bytes_.inc(pkt.len);
         Packet copy = pkt;
-        if (sim_.partitioned() && uplinkPartition_ != partition()) {
-            // The frame leaves this server partition: hand it to
-            // the fabric through the mailbox. The NIC-egress PCIe
-            // hop bounds the handoff below by the lookahead, which
-            // is exactly what makes the conservative window safe.
-            Tick hand = std::max(arrive, curTick() + sim_.lookahead());
-            auto fn = uplink_;
-            sim_.post(uplinkPartition_, hand,
-                      [fn, copy] { fn(copy); }, Event::defaultPri,
-                      "vswitch.uplink");
-            return;
-        }
-        eventq().schedule(new OneShotEvent(
-                              [this, copy] { uplink_(copy); },
-                              "vswitch.uplink"),
-                          arrive);
+        // Hand the frame to the fabric in the uplink's partition.
+        // The NIC-egress PCIe hop bounds the handoff below by the
+        // lookahead (0 in a classic run), which is exactly what
+        // makes the conservative window safe.
+        Tick hand = std::max(arrive, curTick() + sim_.lookahead());
+        sim_.post(uplinkPartition_, hand,
+                  [this, copy] { uplink_(copy); }, Event::defaultPri,
+                  "vswitch.uplink");
         return;
     }
 
@@ -273,14 +265,12 @@ NetFabric::route(const Packet &pkt)
         return; // no such host: silently dropped by the fabric
     VSwitch *sw = it->second;
     Packet copy = pkt;
-    // Scheduled on the destination switch's queue: identical in a
-    // classic simulation (one shared queue), and in a partitioned
-    // one the delivery executes inside the destination partition at
-    // the correct tick instead of against its parked clock.
-    sw->eventq().schedule(
-        new OneShotEvent([sw, copy] { sw->receiveFromUplink(copy); },
-                         "fabric.route"),
-        curTick() + propagation_);
+    // Delivered in the destination switch's partition, so in a
+    // partitioned run it executes there at the correct tick instead
+    // of against a parked clock.
+    sim_.post(sw->partition(), curTick() + propagation_,
+              [sw, copy] { sw->receiveFromUplink(copy); },
+              Event::defaultPri, "fabric.route");
 }
 
 } // namespace cloud

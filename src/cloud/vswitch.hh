@@ -80,9 +80,8 @@ class VSwitch : public SimObject
     /**
      * Connect the uplink (frames with non-local dst go here).
      * @p uplinkPartition is the partition the uplink handler runs
-     * in (the fabric's); in a partitioned simulation a cross-
-     * partition uplink send goes through the mailbox API with the
-     * NIC-egress PCIe hop as its minimum delay.
+     * in (the fabric's); every uplink send is posted there, with
+     * the NIC-egress PCIe hop (the lookahead) as its minimum delay.
      */
     void
     setUplink(std::function<void(const Packet &)> uplink,

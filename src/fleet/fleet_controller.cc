@@ -69,41 +69,29 @@ FleetController::FleetController(Simulation &sim, std::string name,
         // rollback cue, never a respawn (the double-adoption race
         // the watchdog guard exists for). The watchdog runs in the
         // server's partition; fleet state is control-partition
-        // only, so the signal crosses through the mailbox.
+        // only, so the signal defers to it.
         srv.setMigrationAbortCallback([this, s](unsigned idx) {
-            if (sim_.partitioned()) {
-                sim_.post(0, sim_.now() + sim_.lookahead(),
-                          [this, s, idx] { onAbortSignal(s, idx); },
-                          Event::defaultPri, "fleet.abort_signal");
-                return;
-            }
-            onAbortSignal(s, idx);
+            sim_.post(0, sim_.now() + sim_.lookahead(),
+                      [this, s, idx] { onAbortSignal(s, idx); },
+                      Event::defaultPri, "fleet.abort_signal");
         });
         // Top of the integrity escalation ladder: a server whose
         // corruption persisted past per-queue resets is evacuated
         // proactively while its guests are still live, instead of
-        // waiting for it to fail outright. Deferred one event: the
-        // signal fires from deep inside a poll/completion path.
+        // waiting for it to fail outright. The signal fires from
+        // deep inside a poll/completion path in the server's
+        // partition, and both the counter and drainServer are
+        // control-partition state, so the whole body defers.
         srv.setServerUnhealthyCallback([this, s] {
-            // The whole body defers: the signal fires from deep
-            // inside a poll/completion path in the server's
-            // partition, and both the counter and drainServer are
-            // control-partition state.
-            auto fire = [this, s] {
-                integrityDrains_.inc();
-                warn(this->name(), ": s", s,
-                     " integrity-unhealthy; draining its guests");
-                drainServer(s);
-            };
-            if (sim_.partitioned()) {
-                sim_.post(0, sim_.now() + sim_.lookahead(),
-                          std::move(fire), Event::defaultPri,
-                          "fleet.integrity_drain");
-                return;
-            }
-            scheduleIn(new OneShotEvent(std::move(fire),
-                                        "fleet.integrity_drain"),
-                       0);
+            sim_.post(
+                0, sim_.now() + sim_.lookahead(),
+                [this, s] {
+                    integrityDrains_.inc();
+                    warn(this->name(), ": s", s,
+                         " integrity-unhealthy; draining its guests");
+                    drainServer(s);
+                },
+                Event::defaultPri, "fleet.integrity_drain");
         });
         // Server-level fault surface: power, boards, fabric.
         faults().add(srv.name(),
@@ -415,25 +403,17 @@ FleetController::commit(GuestId id)
     unsigned nidx = dst.adoptGuest(
         std::move(eg), [this, id](unsigned new_idx) {
             // The rebase replay completes inside the target
-            // partition's parallel phase; fleet bookkeeping (and
-            // the drain lift) must run serially in the control
-            // partition, one lookahead later.
-            if (sim_.partitioned() && sim_.currentPartition() != 0) {
-                sim_.post(0, sim_.now() + sim_.lookahead(),
-                          [this, id, new_idx] {
-                              finish(id, new_idx);
-                          },
-                          Event::defaultPri, "fleet.finish");
-            } else {
-                finish(id, new_idx);
-            }
+            // partition; fleet bookkeeping (and the drain lift)
+            // runs in the control partition.
+            sim_.post(0, sim_.now() + sim_.lookahead(),
+                      [this, id, new_idx] { finish(id, new_idx); },
+                      Event::defaultPri, "fleet.finish");
         });
     // Until the rebase replay lands and the PMD is re-homed, the
     // target's watchdog must treat the (still quiesced) adoptee
-    // exactly like a mid-migration source guest. Guard against an
-    // adoption that completed synchronously.
-    if (migrations_.count(id))
-        dst.setMigrating(nidx, true);
+    // exactly like a mid-migration source guest. finish() is always
+    // deferred, so it cannot have run yet.
+    dst.setMigrating(nidx, true);
 }
 
 void

@@ -402,18 +402,7 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
             cloud::Packet pkt = ext.pkt;
             cloud::VSwitch *sw = vswitch_;
             cloud::PortId port = port_;
-            if (sim().partitioned() &&
-                sw->partition() != partition()) {
-                // The backend posts to a switch homed in another
-                // partition (a guest mid-migration still bound to
-                // its old server's switch): cross the PCIe hop via
-                // the mailbox.
-                sim().post(sw->partition(),
-                           std::max(when, curTick()) +
-                               sim().lookahead(),
-                           [sw, port, pkt] { sw->send(port, pkt); },
-                           Event::defaultPri, "svc.paced_tx");
-            } else if (when <= curTick()) {
+            if (when <= curTick()) {
                 sw->send(port, pkt);
             } else {
                 eventq().schedule(
@@ -752,31 +741,22 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
             auto *vol = vol_;
             Tick at = std::max(when, curTick() +
                                          params_.blkExtraCost);
-            if (sim().partitioned() &&
-                svc->partition() != partition()) {
-                // The request leaves this server partition for the
-                // storage cluster: model the network request leg as
-                // the mailbox delay instead of letting the service
-                // add it on arrival. The 140 us fabric latency
-                // dwarfs the PCIe-hop lookahead, so the post is
-                // always causally safe.
-                io_box->submittedAt = at;
-                sim().post(svc->partition(),
-                           at + svc->requestDelay(*io_box),
-                           [svc, vol, io_box] {
-                               svc->submitArrived(
-                                   *vol, std::move(*io_box));
-                           },
-                           Event::defaultPri, "svc.blk_submit");
-                return;
-            }
-            eventq().schedule(
-                new OneShotEvent(
-                    [svc, vol, io_box] {
-                        svc->submit(*vol, std::move(*io_box));
-                    },
-                    "svc.blk_submit"),
-                at);
+            io_box->submittedAt = at;
+            // The request leaves the server at `at`. A service in
+            // another partition receives it once the request leg
+            // has elapsed (the 140 us fabric latency dwarfs the
+            // lookahead, so the post is always causally safe); a
+            // service in this partition takes it at `at`, keeping
+            // its RNG draws in submission order. Either way the
+            // service times the leg from submittedAt.
+            Tick deliver = svc->partition() == partition()
+                               ? at
+                               : at + svc->requestDelay(*io_box);
+            sim().post(svc->partition(), deliver,
+                       [svc, vol, io_box] {
+                           svc->submit(*vol, std::move(*io_box));
+                       },
+                       Event::defaultPri, "svc.blk_submit");
         });
 }
 
@@ -807,14 +787,9 @@ VirtioIoService::onBlkServiceDone(std::uint64_t seq,
         rbuf = vol_->readData(q.lba, q.payloadLen);
         auto tags = vol_->readTags(q.lba, q.payloadLen);
         rbuf.insert(rbuf.end(), tags.begin(), tags.end());
-        // Partitioned mode claims the corruption budget at the
-        // service (arrival order, deterministic across threads) and
-        // ships the verdict with the completion; classic mode keeps
-        // the historical claim-at-completion ordering.
-        bool corrupt = sim().partitioned()
-                           ? wire_corrupt
-                           : blkSvc_->takeCorruption();
-        if (corrupt && !rbuf.empty())
+        // The service claims the return-leg corruption budget and
+        // ships the verdict with the completion.
+        if (wire_corrupt && !rbuf.empty())
             rbuf[0] ^= 0xA5;
         if (cloud::difCheck(rbuf, q.lba) >= 0) {
             difDetects_.inc();

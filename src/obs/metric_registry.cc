@@ -1,6 +1,5 @@
 #include "obs/metric_registry.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -64,46 +63,17 @@ appendJsonNumber(std::string &out, double v)
 
 } // namespace
 
-MetricRegistry &
-MetricRegistry::global()
-{
-    static MetricRegistry registry;
-    return registry;
-}
-
-void
-MetricRegistry::shard(unsigned lanes,
-                      std::function<unsigned()> resolver)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    panic_if(lanes == 0, "metric registry needs at least one lane");
-    if (lanes > lanes_.size())
-        lanes_.resize(lanes);
-    resolver_ = std::move(resolver);
-}
-
 MetricRegistry::Entry &
 MetricRegistry::fetch(const std::string &name, Kind kind)
 {
-    // Caller holds mu_. Names are unique across lanes: the lane
-    // only decides which map a new metric lands in (so worker
-    // threads registering mid-run don't contend on one node pool's
-    // structure); lookups always scan all lanes.
-    for (auto &lane : lanes_) {
-        auto it = lane.find(name);
-        if (it != lane.end()) {
-            panic_if(it->second.kind != kind, "metric '", name,
-                     "' registered as ", kindName(it->second.kind),
-                     ", requested as ", kindName(kind));
-            return it->second;
-        }
-    }
-    std::size_t lane = 0;
-    if (resolver_)
-        lane = std::min<std::size_t>(resolver_(), lanes_.size() - 1);
-    Entry e;
-    e.kind = kind;
-    return lanes_[lane].emplace(name, std::move(e)).first->second;
+    // Caller holds mu_.
+    auto [it, fresh] = entries_.try_emplace(name);
+    if (fresh)
+        it->second.kind = kind;
+    panic_if(it->second.kind != kind, "metric '", name,
+             "' registered as ", kindName(it->second.kind),
+             ", requested as ", kindName(kind));
+    return it->second;
 }
 
 Counter &
@@ -150,39 +120,14 @@ bool
 MetricRegistry::has(const std::string &name) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &lane : lanes_)
-        if (lane.count(name))
-            return true;
-    return false;
+    return entries_.count(name) != 0;
 }
 
 std::size_t
 MetricRegistry::size() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    std::size_t n = 0;
-    for (const auto &lane : lanes_)
-        n += lane.size();
-    return n;
-}
-
-std::vector<std::pair<const std::string *,
-                      const MetricRegistry::Entry *>>
-MetricRegistry::merged() const
-{
-    // Caller holds mu_. Lanes hold disjoint name sets; sorting the
-    // union restores the exact iteration order a single map would
-    // have, keeping exports byte-identical to an unsharded (and to
-    // a single-threaded) registry.
-    std::vector<std::pair<const std::string *, const Entry *>> out;
-    for (const auto &lane : lanes_)
-        for (const auto &[name, entry] : lane)
-            out.emplace_back(&name, &entry);
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
-                  return *a.first < *b.first;
-              });
-    return out;
+    return entries_.size();
 }
 
 void
@@ -190,8 +135,8 @@ MetricRegistry::forEach(
     const std::function<void(const std::string &, Kind)> &fn) const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &[name, entry] : merged())
-        fn(*name, entry->kind);
+    for (const auto &[name, entry] : entries_)
+        fn(name, entry.kind);
 }
 
 void
@@ -269,17 +214,17 @@ std::string
 MetricRegistry::toJson() const
 {
     // "schema_version" leads every registry object; metric names
-    // are dotted, so the bare key can never collide. merged() is
+    // are dotted, so the bare key can never collide. The map is
     // name-ordered, so the emitted key order is stable for
-    // byte-diffable same-seed snapshots regardless of lane count.
+    // byte-diffable same-seed snapshots.
     std::lock_guard<std::mutex> lk(mu_);
     std::string out = "{\n  \"schema_version\": ";
     appendJsonNumber(out, double(jsonSchemaVersion));
-    for (const auto &[name, entry] : merged()) {
+    for (const auto &[name, entry] : entries_) {
         out += ",\n  ";
-        appendJsonString(out, *name);
+        appendJsonString(out, name);
         out += ": ";
-        appendJsonValue(out, *entry);
+        appendJsonValue(out, entry);
     }
     out += "\n}";
     return out;
@@ -289,8 +234,7 @@ void
 MetricRegistry::resetAll()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto &lane : lanes_)
-    for (auto &[name, entry] : lane) {
+    for (auto &[name, entry] : entries_) {
         (void)name;
         switch (entry.kind) {
           case Kind::Counter:

@@ -12,8 +12,6 @@
  *
  * Each Simulation owns one registry, so concurrently-built
  * testbeds (every bench builds at least two) never mix samples.
- * MetricRegistry::global() exists for code with no Simulation at
- * hand.
  */
 
 #ifndef BMHIVE_OBS_METRIC_REGISTRY_HH
@@ -25,7 +23,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "base/stats.hh"
 
@@ -49,19 +46,6 @@ class MetricRegistry
     MetricRegistry() = default;
     MetricRegistry(const MetricRegistry &) = delete;
     MetricRegistry &operator=(const MetricRegistry &) = delete;
-
-    /** Fallback registry for code outside any Simulation. */
-    static MetricRegistry &global();
-
-    /**
-     * Partitioned simulations: split storage into @p lanes shards
-     * so concurrent registration from worker threads stays off one
-     * map; @p resolver names the lane new metrics are created in
-     * (the current partition). Names are unique across lanes and
-     * exports merge in name order, so output is byte-identical to
-     * an unsharded registry. Call before any concurrent use.
-     */
-    void shard(unsigned lanes, std::function<unsigned()> resolver);
 
     /** Get-or-create handles. Re-registering a name with a
      *  different kind is a bug and panics. */
@@ -101,15 +85,12 @@ class MetricRegistry
     Entry &fetch(const std::string &name, Kind kind);
     static void appendJsonValue(std::string &out, const Entry &e);
 
-    /** Name-ordered (name, entry) view across all lanes. */
-    std::vector<std::pair<const std::string *, const Entry *>>
-    merged() const;
-
-    /** Guards lane lookup/creation; metric handles themselves are
+    /** Guards lookup/creation: partitioned runs register from
+     *  worker threads. Metric handles themselves are
      *  partition-affine and need no locking. */
     mutable std::mutex mu_;
-    std::function<unsigned()> resolver_;
-    std::vector<std::map<std::string, Entry>> lanes_{1};
+    /** Name-ordered, so exports are byte-stable. */
+    std::map<std::string, Entry> entries_;
 };
 
 } // namespace obs

@@ -131,14 +131,7 @@ class OneShotEvent : public Event
 class EventQueue
 {
   public:
-    /**
-     * @param seqBase starting value for insertion sequence numbers.
-     * Partitioned simulations give each queue a disjoint sequence
-     * space so a cross-queue deschedule can never alias another
-     * queue's live entry.
-     */
-    explicit EventQueue(std::uint64_t seqBase = 0)
-        : nextSeq_(seqBase) {}
+    EventQueue() = default;
     /** Frees the one-shots still pending. */
     ~EventQueue();
 

@@ -76,11 +76,7 @@ Coordinator::Coordinator(Simulation &sim, unsigned servers,
 
     queues_.push_back(&sim.eventq());
     for (unsigned p = 1; p <= servers; ++p) {
-        // Disjoint sequence spaces: a cross-queue deschedule can
-        // then never alias another queue's live entry (it panics on
-        // the owning-queue check instead).
-        ownedQueues_.push_back(
-            std::make_unique<EventQueue>(std::uint64_t(p) << 48));
+        ownedQueues_.push_back(std::make_unique<EventQueue>());
         queues_.push_back(ownedQueues_.back().get());
         rngs_.push_back(
             std::make_unique<Rng>(mixSeed(sim.seed(), p)));
@@ -310,9 +306,6 @@ Simulation::enablePartitions(unsigned servers, psim::Params params)
     panic_if(eventq_.curTick() != 0 || !eventq_.empty(),
              "enablePartitions must run before any simulation "
              "activity");
-    // Registrations from worker threads land in the registering
-    // partition's lane; exports stay name-ordered and byte-stable.
-    metrics_.shard(servers + 1, [this] { return currentPartition(); });
     psim_ = std::make_unique<psim::Coordinator>(*this, servers,
                                                 params);
 }

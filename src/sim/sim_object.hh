@@ -10,7 +10,9 @@
  * queue, advanced in conservative lookahead rounds by a worker
  * pool. SimObjects capture their partition at construction (via
  * psim::PartitionScope) and route all queue/RNG/time accessors
- * through it, so component code is identical in both modes.
+ * through it, and every hop that may cross partitions goes through
+ * one Simulation::post() whose delivery tick carries the modelled
+ * delay, so component code is identical in both modes.
  */
 
 #ifndef BMHIVE_SIM_SIM_OBJECT_HH
@@ -157,11 +159,13 @@ class Simulation
 
     /**
      * Deliver @p fn in partition @p dst at absolute tick @p when —
-     * the cross-partition mailbox API. From inside a parallel phase
-     * the send buffers in the source partition's outbox and @p when
-     * must respect the lookahead contract; everywhere else (and in
-     * classic mode) it degenerates to scheduling a OneShotEvent.
-     * @p tag is a string literal naming the event in diagnostics.
+     * the one way to make a hop that may cross partitions. From
+     * inside a parallel phase a send to another partition buffers
+     * in the source partition's outbox and @p when must respect the
+     * lookahead contract; everywhere else (and in classic mode) it
+     * degenerates to scheduling a OneShotEvent, so the caller needs
+     * no classic branch. @p tag is a string literal naming the
+     * event in diagnostics.
      */
     void
     post(unsigned dst, Tick when, std::function<void()> fn,

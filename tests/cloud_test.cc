@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "base/logging.hh"
 #include "cloud/block_service.hh"
 #include "cloud/rate_limiter.hh"
@@ -159,6 +162,7 @@ class BlockServiceTest : public ::testing::Test
         io.len = len;
         io.done = [&](bool) { done = sim.now(); };
         Tick t0 = sim.now();
+        io.submittedAt = t0;
         svc.submit(*vol, std::move(io));
         sim.run();
         return done - t0;
@@ -232,12 +236,77 @@ TEST_F(BlockServiceTest, ChannelsLimitParallelism)
             ++done;
             last = sim.now();
         };
+        io.submittedAt = sim.now();
         svc.submit(*vol, std::move(io));
     }
     sim.run();
     EXPECT_EQ(done, 64u);
     // 64 IOs / 8 channels = 8 serialized service times minimum.
     EXPECT_GE(last, usToTicks(280) + 7 * usToTicks(40));
+}
+
+TEST_F(BlockServiceTest, ReadsClaimFabricCorruptionAtTheService)
+{
+    fault::FaultSpec corrupt;
+    corrupt.kind = fault::FaultKind::FabricCorrupt;
+    corrupt.count = 1;
+    ASSERT_TRUE(sim.faults().deliver("svc", corrupt));
+    auto wireOf = [&](bool write) {
+        bool fired = false, wire = false;
+        BlockIo io;
+        io.write = write;
+        io.len = 4 * KiB;
+        io.wantCorruption = true;
+        io.submittedAt = sim.now();
+        io.done = [&](bool w) {
+            fired = true;
+            wire = w;
+        };
+        svc.submit(*vol, std::move(io));
+        sim.run();
+        EXPECT_TRUE(fired);
+        return wire;
+    };
+    // Only a read's payload crosses the return leg: a write leaves
+    // the budget alone, the next read claims it, and the read after
+    // that comes back clean.
+    EXPECT_FALSE(wireOf(true));
+    EXPECT_EQ(svc.fabricCorruptions(), 0u);
+    EXPECT_TRUE(wireOf(false));
+    EXPECT_EQ(svc.fabricCorruptions(), 1u);
+    EXPECT_FALSE(wireOf(false));
+    EXPECT_EQ(svc.fabricCorruptions(), 1u);
+}
+
+TEST(BlockServiceLegTest, RequestLegIsTimedFromSubmittedAt)
+{
+    // A read handed over as it leaves the server, or once its
+    // request leg has elapsed (a cross-partition hop), reaches the
+    // cluster at the same tick: same completion, same sample.
+    auto run = [](bool after_leg) {
+        Simulation sim(5);
+        BlockService svc(sim, "svc");
+        Volume &vol = svc.createVolume("v", 16 * MiB);
+        Tick done = 0;
+        auto io = std::make_shared<BlockIo>();
+        io->len = 4 * KiB;
+        io->submittedAt = usToTicks(10);
+        io->done = [&](bool) { done = sim.now(); };
+        Tick at = io->submittedAt;
+        if (after_leg)
+            at += svc.requestDelay(*io);
+        sim.post(0, at, [&svc, &vol, io] {
+            svc.submit(vol, std::move(*io));
+        });
+        sim.run();
+        return std::make_pair(
+            done, sim.metrics().latency("svc.service").maxUs());
+    };
+    auto direct = run(false);
+    auto after_leg = run(true);
+    EXPECT_GT(direct.first, usToTicks(290));
+    EXPECT_EQ(after_leg.first, direct.first);
+    EXPECT_EQ(after_leg.second, direct.second);
 }
 
 TEST(DualRateLimiterTest, UnlimitedAdmitsImmediately)

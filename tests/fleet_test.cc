@@ -399,10 +399,12 @@ TEST(FleetMaintenance, DrainServerMovesEveryGuest)
     ASSERT_NE(b, invalidGuest);
     bed.runFor(1000);
     // Consolidate both onto server 0.
-    if (bed.fleet->serverOf(a) != 0)
+    if (bed.fleet->serverOf(a) != 0) {
         ASSERT_TRUE(bed.fleet->migrate(a, 0));
-    if (bed.fleet->serverOf(b) != 0)
+    }
+    if (bed.fleet->serverOf(b) != 0) {
         ASSERT_TRUE(bed.fleet->migrate(b, 0));
+    }
     bed.runFor(5000);
     ASSERT_EQ(bed.fleet->serverOf(a), 0u);
     ASSERT_EQ(bed.fleet->serverOf(b), 0u);

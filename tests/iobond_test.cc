@@ -361,7 +361,6 @@ TEST_F(IoBondTest, BatchedDoorbellIsOneDoorbell)
     // like exactly one doorbell to the storm throttle: repeated
     // full-ring bursts must forward everything and classify zero
     // DoorbellStorm faults.
-    GuestMemory &gmem = board.memory();
     auto dev = shadowDev();
     unsigned forwarded = 0;
     for (unsigned round = 0; round < 200; ++round) {

@@ -300,7 +300,8 @@ class VirtioPciTest : public ::testing::Test
     VirtioPciTest()
         : bus(sim, "bus", nsToTicks(100), Bandwidth::gbps(32)),
           dev(sim, "dev", DeviceType::Net, 2,
-              VIRTIO_NET_F_MAC | VIRTIO_RING_F_INDIRECT_DESC)
+              std::uint64_t(VIRTIO_NET_F_MAC) |
+                  VIRTIO_RING_F_INDIRECT_DESC)
     {
         bus.attach(dev, 3);
         // Program BAR0 and enable memory decoding.
