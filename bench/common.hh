@@ -115,10 +115,6 @@ class Session
         const std::string sched_flag = "--sched=";
         const std::string obs_flag = "--obs=";
         const std::string integrity_flag = "--integrity=";
-        const std::string slo_window_flag = "--slo-window-ms=";
-        const std::string slo_net_flag = "--slo-net-us=";
-        const std::string slo_blk_flag = "--slo-blk-us=";
-        const std::string flight_ev_flag = "--flight-events=";
         const std::string flight_dir_flag = "--flight-dump-dir=";
         const std::string threads_flag = "--sim-threads=";
         int w = 1;
@@ -138,19 +134,7 @@ class Session
                 fatal_if(v != "on" && v != "off",
                          "--integrity wants on|off, got '", v, "'");
                 integrityOn = (v == "on");
-            } else if (a.rfind(slo_window_flag, 0) == 0)
-                sloWindowMs = std::atof(
-                    a.c_str() + slo_window_flag.size());
-            else if (a.rfind(slo_net_flag, 0) == 0)
-                sloNetUs =
-                    std::atof(a.c_str() + slo_net_flag.size());
-            else if (a.rfind(slo_blk_flag, 0) == 0)
-                sloBlkUs =
-                    std::atof(a.c_str() + slo_blk_flag.size());
-            else if (a.rfind(flight_ev_flag, 0) == 0)
-                flightEvents = std::strtoul(
-                    a.c_str() + flight_ev_flag.size(), nullptr, 0);
-            else if (a.rfind(flight_dir_flag, 0) == 0)
+            } else if (a.rfind(flight_dir_flag, 0) == 0)
                 flightDumpDir = a.substr(flight_dir_flag.size());
             else if (a.rfind(threads_flag, 0) == 0)
                 simThreads = unsigned(std::strtoul(
@@ -211,13 +195,9 @@ class Session
     inline static bool integrityOn = true;
 
     /** Observability flags: --obs=off turns the per-tenant SLO
-     *  monitor and flight recorder off; the --slo- and --flight-
-     *  knobs override the ObsParams defaults (0/"" = keep). */
+     *  monitor and flight recorder off; --flight-dump-dir picks
+     *  where anomaly dumps land ("" = keep the default). */
     inline static bool obsEnabled = true;
-    inline static double sloWindowMs = 0.0;
-    inline static double sloNetUs = 0.0;
-    inline static double sloBlkUs = 0.0;
-    inline static std::size_t flightEvents = 0;
     inline static std::string flightDumpDir;
 
     /** Where --metrics-out points ("" when not given); anomaly
@@ -250,7 +230,12 @@ class Session
 
 /**
  * One experiment environment. Everything shares a Simulation, so
- * results are deterministic in the seed.
+ * results are deterministic in the seed. Each testbed has a label
+ * (`testbed<N>`, or `testbed_cfg<N>` for the explicit-config form)
+ * that names its metric snapshot and the subdirectory of the dump
+ * dir its flight dumps land in: every testbed names its server
+ * `server`, so a shared directory would let a later testbed's
+ * dumps overwrite an earlier one's.
  */
 class Testbed
 {
@@ -258,54 +243,22 @@ class Testbed
     explicit Testbed(std::uint64_t seed = 20200316,
                      unsigned max_boards = 4,
                      cloud::BlockServiceParams storage_params = {})
-        : sim(seed), vswitch(sim, "vswitch"),
-          storage(sim, "storage", storage_params),
-          server(sim, "server", vswitch, &storage,
-                 smallServer(max_boards))
+        : Testbed("testbed" + std::to_string(ordinal_++), seed,
+                  smallServer(max_boards), storage_params)
     {
-        vswitch.setIntegrity(Session::integrityOn);
-        static unsigned ordinal = 0;
-        MetricsCapture::instance().attach(
-            "testbed" + std::to_string(ordinal++), sim.metrics());
-        if (Session::faultSeed != 0 ||
-            !Session::faultPlan.empty()) {
-            chaos = std::make_unique<fault::FaultInjector>(
-                sim, "chaos");
-            if (!Session::faultPlan.empty()) {
-                fatal_if(!chaos->loadPlan(Session::faultPlan),
-                         "cannot load fault plan ",
-                         Session::faultPlan);
-            }
-        }
     }
-
-    ~Testbed() { MetricsCapture::instance().detach(sim.metrics()); }
 
     /** Second ctor form: a fully explicit server configuration
      *  (density sweeps build both scheduler modes themselves). */
     Testbed(std::uint64_t seed, core::BmServerParams server_params,
             cloud::BlockServiceParams storage_params = {})
-        : sim(seed), vswitch(sim, "vswitch"),
-          storage(sim, "storage", storage_params),
-          server(sim, "server", vswitch, &storage,
-                 withSessionObs(std::move(server_params)))
+        : Testbed("testbed_cfg" + std::to_string(cfgOrdinal_++), seed,
+                  withSessionObs(std::move(server_params)),
+                  storage_params)
     {
-        vswitch.setIntegrity(Session::integrityOn);
-        static unsigned ordinal = 0;
-        MetricsCapture::instance().attach(
-            "testbed_cfg" + std::to_string(ordinal++),
-            sim.metrics());
-        if (Session::faultSeed != 0 ||
-            !Session::faultPlan.empty()) {
-            chaos = std::make_unique<fault::FaultInjector>(
-                sim, "chaos");
-            if (!Session::faultPlan.empty()) {
-                fatal_if(!chaos->loadPlan(Session::faultPlan),
-                         "cannot load fault plan ",
-                         Session::faultPlan);
-            }
-        }
     }
+
+    ~Testbed() { MetricsCapture::instance().detach(sim.metrics()); }
 
     static core::BmServerParams
     smallServer(unsigned max_boards)
@@ -324,23 +277,16 @@ class Testbed
         return withSessionObs(p);
     }
 
-    /** Overlay the session's --obs / --slo-* / --flight-* flags on
-     *  @p p. With no explicit dump dir, anomaly dumps land next to
-     *  the --metrics-out snapshot (none without one: the triggers
-     *  still count, nothing is written). */
+    /** Overlay the session's --integrity / --obs /
+     *  --flight-dump-dir flags on @p p. With no explicit dump dir,
+     *  anomaly dumps land next to the --metrics-out snapshot (none
+     *  without one: the triggers still count, nothing is
+     *  written). */
     static core::BmServerParams
     withSessionObs(core::BmServerParams p)
     {
         p.integrity.enabled = Session::integrityOn;
         p.obs.enabled = Session::obsEnabled;
-        if (Session::sloWindowMs > 0)
-            p.obs.slo.window = msToTicks(Session::sloWindowMs);
-        if (Session::sloNetUs > 0)
-            p.obs.slo.netTargetUs = Session::sloNetUs;
-        if (Session::sloBlkUs > 0)
-            p.obs.slo.blkTargetUs = Session::sloBlkUs;
-        if (Session::flightEvents > 0)
-            p.obs.flightEvents = Session::flightEvents;
         if (!Session::flightDumpDir.empty()) {
             p.obs.flightDumpDir = Session::flightDumpDir;
         } else if (p.obs.flightDumpDir.empty() &&
@@ -462,6 +408,41 @@ class Testbed
     std::vector<std::unique_ptr<vmsim::VmGuest>> vms;
 
   private:
+    /** Both public forms: @p label names the metric snapshot and
+     *  the flight-dump subdirectory (the server makes it on its
+     *  first dump). */
+    Testbed(const std::string &label, std::uint64_t seed,
+            core::BmServerParams server_params,
+            cloud::BlockServiceParams storage_params)
+        : sim(seed), vswitch(sim, "vswitch"),
+          storage(sim, "storage", storage_params),
+          server(sim, "server", vswitch, &storage,
+                 inSubdir(std::move(server_params), label))
+    {
+        vswitch.setIntegrity(Session::integrityOn);
+        MetricsCapture::instance().attach(label, sim.metrics());
+        if (Session::faultSeed != 0 ||
+            !Session::faultPlan.empty()) {
+            chaos = std::make_unique<fault::FaultInjector>(
+                sim, "chaos");
+            if (!Session::faultPlan.empty()) {
+                fatal_if(!chaos->loadPlan(Session::faultPlan),
+                         "cannot load fault plan ",
+                         Session::faultPlan);
+            }
+        }
+    }
+
+    static core::BmServerParams
+    inSubdir(core::BmServerParams p, const std::string &label)
+    {
+        if (!p.obs.flightDumpDir.empty())
+            p.obs.flightDumpDir += "/" + label;
+        return p;
+    }
+
+    inline static unsigned ordinal_ = 0;
+    inline static unsigned cfgOrdinal_ = 0;
     bool chaosArmed_ = false;
 };
 

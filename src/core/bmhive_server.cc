@@ -1,6 +1,7 @@
 #include "core/bmhive_server.hh"
 
 #include <algorithm>
+#include <filesystem>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -144,36 +145,23 @@ BmHiveServer::startWatchdog(Tick period)
 }
 
 void
-BmHiveServer::stopWatchdog()
-{
-    watchdogPeriod_ = 0;
-    if (watchdogEvent_.scheduled())
-        eventq().deschedule(&watchdogEvent_);
-}
-
-void
 BmHiveServer::watchdogCheck()
 {
     watchdogChecks_.inc();
-    migrating_.resize(guests_.size(), false);
-    for (unsigned i = 0; i < guests_.size(); ++i) {
-        if (!guests_[i])
+    for (unsigned i = 0; i < slots_.size(); ++i) {
+        BmGuest *g = slots_[i].guest.get();
+        if (!g)
             continue; // tombstone: exported or released
-        hv::BmHypervisor &hv = guests_[i]->hypervisor();
-        if (!hv.connected())
+        hv::BmHypervisor &hv = g->hypervisor();
+        // A drained bond is a guest mid-migration. Its backend is
+        // *deliberately* quiet (the drain stopped its service), so
+        // "no poll progress" is not a failure. Worse, a respawn here
+        // would republish the in-flight window on the source while
+        // the target's rebase replays the same window — every chain
+        // would complete twice. The fleet's settle poll is what
+        // notices a real crash during the drain, and rolls back.
+        if (!hv.connected() || g->bond().drained())
             continue;
-        if (migrating_[i] && migrationWatchdogGuard_) {
-            // Mid-migration the backend is *deliberately* quiet (the
-            // drain stopped its service), so "no poll progress" is
-            // not a failure. Worse, a respawn here would republish
-            // the in-flight window on the source while the target's
-            // rebase replays the same window — every chain would
-            // complete twice. A real crash during the drain is the
-            // fleet controller's cue to abort and roll back instead.
-            if (hv.crashed() && migrationAbortCb_)
-                migrationAbortCb_(i);
-            continue;
-        }
         // Per-unit progress, under either policy: a Dedicated PMD
         // unvisited for a whole period, or Shared work posted that
         // long ago with no visit since (an idle Shared backend
@@ -190,8 +178,7 @@ BmHiveServer::watchdogCheck()
             flightDump(i, "watchdog");
         }
     }
-    if (watchdogPeriod_ > 0)
-        scheduleIn(&watchdogEvent_, watchdogPeriod_);
+    scheduleIn(&watchdogEvent_, watchdogPeriod_);
 }
 
 void
@@ -214,11 +201,11 @@ void
 BmHiveServer::dumpStats()
 {
     statsDumps_.inc();
-    for (unsigned i = 0; i < guests_.size(); ++i) {
-        if (!guests_[i])
+    for (unsigned i = 0; i < slots_.size(); ++i) {
+        if (!slots_[i].guest)
             continue;
         inform(name(), ": guest", i, " ",
-               guests_[i]->statsReport());
+               slots_[i].guest->statsReport());
     }
     if (statsPeriod_ > 0)
         scheduleIn(&statsEvent_, statsPeriod_);
@@ -254,17 +241,7 @@ BmHiveServer::tryProvision(const InstanceType &type,
     auto g = std::make_unique<BmGuest>();
     g->instance_ = type;
     g->mac_ = mac;
-    // Slot: reuse the first tombstone, else append. Object names
-    // never reuse an index — a migrated-away guest keeps its
-    // original names (SimObject, metrics, fault-hook paths) and a
-    // later tenant of its old slot must not collide with them.
-    unsigned idx = unsigned(guests_.size());
-    for (unsigned i = 0; i < guests_.size(); ++i) {
-        if (!guests_[i]) {
-            idx = i;
-            break;
-        }
-    }
+    unsigned idx = freeSlot();
     std::string base_name =
         name() + ".guest" + std::to_string(nextGuestName_++);
 
@@ -289,21 +266,11 @@ BmHiveServer::tryProvision(const InstanceType &type,
     g->bond_ = std::make_unique<iobond::IoBond>(
         sim_, base_name + ".iobond", *g->board_, base_->memory(),
         g->regionBase_, params_.bondParams);
-    // Containment scoring: every fault the bridge classifies feeds
-    // this guest's leaky bucket. Faults fired before the guest is
-    // committed (rollback path) are ignored by the idx guard in
-    // onGuestFault.
-    g->bond_->setGuestFaultCallback(
-        [this, idx](fault::GuestFaultKind k) {
-            onGuestFault(idx, k);
-        });
-    // Escalation-ladder top: a bond that resets a queue over
-    // persistent corruption reports here, and enough of those
-    // marks the whole server unhealthy.
-    g->bond_->setIntegrityEscalationCallback(
-        [this, idx](unsigned fn) {
-            onIntegrityEscalation(idx, fn);
-        });
+    // Containment scoring and the escalation ladder listen before
+    // the drivers start, so bring-up faults are counted; faults
+    // fired before the guest is committed (rollback path) find no
+    // guest in the slot and score nothing (onGuestFault).
+    wireSignals(*g, idx);
 
     // Emulated virtio functions on the board's bus. Every guest
     // gets a console (the paper's VGA-equivalent access path).
@@ -315,15 +282,7 @@ BmHiveServer::tryProvision(const InstanceType &type,
 
     // One bm-hypervisor process: a dedicated base core, or a slot
     // on the shared poll-core pool (least-loaded placement).
-    unsigned sched_core = 0;
-    hw::CpuExecutor *core = nullptr;
-    if (sched_) {
-        sched_core = sched_->leastLoadedCore();
-        core = &sched_->coreExecutor(sched_core);
-    } else {
-        core = &base_->core(nextCore_ % base_->coreCount());
-        ++nextCore_;
-    }
+    auto [core, sched_core] = pickCore();
     g->hv_ = std::make_unique<hv::BmHypervisor>(
         sim_, base_name + ".hv", *g->board_, *g->bond_, *core,
         vswitch_, mac, vol != nullptr ? storage_ : nullptr, vol,
@@ -369,27 +328,16 @@ BmHiveServer::tryProvision(const InstanceType &type,
         return nullptr;
     }
 
-    ++usedSlots_;
+    Slot slot;
+    slot.guest = std::move(g);
     // A full bucket is a clean guest; faults force-consume points
     // that refill at the leak rate.
-    Containment c;
-    c.bucket = TokenBucket(params_.containment.leakPerMs * 1e3,
-                           params_.containment.quarantineScore);
-    if (idx == guests_.size()) {
-        guests_.push_back(std::move(g));
-        containment_.push_back(c);
-        lastDumpAt_.push_back(maxTick);
-        dumpSeq_.push_back(0);
-    } else {
-        guests_[idx] = std::move(g);
-        containment_[idx] = c;
-        lastDumpAt_[idx] = maxTick;
-        dumpSeq_[idx] = 0;
-        if (idx < migrating_.size())
-            migrating_[idx] = false;
-    }
+    slot.containment.bucket =
+        TokenBucket(params_.containment.leakPerMs * 1e3,
+                    params_.containment.quarantineScore);
+    fillSlot(idx, std::move(slot));
 
-    BmGuest &gg = *guests_[idx];
+    BmGuest &gg = *slots_[idx].guest;
     if (params_.obs.enabled) {
         // Always-on black box: every datapath touch of this guest
         // lands in its ring, dumped on anomaly by flightDump().
@@ -397,9 +345,6 @@ BmHiveServer::tryProvision(const InstanceType &type,
             base_name + ".flight", metrics(),
             params_.obs.flightEvents);
         gg.bond_->setFlightRecorder(gg.flight_.get());
-        gg.bond_->setResetCallback([this, idx](unsigned fn) {
-            onDeviceReset(idx, fn);
-        });
         gg.hv_->setFlightRecorder(gg.flight_.get());
         // The SLO monitor rides the request tracers' flow closes,
         // so per-tenant SLIs come up with the guest whether or not
@@ -407,10 +352,6 @@ BmHiveServer::tryProvision(const InstanceType &type,
         gg.hv_->enableIoTracing();
         gg.slo_ = std::make_unique<obs::SloMonitor>(
             base_name + ".slo", metrics(), params_.obs.slo);
-        gg.slo_->setBreachCallback(
-            [this, idx](obs::SloRole role, double burn) {
-                onSloBreach(idx, role, burn);
-            });
         auto *slo = gg.slo_.get();
         gg.hv_->netTracer()->setCloseHook([slo](Tick e2e, Tick now) {
             slo->record(obs::SloRole::Net, e2e, now);
@@ -418,8 +359,10 @@ BmHiveServer::tryProvision(const InstanceType &type,
         gg.hv_->blkTracer()->setCloseHook([slo](Tick e2e, Tick now) {
             slo->record(obs::SloRole::Blk, e2e, now);
         });
+        // Now that they exist, the reset and breach signals too.
+        wireSignals(gg, idx);
     }
-    return guests_[idx].get();
+    return &gg;
 }
 
 Addr
@@ -435,31 +378,70 @@ BmHiveServer::allocRegion()
     return r;
 }
 
-void
-BmHiveServer::setMigrating(unsigned i, bool on)
+unsigned
+BmHiveServer::freeSlot() const
 {
-    panic_if(i >= guests_.size() || !guests_[i],
-             name(), ": bad guest ", i);
-    if (migrating_.size() < guests_.size())
-        migrating_.resize(guests_.size(), false);
-    migrating_[i] = on;
+    for (unsigned i = 0; i < slots_.size(); ++i)
+        if (!slots_[i].guest)
+            return i;
+    return unsigned(slots_.size());
 }
 
-BmHiveServer::ExportedGuest
+void
+BmHiveServer::fillSlot(unsigned idx, Slot s)
+{
+    if (idx == slots_.size())
+        slots_.push_back(std::move(s));
+    else
+        slots_[idx] = std::move(s);
+    ++usedSlots_;
+}
+
+std::pair<hw::CpuExecutor *, unsigned>
+BmHiveServer::pickCore()
+{
+    if (sched_) {
+        unsigned c = sched_->leastLoadedCore();
+        return {&sched_->coreExecutor(c), c};
+    }
+    return {&base_->core(nextCore_++ % base_->coreCount()), 0};
+}
+
+void
+BmHiveServer::wireSignals(BmGuest &g, unsigned idx)
+{
+    g.bond_->setGuestFaultCallback(
+        [this, idx](fault::GuestFaultKind k) {
+            onGuestFault(idx, k);
+        });
+    // Escalation-ladder top: a bond that resets a queue over
+    // persistent corruption reports here, and enough of those
+    // marks the whole server unhealthy.
+    g.bond_->setIntegrityEscalationCallback(
+        [this, idx](unsigned fn) {
+            onIntegrityEscalation(idx, fn);
+        });
+    if (g.flight_) {
+        g.bond_->setResetCallback([this, idx](unsigned fn) {
+            onDeviceReset(idx, fn);
+        });
+    }
+    if (g.slo_) {
+        g.slo_->setBreachCallback(
+            [this, idx](obs::SloRole role, double burn) {
+                onSloBreach(idx, role, burn);
+            });
+    }
+}
+
+BmHiveServer::Slot
 BmHiveServer::exportGuest(unsigned i)
 {
-    panic_if(i >= guests_.size() || !guests_[i],
-             name(), ": bad guest ", i);
-    ExportedGuest out;
-    out.guest = std::move(guests_[i]); // the slot becomes a tombstone
-    out.containment = containment_[i];
-    out.lastDumpAt = lastDumpAt_[i];
-    out.dumpSeq = dumpSeq_[i];
-    // Orphaned per-slot state: a quarantine-release timer or fault
-    // callback still holding this index must see a clean slot.
-    containment_[i] = Containment{};
-    if (i < migrating_.size())
-        migrating_[i] = false;
+    panic_if(!hasGuest(i), name(), ": bad guest ", i);
+    // The slot becomes a clean tombstone: a quarantine-release
+    // timer or fault callback still holding this index finds no
+    // guest and healthy state.
+    Slot out = std::exchange(slots_[i], Slot{});
     freeRegions_.push_back(out.guest->regionBase_);
     --usedSlots_;
     logDebug("guest", i, " exported (", out.guest->instance_.name,
@@ -468,34 +450,15 @@ BmHiveServer::exportGuest(unsigned i)
 }
 
 unsigned
-BmHiveServer::adoptGuest(ExportedGuest eg,
-                         std::function<void(unsigned)> done)
+BmHiveServer::adoptGuest(Slot s, std::function<void(unsigned)> done)
 {
     fatal_if(usedSlots_ >= params_.maxBoards,
              name(), ": no free board slots to adopt into");
-    panic_if(!eg.guest, name(), ": adopting an empty export");
-    unsigned idx = unsigned(guests_.size());
-    for (unsigned i = 0; i < guests_.size(); ++i) {
-        if (!guests_[i]) {
-            idx = i;
-            break;
-        }
-    }
-    if (idx == guests_.size()) {
-        guests_.emplace_back();
-        containment_.emplace_back();
-        lastDumpAt_.push_back(maxTick);
-        dumpSeq_.push_back(0);
-    }
-    guests_[idx] = std::move(eg.guest);
-    containment_[idx] = eg.containment;
-    lastDumpAt_[idx] = eg.lastDumpAt;
-    dumpSeq_[idx] = eg.dumpSeq;
-    if (idx < migrating_.size())
-        migrating_[idx] = false;
-    ++usedSlots_;
-
-    BmGuest &g = *guests_[idx];
+    panic_if(!s.guest, name(), ": adopting an empty export");
+    unsigned idx = freeSlot();
+    fillSlot(idx, std::move(s));
+    Slot &slot = slots_[idx];
+    BmGuest &g = *slot.guest;
     g.regionBase_ = allocRegion();
 
     // Re-home the guest's event partition: the whole assembly
@@ -513,68 +476,38 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
 
     // The guest's containment and obs signals now belong to this
     // server: re-wire every [server, index] capture.
-    g.bond_->setGuestFaultCallback(
-        [this, idx](fault::GuestFaultKind k) {
-            onGuestFault(idx, k);
-        });
-    g.bond_->setIntegrityEscalationCallback(
-        [this, idx](unsigned fn) {
-            onIntegrityEscalation(idx, fn);
-        });
-    if (g.flight_) {
-        g.bond_->setResetCallback([this, idx](unsigned fn) {
-            onDeviceReset(idx, fn);
-        });
-    }
-    if (g.slo_) {
-        g.slo_->setBreachCallback(
-            [this, idx](obs::SloRole role, double burn) {
-                onSloBreach(idx, role, burn);
-            });
-    }
+    wireSignals(g, idx);
     // The source's quarantine-release timer died with the export;
     // restart the dwell here so a quarantined adoptee still gets
     // its release-and-reset.
-    if (containment_[idx].state == GuestHealth::Quarantined) {
-        containment_[idx].quarantinedAt = curTick();
+    if (slot.containment.state == GuestHealth::Quarantined) {
+        slot.containment.quarantinedAt = curTick();
         scheduleIn(new OneShotEvent(
                        [this, idx] { releaseQuarantine(idx); },
                        "server.quarantine_release"),
                    params_.containment.quarantineDwell);
     }
 
-    // Target core for the re-homed PMD: same placement policy as a
-    // fresh provision.
-    unsigned sched_core = 0;
-    hw::CpuExecutor *core = nullptr;
-    if (sched_) {
-        sched_core = sched_->leastLoadedCore();
-        core = &sched_->coreExecutor(sched_core);
-    } else {
-        core = &base_->core(nextCore_ % base_->coreCount());
-        ++nextCore_;
-    }
-
     // Re-home the bond's base-memory side (replaying the in-flight
     // window into this server's memory), then re-home the PMD and
     // re-apply the travelled containment state at the scheduler.
+    auto [core, sched_core] = pickCore();
     g.bond_->rebase(
         base_->memory(), g.regionBase_,
         [this, idx, core, sched_core, done = std::move(done)] {
-            if (idx >= guests_.size() || !guests_[idx]) {
+            if (!hasGuest(idx)) {
                 if (done)
                     done(idx);
                 return;
             }
-            BmGuest &gg = *guests_[idx];
-            gg.hv_->migrateTo(*core, sched_.get(), sched_core);
+            Slot &sl = slots_[idx];
+            sl.guest->hv_->migrateTo(*core, sched_.get(), sched_core);
             double w = 1.0;
-            if (containment_[idx].state == GuestHealth::Suspect)
+            if (sl.containment.state == GuestHealth::Suspect)
                 w = params_.containment.suspectPollWeight;
-            else if (containment_[idx].state ==
-                     GuestHealth::Quarantined)
+            else if (sl.containment.state == GuestHealth::Quarantined)
                 w = 0.0;
-            gg.hv_->setPollWeight(w);
+            sl.guest->hv_->setPollWeight(w);
             if (done)
                 done(idx);
         });
@@ -585,27 +518,33 @@ void
 BmHiveServer::flightDump(unsigned i, const char *trigger)
 {
     obsDumpTriggers_.inc();
-    if (i >= guests_.size() || !guests_[i] || !guests_[i]->flight_)
+    if (!hasGuest(i) || !slots_[i].guest->flight_)
         return;
+    Slot &slot = slots_[i];
     Tick now = curTick();
-    if (lastDumpAt_[i] != maxTick &&
-        now - lastDumpAt_[i] < params_.obs.flightDumpCooldown) {
+    if (slot.lastDumpAt != maxTick &&
+        now - slot.lastDumpAt < params_.obs.flightDumpCooldown) {
         obsDumpSuppressed_.inc();
         return;
     }
-    lastDumpAt_[i] = now;
-    unsigned seq = dumpSeq_[i]++;
-    if (params_.obs.flightDumpDir.empty())
+    slot.lastDumpAt = now;
+    unsigned seq = slot.dumpSeq++;
+    const std::string &dir = params_.obs.flightDumpDir;
+    if (dir.empty())
         return;
     // Prefix with this server's (sanitized) name: in a fleet, two
     // servers can host a guest with the same slot index, and their
     // dumps must not clobber each other in a shared dump dir.
     std::string who = name();
     std::replace(who.begin(), who.end(), '.', '_');
-    std::string path = params_.obs.flightDumpDir + "/flight_" + who +
-                       "_guest" + std::to_string(i) + "_" + trigger +
-                       "_" + std::to_string(seq) + ".json";
-    if (guests_[i]->flight_->writeChromeJson(
+    std::string path = dir + "/flight_" + who + "_guest" +
+                       std::to_string(i) + "_" + trigger + "_" +
+                       std::to_string(seq) + ".json";
+    // The directory is made on the first dump, so a run that never
+    // dumps leaves none behind.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (slot.guest->flight_->writeChromeJson(
             path, params_.obs.flightDumpLast, trigger)) {
         obsDumps_.inc();
         lastFlightDumpPath_ = path;
@@ -619,13 +558,12 @@ BmHiveServer::flightDump(unsigned i, const char *trigger)
 void
 BmHiveServer::onDeviceReset(unsigned idx, unsigned fn)
 {
-    if (idx >= guests_.size() || !guests_[idx])
+    if (!hasGuest(idx))
         return;
     // Quarantine release resets every function by design; those
     // resets belong to the quarantine story already dumped at
     // entry, not a fresh anomaly.
-    if (idx < containment_.size() &&
-        containment_[idx].state == GuestHealth::Quarantined)
+    if (slots_[idx].containment.state == GuestHealth::Quarantined)
         return;
     logDebug("guest", idx, " fn", fn, " DEVICE_NEEDS_RESET");
     flightDump(idx, "reset");
@@ -634,13 +572,12 @@ BmHiveServer::onDeviceReset(unsigned idx, unsigned fn)
 void
 BmHiveServer::onIntegrityEscalation(unsigned idx, unsigned fn)
 {
-    if (idx >= guests_.size() || !guests_[idx])
+    if (!hasGuest(idx))
         return;
     integrityEscalations_.inc();
-    if (guests_[idx]->flight_)
-        guests_[idx]->flight_->record(
-            curTick(), obs::FlightEvent::IntegrityEscalate, int(fn),
-            0, idx, 0);
+    if (auto *fr = slots_[idx].guest->flight_.get())
+        fr->record(curTick(), obs::FlightEvent::IntegrityEscalate,
+                   int(fn), 0, idx, 0);
     warn(name(), ": guest", idx, " fn", fn,
          " persistent corruption escalated past reset");
     flightDump(idx, "integrity_escalation");
@@ -665,9 +602,8 @@ BmHiveServer::onSloBreach(unsigned idx, obs::SloRole role,
                           double burn)
 {
     sloBreaches_.inc();
-    if (idx < guests_.size() && guests_[idx] &&
-        guests_[idx]->flight_) {
-        guests_[idx]->flight_->record(
+    if (hasGuest(idx) && slots_[idx].guest->flight_) {
+        slots_[idx].guest->flight_->record(
             curTick(), obs::FlightEvent::SloBreach, 0, 0,
             std::uint64_t(role), std::uint64_t(burn * 100.0));
     }
@@ -679,15 +615,15 @@ BmHiveServer::onSloBreach(unsigned idx, obs::SloRole role,
 GuestHealth
 BmHiveServer::guestHealth(unsigned i) const
 {
-    panic_if(i >= containment_.size(), name(), ": bad guest ", i);
-    return containment_[i].state;
+    panic_if(i >= slots_.size(), name(), ": bad guest ", i);
+    return slots_[i].containment.state;
 }
 
 double
 BmHiveServer::guestScore(unsigned i) const
 {
-    panic_if(i >= containment_.size(), name(), ": bad guest ", i);
-    const Containment &c = containment_[i];
+    panic_if(i >= slots_.size(), name(), ": bad guest ", i);
+    const Containment &c = slots_[i].containment;
     return std::max(0.0, params_.containment.quarantineScore -
                              c.bucket.level(curTick()));
 }
@@ -699,10 +635,10 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
     // Out-of-range or tombstone index: a fault fired during a
     // rolled-back provision, or from a bond whose guest has since
     // been exported to another server.
-    if (!params_.containment.enabled || idx >= containment_.size() ||
-        idx >= guests_.size() || !guests_[idx])
+    if (!params_.containment.enabled || !hasGuest(idx))
         return;
-    Containment &c = containment_[idx];
+    BmGuest &g = *slots_[idx].guest;
+    Containment &c = slots_[idx].containment;
     if (c.state == GuestHealth::Quarantined)
         return; // already parked; drops are counted at the bridge
     // Leaky bucket: clean time refills the bucket (draining the
@@ -711,10 +647,10 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
     if (c.state == GuestHealth::Suspect &&
         guestScore(idx) <= params_.containment.suspectScore / 2) {
         c.state = GuestHealth::Healthy;
-        guests_[idx]->hypervisor().setPollWeight(1.0);
-        if (guests_[idx]->flight_)
-            guests_[idx]->flight_->record(
-                curTick(), obs::FlightEvent::Containment, 0, 0, 0);
+        g.hypervisor().setPollWeight(1.0);
+        if (g.flight_)
+            g.flight_->record(curTick(),
+                              obs::FlightEvent::Containment, 0, 0, 0);
     }
     c.bucket.forceConsume(curTick(), 1.0);
     double score = guestScore(idx);
@@ -727,12 +663,12 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
                c.state == GuestHealth::Healthy) {
         c.state = GuestHealth::Suspect;
         suspects_.inc();
-        if (guests_[idx]->flight_)
-            guests_[idx]->flight_->record(
-                curTick(), obs::FlightEvent::Containment, 0, 0, 1);
+        if (g.flight_)
+            g.flight_->record(curTick(),
+                              obs::FlightEvent::Containment, 0, 0, 1);
         // Under shared polling a Suspect also loses scheduler
         // share; under dedicated polling this is a no-op.
-        guests_[idx]->hypervisor().setPollWeight(
+        g.hypervisor().setPollWeight(
             params_.containment.suspectPollWeight);
         warn(name(), ": guest", idx, " suspect (score ", score,
              ", last fault ", fault::guestFaultName(k), ")");
@@ -742,22 +678,23 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
 void
 BmHiveServer::quarantineGuest(unsigned i)
 {
-    panic_if(i >= guests_.size(), name(), ": bad guest ", i);
-    if (!guests_[i])
+    panic_if(i >= slots_.size(), name(), ": bad guest ", i);
+    if (!slots_[i].guest)
         return; // exported mid-escalation
-    Containment &c = containment_[i];
+    BmGuest &g = *slots_[i].guest;
+    Containment &c = slots_[i].containment;
     if (c.state == GuestHealth::Quarantined)
         return;
     c.state = GuestHealth::Quarantined;
     c.quarantinedAt = curTick();
-    guests_[i]->bond().setQuarantined(true);
+    g.bond().setQuarantined(true);
     // Starve the guest at the scheduler too: quarantine means no
     // poll service, not merely swallowed doorbells.
-    guests_[i]->hypervisor().setPollWeight(0.0);
+    g.hypervisor().setPollWeight(0.0);
     quarantines_.inc();
-    if (guests_[i]->flight_)
-        guests_[i]->flight_->record(
-            curTick(), obs::FlightEvent::Containment, 0, 0, 2);
+    if (g.flight_)
+        g.flight_->record(curTick(), obs::FlightEvent::Containment, 0,
+                          0, 2);
     flightDump(i, "quarantine");
     scheduleIn(new OneShotEvent([this, i] { releaseQuarantine(i); },
                                 "server.quarantine_release"),
@@ -767,13 +704,14 @@ BmHiveServer::quarantineGuest(unsigned i)
 void
 BmHiveServer::releaseQuarantine(unsigned i)
 {
-    if (i >= guests_.size() || !guests_[i])
+    if (!hasGuest(i))
         return; // exported while parked; the target restarts dwell
-    Containment &c = containment_[i];
+    BmGuest &g = *slots_[i].guest;
+    Containment &c = slots_[i].containment;
     if (c.state != GuestHealth::Quarantined)
         return;
     quarantineDwell_.record(curTick() - c.quarantinedAt);
-    iobond::IoBond &bond = guests_[i]->bond();
+    iobond::IoBond &bond = g.bond();
     // The guest re-enters service through a clean reinit: reset
     // every function while the doorbells are still swallowed, then
     // lift the quarantine — the driver's recovery (MSI-driven, so
@@ -782,12 +720,12 @@ BmHiveServer::releaseQuarantine(unsigned i)
         bond.failFunction(fn);
     bond.setQuarantined(false);
     c.state = GuestHealth::Healthy;
-    if (guests_[i]->flight_)
-        guests_[i]->flight_->record(
-            curTick(), obs::FlightEvent::Containment, 0, 0, 0);
+    if (g.flight_)
+        g.flight_->record(curTick(), obs::FlightEvent::Containment, 0,
+                          0, 0);
     c.bucket = TokenBucket(params_.containment.leakPerMs * 1e3,
                            params_.containment.quarantineScore);
-    guests_[i]->hypervisor().setPollWeight(1.0);
+    g.hypervisor().setPollWeight(1.0);
     inform(name(), ": guest", i, " quarantine released");
 }
 
@@ -803,10 +741,9 @@ BmHiveServer::release(BmGuest &g)
 BmGuest &
 BmHiveServer::guest(unsigned i)
 {
-    panic_if(i >= guests_.size() || !guests_[i],
-             name(), ": bad guest ", i,
-             guests_.size() > i ? " (migrated away)" : "");
-    return *guests_[i];
+    panic_if(!hasGuest(i), name(), ": bad guest ", i,
+             slots_.size() > i ? " (migrated away)" : "");
+    return *slots_[i].guest;
 }
 
 } // namespace core

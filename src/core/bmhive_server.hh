@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/token_bucket.hh"
@@ -235,11 +236,11 @@ class BmHiveServer : public SimObject
 
     /** Slot count including tombstones of exported/released
      *  guests; guest(i) panics on a tombstone — use hasGuest(). */
-    unsigned guestCount() const { return unsigned(guests_.size()); }
+    unsigned guestCount() const { return unsigned(slots_.size()); }
     BmGuest &guest(unsigned i);
     bool hasGuest(unsigned i) const
     {
-        return i < guests_.size() && guests_[i] != nullptr;
+        return i < slots_.size() && slots_[i].guest != nullptr;
     }
 
     hw::BaseBoard &base() { return *base_; }
@@ -268,19 +269,14 @@ class BmHiveServer : public SimObject
      * period (BmHypervisor::wedged), is respawned and its
      * shadow-vring state re-adopted. The outage
      * duration (crash until the replacement is polling) lands in
-     * "<name>.watchdog.recovery_ticks".
+     * "<name>.watchdog.recovery_ticks". A guest whose bond is
+     * drained is mid-migration and skipped (DESIGN.md 15.2).
      */
     void startWatchdog(Tick period);
-    void stopWatchdog();
     std::uint64_t
     watchdogRespawns() const
     {
         return watchdogRespawns_.value();
-    }
-    std::uint64_t
-    provisionFailures() const
-    {
-        return provisionFailures_.value();
     }
 
     // --- Live migration (fleet controller interface) ---
@@ -299,13 +295,15 @@ class BmHiveServer : public SimObject
         Tick quarantinedAt = 0;
     };
 
-    /** A guest detached from its source server mid-migration: the
-     *  full board+bond+hv assembly plus the per-guest server state
-     *  (containment score, dump cooldown) that travels with it. */
-    struct ExportedGuest
+    /** One board slot: the guest assembly plus the per-guest
+     *  server state (containment score, dump cooldown) that
+     *  travels with it on migration. A null guest is the tombstone
+     *  of an exported or released guest. */
+    struct Slot
     {
         std::unique_ptr<BmGuest> guest;
         Containment containment;
+        /** Tick of the last dump (maxTick = never). */
         Tick lastDumpAt = maxTick;
         unsigned dumpSeq = 0;
     };
@@ -314,10 +312,10 @@ class BmHiveServer : public SimObject
      * The migration commit point: detach guest @p i from this
      * server. Its slot becomes a tombstone (watchdog, stats, and
      * containment callbacks all skip it), its shadow region
-     * returns to the free list, and the caller owns the guest.
-     * The bond must already be drained and settled.
+     * returns to the free list, and the caller owns the slot's
+     * contents. The bond must already be drained and settled.
      */
-    ExportedGuest exportGuest(unsigned i);
+    Slot exportGuest(unsigned i);
 
     /**
      * Adopt a previously exported guest: allocate a slot and a
@@ -328,32 +326,7 @@ class BmHiveServer : public SimObject
      * guest index once the replay DMA has landed and the backend
      * is polling again; the caller lifts the drain after that.
      */
-    unsigned adoptGuest(ExportedGuest g,
-                        std::function<void(unsigned)> done);
-
-    /**
-     * Mark guest @p i as mid-migration: the watchdog must not
-     * respawn it (a respawn would republish the in-flight window
-     * on the source while the rebase replays it on the target —
-     * every chain would complete twice). A crash observed while
-     * the flag is set is reported through the abort callback so
-     * the fleet controller rolls the migration back instead.
-     */
-    void setMigrating(unsigned i, bool on);
-    bool migrating(unsigned i) const
-    {
-        return i < migrating_.size() && migrating_[i];
-    }
-    /** Test hook: disable the guard to demonstrate the
-     *  double-adoption race it prevents. */
-    void setMigrationWatchdogGuard(bool on)
-    {
-        migrationWatchdogGuard_ = on;
-    }
-    void setMigrationAbortCallback(std::function<void(unsigned)> cb)
-    {
-        migrationAbortCb_ = std::move(cb);
-    }
+    unsigned adoptGuest(Slot s, std::function<void(unsigned)> done);
 
     /** External anomaly trigger (e.g. a fleet migration abort);
      *  honors the per-guest dump cooldown. */
@@ -443,6 +416,20 @@ class BmHiveServer : public SimObject
      *  the usedSlots_ < maxBoards admission checks. */
     Addr allocRegion();
 
+    /** First tombstone slot, else the next appended one. Guest
+     *  object names never follow the slot (nextGuestName_). */
+    unsigned freeSlot() const;
+    /** Occupy slot @p idx (a freeSlot() answer) with @p s. */
+    void fillSlot(unsigned idx, Slot s);
+    /** A home for one bm-hypervisor PMD: the next dedicated base
+     *  core round-robin, or the least-loaded core of the shared
+     *  pool (second: the pool core index, 0 when dedicated). */
+    std::pair<hw::CpuExecutor *, unsigned> pickCore();
+    /** Point guest @p g's fault, integrity-escalation, reset and
+     *  SLO-breach signals at this server's slot @p idx (the last
+     *  two only once its obs objects exist). */
+    void wireSignals(BmGuest &g, unsigned idx);
+
     /** IO-Bond classified one contained fault of guest @p idx. */
     void onGuestFault(unsigned idx, fault::GuestFaultKind k);
 
@@ -465,12 +452,11 @@ class BmHiveServer : public SimObject
     cloud::VSwitch &vswitch_;
     cloud::BlockService *storage_;
     std::unique_ptr<hw::BaseBoard> base_;
-    /** Declared before guests_ so their hypervisors can
+    /** Declared before slots_ so their hypervisors can
      *  deregister from it during destruction. */
     std::unique_ptr<sched::PollScheduler> sched_;
-    /** Slots; a null entry is the tombstone of an exported or
-     *  released guest (indices stay stable for callbacks). */
-    std::vector<std::unique_ptr<BmGuest>> guests_;
+    /** Board slots; indices stay stable for callbacks. */
+    std::vector<Slot> slots_;
     unsigned usedSlots_ = 0;
     Addr nextShadowRegion_ = 0;
     /** Shadow regions of released/exported guests, ready for
@@ -484,11 +470,7 @@ class BmHiveServer : public SimObject
     unsigned nextCore_ = 0;
     Tick statsPeriod_ = 0; ///< 0: periodic dump disabled
     Tick watchdogPeriod_ = 0; ///< 0: watchdog disabled
-    std::vector<Containment> containment_;
-    std::vector<bool> migrating_;
-    bool migrationWatchdogGuard_ = true;
     bool integrityUnhealthy_ = false;
-    std::function<void(unsigned)> migrationAbortCb_;
     std::function<void()> serverUnhealthyCb_;
     Counter &statsDumps_;
     Counter &watchdogChecks_;
@@ -505,9 +487,6 @@ class BmHiveServer : public SimObject
     Counter &serverUnhealthy_;
     LatencyRecorder &recoveryTicks_;
     LatencyRecorder &quarantineDwell_;
-    /** Per-guest tick of the last dump (maxTick = never). */
-    std::vector<Tick> lastDumpAt_;
-    std::vector<unsigned> dumpSeq_;
     std::string lastFlightDumpPath_;
     EventFunctionWrapper statsEvent_;
     EventFunctionWrapper watchdogEvent_;

@@ -65,16 +65,6 @@ FleetController::FleetController(Simulation &sim, std::string name,
         missedBeats_.push_back(0);
         reserved_.push_back(0);
         core::BmHiveServer &srv = *servers_.back();
-        // A crash the source watchdog sees on a drained guest is a
-        // rollback cue, never a respawn (the double-adoption race
-        // the watchdog guard exists for). The watchdog runs in the
-        // server's partition; fleet state is control-partition
-        // only, so the signal defers to it.
-        srv.setMigrationAbortCallback([this, s](unsigned idx) {
-            sim_.post(0, sim_.now() + sim_.lookahead(),
-                      [this, s, idx] { onAbortSignal(s, idx); },
-                      Event::defaultPri, "fleet.abort_signal");
-        });
         // Top of the integrity escalation ladder: a server whose
         // corruption persisted past per-queue resets is evacuated
         // proactively while its guests are still live, instead of
@@ -308,16 +298,16 @@ FleetController::hotSwapBoard(GuestId id,
 void
 FleetController::beginMigration(Migration m)
 {
-    core::BmHiveServer &src = *servers_[m.src];
-    core::BmGuest &g = src.guest(m.srcIdx);
-    src.setMigrating(m.srcIdx, true);
+    core::BmGuest &g = servers_[m.src]->guest(m.srcIdx);
     ++reserved_[m.dst];
     m.drainStart = curTick();
     // Drain: the bond defers doorbells, the backend stops taking
     // new work. In-flight block I/O keeps completing (live case)
     // or is generation-fenced (failover case); DMA the bond already
     // accepted finishes either way — IO-Bond rides the board's
-    // power domain, not the base server's.
+    // power domain, not the base server's. The drained bond is
+    // also what tells both servers' watchdogs to leave the guest
+    // alone until finish() or abortMigration() lifts it.
     g.bond().setDrained(true);
     g.hypervisor().quiesce();
     if (m.failover)
@@ -344,19 +334,18 @@ FleetController::beginMigration(Migration m)
 void
 FleetController::settle(GuestId id)
 {
-    auto it = migrations_.find(id);
-    if (it == migrations_.end())
-        return; // aborted while the retry event was pending
-    Migration &m = it->second;
-    m.phase = Phase::Settle;
+    // Only this poll aborts, and it leaves no retry pending when it
+    // does, so the migration is still in flight.
+    Migration &m = migrations_.at(id);
     core::BmGuest &g = servers_[m.src]->guest(m.srcIdx);
     hv::BmHypervisor &hv = g.hypervisor();
     if (!m.failover && hv.crashed()) {
-        // A planned migration's source backend crashed mid-drain.
-        // The settle poll can observe this before the watchdog
-        // does (or with watchdogs off) — same race, same answer:
-        // abort and roll back; never commit a crashed source as if
-        // it had drained.
+        // A planned migration's source backend crashed mid-drain;
+        // this poll is the only observer of that (the watchdogs
+        // skip drained guests). Abort and roll back; never commit a
+        // crashed source as if it had drained. A crash that came
+        // with the whole server dying is not this case:
+        // failoverServer already made the migration a failover.
         abortMigration(id, /*reason=*/1);
         return;
     }
@@ -385,7 +374,6 @@ void
 FleetController::commit(GuestId id)
 {
     Migration &m = migrations_.at(id);
-    m.phase = Phase::Commit;
     core::BmHiveServer &src = *servers_[m.src];
     core::BmHiveServer &dst = *servers_[m.dst];
     core::BmGuest &g = src.guest(m.srcIdx);
@@ -394,26 +382,21 @@ FleetController::commit(GuestId id)
                            obs::FlightEvent::MigrateCommit, 0, 0,
                            m.dst);
     // Point of no return: the source forgets the guest (tombstone
-    // slot, region freed) and the target owns the assembly.
+    // slot, region freed) and the target owns the assembly. The
+    // bond stays drained through adoption, so the target's watchdog
+    // leaves the (still quiesced) adoptee alone until finish()
+    // lifts the drain.
     locs_.erase(id);
-    core::BmHiveServer::ExportedGuest eg =
-        src.exportGuest(m.srcIdx);
-    m.phase = Phase::Adopt;
     --reserved_[m.dst]; // the adoption physically takes the slot
-    unsigned nidx = dst.adoptGuest(
-        std::move(eg), [this, id](unsigned new_idx) {
-            // The rebase replay completes inside the target
-            // partition; fleet bookkeeping (and the drain lift)
-            // runs in the control partition.
-            sim_.post(0, sim_.now() + sim_.lookahead(),
-                      [this, id, new_idx] { finish(id, new_idx); },
-                      Event::defaultPri, "fleet.finish");
-        });
-    // Until the rebase replay lands and the PMD is re-homed, the
-    // target's watchdog must treat the (still quiesced) adoptee
-    // exactly like a mid-migration source guest. finish() is always
-    // deferred, so it cannot have run yet.
-    dst.setMigrating(nidx, true);
+    auto landed = [this, id](unsigned new_idx) {
+        // The rebase replay completes inside the target partition;
+        // fleet bookkeeping (and the drain lift) runs in the
+        // control partition.
+        sim_.post(0, sim_.now() + sim_.lookahead(),
+                  [this, id, new_idx] { finish(id, new_idx); },
+                  Event::defaultPri, "fleet.finish");
+    };
+    dst.adoptGuest(src.exportGuest(m.srcIdx), landed);
 }
 
 void
@@ -428,7 +411,6 @@ FleetController::finish(GuestId id, unsigned new_idx)
     if (!dst.hasGuest(new_idx))
         return; // lost while adopting (e.g. target board fault)
     core::BmGuest &g = dst.guest(new_idx);
-    dst.setMigrating(new_idx, false);
     // The guest's port moved to the target's switch during
     // adoption; the fabric re-learns the MAC so frames in flight
     // from other servers follow it.
@@ -449,31 +431,14 @@ FleetController::finish(GuestId id, unsigned new_idx)
                            std::uint64_t(ticksToUs(blackout)));
     logDebug("guest ", id, " resumed on s", m.dst, " slot ",
              new_idx, " (blackout ", ticksToUs(blackout), " us)");
+    // The target died while the guest was in transit, so the guest
+    // has just landed on a dead server. Every other guest there has
+    // already moved, so failing the server over again moves only
+    // the newcomer.
+    if (dead_[m.dst])
+        failoverServer(m.dst);
     if (m.done)
         m.done(true);
-}
-
-void
-FleetController::onAbortSignal(unsigned s, unsigned idx)
-{
-    for (auto &kv : migrations_) {
-        Migration &m = kv.second;
-        if (m.src != s || m.srcIdx != idx || m.failover)
-            continue;
-        if (m.phase != Phase::Drain && m.phase != Phase::Settle)
-            return;
-        if (dead_[s]) {
-            // The whole source died mid-drain: there is nothing to
-            // roll back onto, so the planned migration completes
-            // as a failover (the settle condition relaxes to
-            // DMA-idle, exactly as a from-scratch failover would).
-            m.failover = true;
-            failovers_.inc();
-            return;
-        }
-        abortMigration(kv.first, /*reason=*/1);
-        return;
-    }
 }
 
 void
@@ -484,8 +449,6 @@ FleetController::abortMigration(GuestId id, unsigned reason)
         return;
     Migration m = std::move(it->second);
     migrations_.erase(it);
-    panic_if(m.phase != Phase::Drain && m.phase != Phase::Settle,
-             name(), ": abort past the commit point");
     --reserved_[m.dst];
     core::BmHiveServer &src = *servers_[m.src];
     core::BmGuest &g = src.guest(m.srcIdx);
@@ -495,7 +458,6 @@ FleetController::abortMigration(GuestId id, unsigned reason)
     // drain to sweep the deferred doorbells.
     g.hypervisor().respawn();
     g.bond().setDrained(false);
-    src.setMigrating(m.srcIdx, false);
     migrationAborts_.inc();
     if (g.flight())
         g.flight()->record(curTick(), obs::FlightEvent::MigrateAbort,
@@ -518,14 +480,6 @@ FleetController::startHealthSweep(Tick period)
 }
 
 void
-FleetController::stopHealthSweep()
-{
-    healthPeriod_ = 0;
-    if (healthEvent_.scheduled())
-        eventq().deschedule(&healthEvent_);
-}
-
-void
 FleetController::healthSweep()
 {
     for (unsigned s = 0; s < servers_.size(); ++s) {
@@ -538,8 +492,7 @@ FleetController::healthSweep()
             missedBeats_[s] = 0; // heal: the partition lifted
         }
     }
-    if (healthPeriod_ > 0)
-        scheduleIn(&healthEvent_, healthPeriod_);
+    scheduleIn(&healthEvent_, healthPeriod_);
 }
 
 bool
@@ -570,18 +523,6 @@ FleetController::powerLoss(unsigned s)
         return;
     warn(name(), ": s", s, " lost power; failing its guests over");
     dead_[s] = true;
-    // The power cut kills every base-side process instantly. DMA
-    // the IO-Bonds already accepted still completes (the bonds sit
-    // in the boards' power domain) — the settle phase of each
-    // failover waits for exactly that.
-    for (const auto &kv : locs_) {
-        if (kv.second.server != s)
-            continue;
-        hv::BmHypervisor &hv =
-            servers_[s]->guest(kv.second.idx).hypervisor();
-        if (!hv.crashed())
-            hv.crash();
-    }
     failoverServer(s);
 }
 
@@ -594,17 +535,6 @@ FleetController::fence(unsigned s)
          " heartbeats; fencing (STONITH) and failing over");
     fences_.inc();
     dead_[s] = true;
-    // STONITH before failover: a partitioned-but-alive server must
-    // never keep serving a guest whose replacement is coming up
-    // elsewhere — that would be split-brain, not redundancy.
-    for (const auto &kv : locs_) {
-        if (kv.second.server != s)
-            continue;
-        hv::BmHypervisor &hv =
-            servers_[s]->guest(kv.second.idx).hypervisor();
-        if (!hv.crashed())
-            hv.crash();
-    }
     failoverServer(s);
 }
 
@@ -615,11 +545,29 @@ FleetController::failoverServer(unsigned s)
     for (const auto &kv : locs_)
         if (kv.second.server == s)
             ids.push_back(kv.first);
+    // STONITH before failover. A power cut kills every base-side
+    // process at once, and a fenced, partitioned-but-alive server
+    // must never keep serving a guest whose replacement is coming
+    // up elsewhere: that would be split-brain, not redundancy. DMA
+    // the IO-Bonds already accepted still completes (the bonds sit
+    // in the boards' power domain); each failover's settle phase
+    // waits for exactly that.
     for (GuestId id : ids) {
-        if (migrations_.count(id)) {
-            // Already in transit off this server: a pre-commit
-            // migration's source just died, so it completes as a
-            // failover would; past commit it no longer lives here.
+        hv::BmHypervisor &hv = guest(id).hypervisor();
+        if (!hv.crashed())
+            hv.crash();
+    }
+    for (GuestId id : ids) {
+        auto mt = migrations_.find(id);
+        if (mt != migrations_.end()) {
+            // A pre-commit migration off this server (past commit
+            // the guest no longer lives here): its source just died,
+            // so there is nothing to roll back onto. It completes as
+            // a failover, its settle condition relaxed to DMA-idle.
+            if (!mt->second.failover) {
+                mt->second.failover = true;
+                failovers_.inc();
+            }
             continue;
         }
         int t = pickTarget(&guest(id).instance(), s);

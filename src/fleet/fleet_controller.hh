@@ -98,15 +98,8 @@ class FleetController : public SimObject
     {
         return s < switches_.size() ? *switches_[s] : vswitch_;
     }
-    /** Rack fabric joining per-server switches (null otherwise). */
-    cloud::NetFabric *fabric() { return fabric_.get(); }
     /** Fenced or power-lost; never a placement target again. */
     bool serverDead(unsigned s) const { return dead_[s]; }
-    bool
-    serverPartitioned(unsigned s) const
-    {
-        return curTick() < partitionedUntil_[s];
-    }
 
     /**
      * Provision a guest on the best-scoring live server: most free
@@ -164,7 +157,6 @@ class FleetController : public SimObject
                       std::function<void(bool)> done = nullptr);
 
     void startHealthSweep(Tick period);
-    void stopHealthSweep();
 
     // --- fleet metrics accessors (names: "<name>.*") ---
     std::uint64_t placements() const { return placements_.value(); }
@@ -180,11 +172,6 @@ class FleetController : public SimObject
     }
     std::uint64_t failovers() const { return failovers_.value(); }
     std::uint64_t fences() const { return fences_.value(); }
-    std::uint64_t
-    boardFailures() const
-    {
-        return boardFailures_.value();
-    }
     std::uint64_t hotSwaps() const { return hotSwaps_.value(); }
     std::uint64_t lostGuests() const { return lostGuests_.value(); }
     /** Proactive evacuations of integrity-unhealthy servers. */
@@ -204,12 +191,11 @@ class FleetController : public SimObject
         unsigned idx = 0;
     };
 
-    /** Migration protocol state (DESIGN.md section 15.2):
-     *  Drain -> Settle -> Commit -> Adopt -> (resume). Abort and
-     *  rollback are only possible before Commit — the export is
-     *  the point of no return. */
-    enum class Phase { Drain, Settle, Commit, Adopt };
-
+    /** One migration in flight (DESIGN.md section 15.2): Drain ->
+     *  Settle -> Commit -> Adopt -> (resume). The guest's drained
+     *  bond is its only "migrating" mark on either server. Abort
+     *  and rollback start only in settle(), which runs only before
+     *  Commit — the export is the point of no return. */
     struct Migration
     {
         GuestId id = invalidGuest;
@@ -217,7 +203,6 @@ class FleetController : public SimObject
         unsigned dst = 0;
         unsigned srcIdx = 0;
         Tick drainStart = 0;
-        Phase phase = Phase::Drain;
         /** Reactive (source fenced/dead): no rollback possible and
          *  the settle condition drops the block-drain term (a dead
          *  service's in-flight I/O is generation-fenced, not
@@ -231,17 +216,18 @@ class FleetController : public SimObject
     void settle(GuestId id);
     void commit(GuestId id);
     void finish(GuestId id, unsigned new_idx);
-    /** Source watchdog saw the drained guest's hv crash. */
-    void onAbortSignal(unsigned s, unsigned idx);
     void abortMigration(GuestId id, unsigned reason);
 
     void healthSweep();
     bool serverFault(unsigned s, const fault::FaultSpec &spec);
     void powerLoss(unsigned s);
     void boardFail(unsigned s, unsigned idx);
-    /** STONITH: crash every process on @p s, mark it dead, then
-     *  fail its guests over. */
+    /** Partitioned past the threshold: mark @p s dead, then fail
+     *  its guests over. */
     void fence(unsigned s);
+    /** STONITH and move: crash every backend still hosted on the
+     *  dead server @p s, then fail each guest over. A pre-commit
+     *  migration off @p s becomes a failover in place. */
     void failoverServer(unsigned s);
 
     /** Event partition hosting server @p s (round-robin over the

@@ -228,7 +228,6 @@ class BmHypervisor : public SimObject
      * the protection.
      */
     void setBlkIntegrity(bool on);
-    bool blkIntegrity() const { return blkIntegrity_; }
 
     /** Provider firmware-signing key (shared by the fleet). */
     static constexpr std::uint64_t providerKey = 0xa11baba;

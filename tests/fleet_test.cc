@@ -9,13 +9,13 @@
  *    flight at drain, deferred during the blackout, and issued
  *    after resume all included);
  *  - the watchdog/drain race: a backend crash mid-migration aborts
- *    and rolls back cleanly (this test FAILS if the watchdog's
- *    migration guard is removed — the respawn path would swallow
- *    the crash and no abort would happen), and the unguarded
- *    behaviour is demonstrated via the test hook;
+ *    and rolls back cleanly (this test FAILS if the watchdog stops
+ *    skipping drained guests — the respawn path would swallow the
+ *    crash and no abort would happen);
  *  - reactive failover on base-server power loss and on fabric
  *    partitions past the fencing threshold (with the heal-in-time
- *    no-op counterpart);
+ *    no-op counterpart), including a source or target server that
+ *    loses power while a migration is in flight;
  *  - planned board hot-swap;
  *  - flight-dump filenames are distinct across servers hosting the
  *    same guest slot index (the shared-dump-dir collision fix).
@@ -76,6 +76,21 @@ struct FleetBed
     runFor(double us)
     {
         sim.run(sim.now() + usToTicks(us));
+    }
+
+    /** Cut server @p s's power @p us from now. */
+    void
+    cutPowerIn(unsigned s, double us)
+    {
+        auto *cut = new OneShotEvent(
+            [this, s] {
+                fault::FaultSpec spec;
+                spec.kind = fault::FaultKind::ServerPowerLoss;
+                sim.faults().deliver("fleet.s" + std::to_string(s),
+                                     spec);
+            },
+            "test.power_cut");
+        sim.eventq().schedule(cut, sim.now() + usToTicks(us));
     }
 };
 
@@ -177,18 +192,20 @@ TEST(FleetMigration, LiveMigrationExactlyOnce)
         bed.fleet->guest(id).hypervisor().migrations(), 1u);
 }
 
-/** The satellite-1 regression: a backend crash while the drain is
- *  in flight must abort the migration and roll back — never let
- *  the watchdog respawn (republishing the in-flight window on the
- *  source) while the target is about to replay the same window.
- *  Removing the migration guard from BmHiveServer::watchdogCheck
- *  makes this test fail: the respawn swallows the crash and the
- *  abort below never happens. */
+/** A backend crash while the drain is in flight must abort the
+ *  migration and roll back — never let the watchdog respawn
+ *  (republishing the in-flight window on the source) while the
+ *  target is about to replay the same window. The watchdog skips
+ *  the drained guest, and the settle poll, the only observer of a
+ *  source crash, aborts. Removing the drained-guest skip from
+ *  BmHiveServer::watchdogCheck makes this test fail: the watchdog
+ *  respawns the crashed backend first and the abort below never
+ *  happens. */
 TEST(FleetMigration, WatchdogRaceAbortsCleanly)
 {
     FleetParams fp;
     // Watchdog (100us default) strictly faster than the settle
-    // poll, so the watchdog is the first observer of the crash.
+    // poll, so the watchdog sweeps past the crash first.
     fp.settleRetry = usToTicks(400);
     FleetBed bed(303, 2, 2, fp);
     GuestId id = bed.addGuest(0xC1);
@@ -219,7 +236,7 @@ TEST(FleetMigration, WatchdogRaceAbortsCleanly)
     EXPECT_FALSE(bed.fleet->migrating(id));
     EXPECT_EQ(bed.fleet->serverOf(id), 0u);
     // The rollback respawned the backend exactly once — via the
-    // abort path, not via a racing watchdog respawn.
+    // abort path, not via a watchdog respawn.
     EXPECT_EQ(hv.respawns(), 1u);
     EXPECT_EQ(bed.fleet->server(0).watchdogRespawns(), 0u);
 
@@ -228,38 +245,6 @@ TEST(FleetMigration, WatchdogRaceAbortsCleanly)
     load.issue(bed.fleet->guest(id), 16);
     bed.runFor(5000);
     load.expectExactlyOnce();
-}
-
-/** Companion to the regression above: with the guard disabled (the
- *  test hook models reverting the fix), the watchdog respawns the
- *  mid-drain guest instead of signalling an abort. */
-TEST(FleetMigration, UnguardedWatchdogRespawnsInsteadOfAborting)
-{
-    FleetParams fp;
-    fp.settleRetry = usToTicks(400);
-    FleetBed bed(303, 2, 2, fp); // same seed as the guarded run
-    GuestId id = bed.addGuest(0xC1);
-    ASSERT_NE(id, invalidGuest);
-    bed.runFor(1000);
-    bed.fleet->server(0).setMigrationWatchdogGuard(false);
-
-    BlkLoad load;
-    load.issue(bed.fleet->guest(id), 16);
-    bed.runFor(20);
-
-    hv::BmHypervisor &hv = bed.fleet->guest(id).hypervisor();
-    ASSERT_TRUE(bed.fleet->migrate(id, 1, nullptr));
-    auto *crash = new OneShotEvent([&hv] { hv.crash(); },
-                                   "test.crash");
-    bed.sim.eventq().schedule(crash,
-                              bed.sim.now() + usToTicks(10));
-    bed.runFor(5000);
-
-    // The double-adoption hazard: the watchdog adopted the guest's
-    // shadow state on the source while the migration machinery was
-    // entitled to replay it on the target. No clean abort happened.
-    EXPECT_GE(bed.fleet->server(0).watchdogRespawns(), 1u);
-    EXPECT_EQ(bed.fleet->migrationAborts(), 0u);
 }
 
 TEST(FleetFailover, PowerLossMovesGuests)
@@ -307,6 +292,78 @@ TEST(FleetFailover, PowerLossMovesGuests)
     bed.runFor(5000);
     la.expectExactlyOnce();
     lb.expectExactlyOnce();
+}
+
+/** A migration's source loses power 1 us after migrate(): there is
+ *  nothing left to roll back onto, so the migration completes as a
+ *  failover onto the live target. The settle poll sees the crashed
+ *  backend before anything else does; it must not take that for a
+ *  mid-drain crash and "roll back" onto the dead server. */
+TEST(FleetFailover, SourcePowerLossMidMigrationFailsOver)
+{
+    FleetBed bed(1001, 3, 2);
+    GuestId id = bed.addGuest(0x31);
+    ASSERT_NE(id, invalidGuest);
+    ASSERT_EQ(bed.fleet->serverOf(id), 0u);
+    bed.runFor(1000);
+
+    BlkLoad load;
+    load.issue(bed.fleet->guest(id), 16);
+    bed.runFor(20); // block I/O in flight at drain time
+
+    bool called = false, ok = false;
+    ASSERT_TRUE(bed.fleet->migrate(id, 1, [&](bool r) {
+        called = true;
+        ok = r;
+    }));
+    bed.cutPowerIn(0, 1);
+    bed.runFor(10000);
+
+    EXPECT_TRUE(bed.fleet->serverDead(0));
+    EXPECT_TRUE(called);
+    EXPECT_TRUE(ok);
+    EXPECT_FALSE(bed.fleet->migrating(id));
+    EXPECT_EQ(bed.fleet->serverOf(id), 1u);
+    EXPECT_EQ(bed.fleet->migrationAborts(), 0u);
+    EXPECT_EQ(bed.fleet->failovers(), 1u);
+    EXPECT_EQ(bed.fleet->migrationsDone(), 1u);
+
+    load.issue(bed.fleet->guest(id), 16);
+    bed.runFor(5000);
+    load.expectExactlyOnce();
+}
+
+/** A migration's target loses power 1 us after migrate(): the guest
+ *  still lands there (the export is past the point of no return by
+ *  the time it arrives), and is failed over again to a live server
+ *  instead of serving I/O from a dead one. */
+TEST(FleetFailover, TargetPowerLossMidMigrationFailsOver)
+{
+    FleetBed bed(1002, 3, 2);
+    GuestId id = bed.addGuest(0x32);
+    ASSERT_NE(id, invalidGuest);
+    ASSERT_EQ(bed.fleet->serverOf(id), 0u);
+    bed.runFor(1000);
+
+    BlkLoad load;
+    load.issue(bed.fleet->guest(id), 16);
+    bed.runFor(20);
+
+    ASSERT_TRUE(bed.fleet->migrate(id, 1));
+    bed.cutPowerIn(1, 1);
+    // Requests issued during the blackout ride the drain.
+    load.issue(bed.fleet->guest(id), 16);
+    bed.runFor(10000);
+
+    EXPECT_TRUE(bed.fleet->serverDead(1));
+    EXPECT_FALSE(bed.fleet->migrating(id));
+    EXPECT_FALSE(bed.fleet->serverDead(bed.fleet->serverOf(id)));
+    EXPECT_EQ(bed.fleet->failovers(), 1u);
+    EXPECT_EQ(bed.fleet->migrationsDone(), 2u);
+
+    load.issue(bed.fleet->guest(id), 16);
+    bed.runFor(5000);
+    load.expectExactlyOnce();
 }
 
 TEST(FleetFailover, PartitionPastThresholdFences)
