@@ -159,7 +159,7 @@ BlockService::drawService(const BlockIo &io)
     Tick median = io.write ? params_.writeServiceMedian
                            : params_.readServiceMedian;
     double mu = std::log(double(median));
-    Tick service = Tick(rng().lognormal(mu, params_.serviceSigma));
+    Tick service = Tick(rng().lognormal(mu, serviceSigma));
     if (rng().chance(params_.gcChance))
         service += params_.gcPause;
 
@@ -198,8 +198,7 @@ BlockService::submit(Volume &vol, BlockIo io)
     Tick service = drawService(io);
     Tick done_at_storage = occupyChannel(arrive, service);
     Tick completion = done_at_storage + params_.networkLatency +
-                      params_.networkBandwidth.transferTime(
-                          from_storage);
+                      networkBandwidth.transferTime(from_storage);
 
     completed_.inc();
     if (io.write)

@@ -100,14 +100,10 @@ struct BlockServiceParams
 {
     /** One-way network latency guest-server <-> storage. */
     Tick networkLatency = usToTicks(140);
-    /** Link bandwidth to the storage cluster. */
-    Bandwidth networkBandwidth = Bandwidth::gbps(100);
     /** Median 4 KiB random-read service time on the SSD. */
     Tick readServiceMedian = usToTicks(55);
     /** Median 4 KiB random-write service time (buffered). */
     Tick writeServiceMedian = usToTicks(35);
-    /** Lognormal sigma of service times (tail heaviness). */
-    double serviceSigma = 0.25;
     /** Probability a request lands behind an internal flash
      *  housekeeping pause (GC / wear-leveling). */
     double gcChance = 1.5e-3;
@@ -148,7 +144,7 @@ class BlockService : public SimObject
     {
         Bytes to_storage = io.write ? io.len + 64 : 64;
         return params_.networkLatency +
-               params_.networkBandwidth.transferTime(to_storage);
+               networkBandwidth.transferTime(to_storage);
     }
 
     std::uint64_t completedIos() const { return completed_.value(); }
@@ -163,11 +159,16 @@ class BlockService : public SimObject
     }
 
   private:
+    /** Link bandwidth to the storage cluster. */
+    static constexpr Bandwidth networkBandwidth = Bandwidth::gbps(100);
+    /** Lognormal sigma of service times (tail heaviness). */
+    static constexpr double serviceSigma = 0.25;
+
     /**
      * Consume one unit of injected FabricCorrupt budget. A read
-     * that claims it completes with wire_corrupt set, and the
-     * backend flips a payload byte, modelling corruption on the
-     * fabric between the storage cluster and the guest server.
+     * that claims it completes with wire_corrupt set, modelling
+     * corruption of its payload on the fabric between the storage
+     * cluster and the guest server.
      */
     bool takeCorruption();
     /** SSD service time draw; the rng call order (lognormal, then

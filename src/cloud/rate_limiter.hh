@@ -11,6 +11,7 @@
 #ifndef BMHIVE_CLOUD_RATE_LIMITER_HH
 #define BMHIVE_CLOUD_RATE_LIMITER_HH
 
+#include "base/paper_constants.hh"
 #include "base/token_bucket.hh"
 #include "base/units.hh"
 
@@ -57,8 +58,6 @@ class DualRateLimiter
     }
 
     bool limited() const { return ops_.limited() || bytes_.limited(); }
-    double opsPerSec() const { return ops_.rate(); }
-    double bytesPerSec() const { return bytes_.rate(); }
 
   private:
     TokenBucket ops_;
@@ -72,14 +71,18 @@ struct InstanceLimits
     static DualRateLimiter
     cloudNetwork()
     {
-        return DualRateLimiter(4.0e6, 10e9 / 8.0, 8.0e3, 1.25e6);
+        return DualRateLimiter(paper::netLimitPps,
+                               paper::netLimitGbps * 1e9 / 8.0, 8.0e3,
+                               1.25e6);
     }
 
     /** Storage: 25K IOPS, 300 MB/s. */
     static DualRateLimiter
     cloudStorage()
     {
-        return DualRateLimiter(25e3, 300e6, 256, 4.0e6);
+        return DualRateLimiter(paper::storageLimitIops,
+                               paper::storageLimitBytesPerSec, 256,
+                               4.0e6);
     }
 };
 

@@ -7,8 +7,8 @@
 namespace bmhive {
 namespace cloud {
 
-VSwitch::VSwitch(Simulation &sim, std::string name, Params params)
-    : SimObject(sim, std::move(name)), params_(params),
+VSwitch::VSwitch(Simulation &sim, std::string name)
+    : SimObject(sim, std::move(name)),
       forwarded_(metrics().counter(this->name() + ".forwarded")),
       dropped_(metrics().counter(this->name() + ".dropped")),
       uplinkTx_(metrics().counter(this->name() + ".uplink_tx")),
@@ -164,7 +164,7 @@ VSwitch::forward(const Packet &pktIn)
 
     // Serialize on the switching core: poll-mode processing.
     Tick start = std::max(curTick(), coreFree_);
-    Tick done = start + params_.perPacketCost;
+    Tick done = start + perPacketCost;
     coreFree_ = done;
 
     auto it = macTable_.find(pkt.dst);
@@ -186,7 +186,7 @@ VSwitch::forward(const Packet &pktIn)
     }
 
     if (uplink_) {
-        Tick xfer = params_.uplinkBandwidth.transferTime(pkt.len);
+        Tick xfer = uplinkBandwidth.transferTime(pkt.len);
         Tick depart = std::max(done, uplinkFree_);
         Tick arrive = depart + xfer;
         uplinkFree_ = arrive;
@@ -213,7 +213,7 @@ VSwitch::deliverTo(PortId pid, const Packet &pkt, Tick ready)
 {
     Port &port = ports_[pid];
     // Serialize on the destination port link.
-    Tick xfer = params_.portBandwidth.transferTime(pkt.len);
+    Tick xfer = portBandwidth.transferTime(pkt.len);
     Tick depart = std::max(ready, port.linkFree);
     Tick arrive = depart + xfer;
     port.linkFree = arrive;

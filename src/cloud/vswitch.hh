@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "base/paper_constants.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "cloud/packet.hh"
@@ -37,23 +38,10 @@ using PacketHandler = std::function<void(const Packet &)>;
 using QueuedPacketHandler =
     std::function<void(const Packet &, unsigned)>;
 
-/** Configuration of a VSwitch. */
-struct VSwitchParams
-{
-    /** CPU cost to switch one packet (DPDK PMD, ~50 ns). */
-    Tick perPacketCost = nsToTicks(50);
-    /** Port link bandwidth toward a local backend. */
-    Bandwidth portBandwidth = Bandwidth::gbps(50);
-    /** Uplink NIC bandwidth (shared 100 Gbit/s interface). */
-    Bandwidth uplinkBandwidth = Bandwidth::gbps(100);
-};
-
 class VSwitch : public SimObject
 {
   public:
-    using Params = VSwitchParams;
-
-    VSwitch(Simulation &sim, std::string name, Params params = {});
+    VSwitch(Simulation &sim, std::string name);
     ~VSwitch() override;
 
     /**
@@ -132,7 +120,6 @@ class VSwitch : public SimObject
      * frames (csum 0, legacy senders) pass unchecked.
      */
     void setIntegrity(bool on) { integrity_ = on; }
-    bool integrityEnabled() const { return integrity_; }
 
     std::uint64_t frameDrops() const { return frameDrops_.value(); }
     std::uint64_t fabricCorruptions() const
@@ -155,6 +142,13 @@ class VSwitch : public SimObject
 
     /** Stalled frames held per port before overflow drops. */
     static constexpr std::size_t stallBufferCap = 4096;
+    /** CPU cost to switch one packet (DPDK PMD, ~50 ns). */
+    static constexpr Tick perPacketCost = nsToTicks(50);
+    /** Port link bandwidth toward a local backend. */
+    static constexpr Bandwidth portBandwidth = Bandwidth::gbps(50);
+    /** Uplink NIC bandwidth (the server's shared NIC). */
+    static constexpr Bandwidth uplinkBandwidth =
+        Bandwidth::gbps(paper::serverNicGbps);
 
     /** Serialize on the switch core, then deliver. */
     void forward(const Packet &pkt);
@@ -165,7 +159,6 @@ class VSwitch : public SimObject
     /** Fault hook: PortStall with magnitude = port id. */
     bool injectFault(const fault::FaultSpec &spec);
 
-    Params params_;
     std::vector<Port> ports_;
     std::map<MacAddr, PortId> macTable_;
     std::function<void(const Packet &)> uplink_;

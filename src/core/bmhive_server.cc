@@ -12,6 +12,28 @@
 namespace bmhive {
 namespace core {
 
+namespace {
+
+// Adversarial-tenant containment policy (leaky-bucket scoring,
+// DESIGN.md section 11). Every contained guest fault IO-Bond
+// classifies adds one point; a clean guest's score drains at
+// leakPerMs. Crossing suspectScore flags the guest; crossing
+// quarantineScore parks it off the bridge for quarantineDwell,
+// after which it re-enters service through a full function reset
+// and reinit.
+constexpr double suspectScore = 8.0;
+constexpr double quarantineScore = 32.0;
+constexpr double leakPerMs = 100.0;
+constexpr Tick quarantineDwell = msToTicks(2.0);
+/** Scheduler share of a Suspect guest under shared polling
+ *  (1.0 = normal; Quarantined guests are starved outright). */
+constexpr double suspectPollWeight = 0.25;
+
+/** Flight-recorder events per anomaly dump. */
+constexpr std::size_t flightDumpEvents = 256;
+
+} // namespace
+
 std::string
 BmGuest::statsReport() const
 {
@@ -103,10 +125,6 @@ BmHiveServer::BmHiveServer(Simulation &sim, std::string name,
              "a BM-Hive server carries 1..",
              paper::maxComputeBoards, " boards, got ",
              params_.maxBoards);
-    // The server-level integrity switch governs every layer a
-    // guest provisions with: the bond's ECRC+scrubber, the DIF
-    // block path, and the sealed net frames.
-    params_.bondParams.integrity = params_.integrity.enabled;
     Bytes base_mem =
         Bytes(params_.maxBoards) * params_.shadowRegionPerGuest +
         16 * MiB;
@@ -123,8 +141,7 @@ BmHiveServer::BmHiveServer(Simulation &sim, std::string name,
         for (unsigned i = 0; i < params_.pollCores; ++i)
             pool.push_back(&base_->core(i));
         sched_ = std::make_unique<sched::PollScheduler>(
-            sim, this->name() + ".sched", std::move(pool),
-            params_.schedParams);
+            sim, this->name() + ".sched", std::move(pool));
     }
 }
 
@@ -266,6 +283,10 @@ BmHiveServer::tryProvision(const InstanceType &type,
     g->bond_ = std::make_unique<iobond::IoBond>(
         sim_, base_name + ".iobond", *g->board_, base_->memory(),
         g->regionBase_, params_.bondParams);
+    // The server-level integrity switch governs every layer a
+    // guest provisions with: the bond's ECRC+scrubber, the DIF
+    // block path, and the sealed net frames.
+    g->bond_->setIntegrity(params_.integrity.enabled);
     // Containment scoring and the escalation ladder listen before
     // the drivers start, so bring-up faults are counted; faults
     // fired before the guest is committed (rollback path) find no
@@ -333,8 +354,7 @@ BmHiveServer::tryProvision(const InstanceType &type,
     // A full bucket is a clean guest; faults force-consume points
     // that refill at the leak rate.
     slot.containment.bucket =
-        TokenBucket(params_.containment.leakPerMs * 1e3,
-                    params_.containment.quarantineScore);
+        TokenBucket(leakPerMs * 1e3, quarantineScore);
     fillSlot(idx, std::move(slot));
 
     BmGuest &gg = *slots_[idx].guest;
@@ -342,8 +362,7 @@ BmHiveServer::tryProvision(const InstanceType &type,
         // Always-on black box: every datapath touch of this guest
         // lands in its ring, dumped on anomaly by flightDump().
         gg.flight_ = std::make_unique<obs::FlightRecorder>(
-            base_name + ".flight", metrics(),
-            params_.obs.flightEvents);
+            base_name + ".flight", metrics());
         gg.bond_->setFlightRecorder(gg.flight_.get());
         gg.hv_->setFlightRecorder(gg.flight_.get());
         // The SLO monitor rides the request tracers' flow closes,
@@ -485,7 +504,7 @@ BmHiveServer::adoptGuest(Slot s, std::function<void(unsigned)> done)
         scheduleIn(new OneShotEvent(
                        [this, idx] { releaseQuarantine(idx); },
                        "server.quarantine_release"),
-                   params_.containment.quarantineDwell);
+                   quarantineDwell);
     }
 
     // Re-home the bond's base-memory side (replaying the in-flight
@@ -504,7 +523,7 @@ BmHiveServer::adoptGuest(Slot s, std::function<void(unsigned)> done)
             sl.guest->hv_->migrateTo(*core, sched_.get(), sched_core);
             double w = 1.0;
             if (sl.containment.state == GuestHealth::Suspect)
-                w = params_.containment.suspectPollWeight;
+                w = suspectPollWeight;
             else if (sl.containment.state == GuestHealth::Quarantined)
                 w = 0.0;
             sl.guest->hv_->setPollWeight(w);
@@ -545,7 +564,7 @@ BmHiveServer::flightDump(unsigned i, const char *trigger)
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (slot.guest->flight_->writeChromeJson(
-            path, params_.obs.flightDumpLast, trigger)) {
+            path, flightDumpEvents, trigger)) {
         obsDumps_.inc();
         lastFlightDumpPath_ = path;
         inform(name(), ": guest", i, " flight dump (", trigger,
@@ -624,8 +643,7 @@ BmHiveServer::guestScore(unsigned i) const
 {
     panic_if(i >= slots_.size(), name(), ": bad guest ", i);
     const Containment &c = slots_[i].containment;
-    return std::max(0.0, params_.containment.quarantineScore -
-                             c.bucket.level(curTick()));
+    return std::max(0.0, quarantineScore - c.bucket.level(curTick()));
 }
 
 void
@@ -635,7 +653,7 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
     // Out-of-range or tombstone index: a fault fired during a
     // rolled-back provision, or from a bond whose guest has since
     // been exported to another server.
-    if (!params_.containment.enabled || !hasGuest(idx))
+    if (!hasGuest(idx))
         return;
     BmGuest &g = *slots_[idx].guest;
     Containment &c = slots_[idx].containment;
@@ -645,7 +663,7 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
     // score) before the new fault takes its point, so sporadic
     // faults never escalate.
     if (c.state == GuestHealth::Suspect &&
-        guestScore(idx) <= params_.containment.suspectScore / 2) {
+        guestScore(idx) <= suspectScore / 2) {
         c.state = GuestHealth::Healthy;
         g.hypervisor().setPollWeight(1.0);
         if (g.flight_)
@@ -654,12 +672,12 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
     }
     c.bucket.forceConsume(curTick(), 1.0);
     double score = guestScore(idx);
-    if (score >= params_.containment.quarantineScore) {
+    if (score >= quarantineScore) {
         warn(name(), ": guest", idx, " containment score ",
              score, " after ", fault::guestFaultName(k),
              "; quarantining");
         quarantineGuest(idx);
-    } else if (score >= params_.containment.suspectScore &&
+    } else if (score >= suspectScore &&
                c.state == GuestHealth::Healthy) {
         c.state = GuestHealth::Suspect;
         suspects_.inc();
@@ -668,8 +686,7 @@ BmHiveServer::onGuestFault(unsigned idx, fault::GuestFaultKind k)
                               obs::FlightEvent::Containment, 0, 0, 1);
         // Under shared polling a Suspect also loses scheduler
         // share; under dedicated polling this is a no-op.
-        g.hypervisor().setPollWeight(
-            params_.containment.suspectPollWeight);
+        g.hypervisor().setPollWeight(suspectPollWeight);
         warn(name(), ": guest", idx, " suspect (score ", score,
              ", last fault ", fault::guestFaultName(k), ")");
     }
@@ -698,7 +715,7 @@ BmHiveServer::quarantineGuest(unsigned i)
     flightDump(i, "quarantine");
     scheduleIn(new OneShotEvent([this, i] { releaseQuarantine(i); },
                                 "server.quarantine_release"),
-               params_.containment.quarantineDwell);
+               quarantineDwell);
 }
 
 void
@@ -723,8 +740,7 @@ BmHiveServer::releaseQuarantine(unsigned i)
     if (g.flight_)
         g.flight_->record(curTick(), obs::FlightEvent::Containment, 0,
                           0, 0);
-    c.bucket = TokenBucket(params_.containment.leakPerMs * 1e3,
-                           params_.containment.quarantineScore);
+    c.bucket = TokenBucket(leakPerMs * 1e3, quarantineScore);
     g.hypervisor().setPollWeight(1.0);
     inform(name(), ": guest", i, " quarantine released");
 }

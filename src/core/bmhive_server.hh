@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/paper_constants.hh"
 #include "base/token_bucket.hh"
 #include "cloud/block_service.hh"
 #include "cloud/vswitch.hh"
@@ -41,32 +42,12 @@ namespace bmhive {
 namespace core {
 
 /**
- * Adversarial-tenant containment policy (leaky-bucket scoring).
- * Every contained guest fault IO-Bond classifies adds one point; a
- * clean guest's score drains at @c leakPerMs. Crossing
- * @c suspectScore flags the guest; crossing @c quarantineScore
- * parks it off the bridge for @c quarantineDwell, after which it
- * re-enters service through a full function reset and reinit.
- */
-struct ContainmentParams
-{
-    bool enabled = true;
-    double suspectScore = 8.0;
-    double quarantineScore = 32.0;
-    double leakPerMs = 100.0;
-    Tick quarantineDwell = msToTicks(2.0);
-    /** Scheduler share of a Suspect guest under shared polling
-     *  (1.0 = normal; Quarantined guests are starved outright). */
-    double suspectPollWeight = 0.25;
-};
-
-/**
  * Per-tenant observability policy: the SLO monitor and flight
  * recorder every provisioned guest carries. Always on by default —
  * both are O(1) per event with zero steady-state allocation, so
  * there is nothing to gate. Anomaly triggers (quarantine entry,
  * watchdog respawn, DEVICE_NEEDS_RESET propagation, SLO breach)
- * dump the implicated guest's last flightDumpLast events as a
+ * dump the implicated guest's last flight-recorder events as a
  * Chrome-trace JSON into flightDumpDir; an empty dir records the
  * trigger in the metric registry but writes no file.
  */
@@ -75,10 +56,6 @@ struct ObsParams
     bool enabled = true;
     /** Latency-SLO policy fed from RequestTracer flow closes. */
     obs::SloParams slo = {};
-    /** Flight-recorder ring slots per guest. */
-    std::size_t flightEvents = 1024;
-    /** Events per anomaly dump (0 = everything live). */
-    std::size_t flightDumpLast = 256;
     /** Where dumps land ("" = triggers counted, no files). */
     std::string flightDumpDir;
     /** Per-guest floor between dumps; a flapping guest produces
@@ -117,13 +94,11 @@ enum class GuestHealth { Healthy, Suspect, Quarantined };
 struct BmServerParams
 {
     /** Physical board slots (paper: at most 16). */
-    unsigned maxBoards = 16;
+    unsigned maxBoards = paper::maxComputeBoards;
     /** Base-memory region reserved per IO-Bond (rings + arena). */
     Bytes shadowRegionPerGuest = 24 * MiB;
     /** IO-Bond timing (FPGA by default; asic() for section 6). */
     iobond::IoBondParams bondParams = {};
-    /** Hostile-tenant escalation policy. */
-    ContainmentParams containment = {};
     /** Backend-to-core mapping (Dedicated is seed-equivalent). */
     SchedMode schedMode = SchedMode::Dedicated;
     /** Base cores in the shared poll pool (Shared mode only). */
@@ -138,8 +113,6 @@ struct BmServerParams
      *  instead of the shared DWRR stage (Shared mode only;
      *  containment demotes a misbehaving guest back to shared). */
     bool mqPassthrough = false;
-    /** DWRR / governor tuning of the shared pool. */
-    sched::PollSchedulerParams schedParams = {};
     /** Per-tenant SLO + flight-recorder policy. */
     ObsParams obs = {};
     /** End-to-end data-integrity policy. */
@@ -282,11 +255,11 @@ class BmHiveServer : public SimObject
     // --- Live migration (fleet controller interface) ---
 
     /**
-     * Leaky-bucket containment score of one guest, backed by the
-     * repo-wide TokenBucket: the bucket holds quarantineScore
-     * tokens and refills at leakPerMs; each fault force-consumes
-     * one, so score = quarantineScore - level (a full bucket is a
-     * clean guest).
+     * Leaky-bucket containment score of one guest (policy constants
+     * in bmhive_server.cc), backed by the repo-wide TokenBucket:
+     * the bucket holds quarantineScore tokens and refills at
+     * leakPerMs; each fault force-consumes one, so score =
+     * quarantineScore - level (a full bucket is a clean guest).
      */
     struct Containment
     {

@@ -8,6 +8,22 @@
 namespace bmhive {
 namespace fleet {
 
+namespace {
+
+/** Per-server watchdog period. */
+constexpr Tick watchdogPeriod = usToTicks(100);
+/** Fabric heartbeat sweep period. */
+constexpr Tick healthPeriod = usToTicks(100);
+/** Consecutive missed fabric heartbeats before a server is fenced
+ *  and its guests failed over. */
+constexpr unsigned missedBeatsToFence = 3;
+/** A planned migration whose block I/O will not settle (e.g. a
+ *  lost request) aborts and rolls back after this long; the
+ *  respawn's recovery republish re-serves the stuck I/O. */
+constexpr Tick settleTimeout = msToTicks(2.0);
+
+} // namespace
+
 FleetController::FleetController(Simulation &sim, std::string name,
                                  cloud::VSwitch &vswitch,
                                  cloud::BlockService *storage,
@@ -88,11 +104,9 @@ FleetController::FleetController(Simulation &sim, std::string name,
                      [this, s](const fault::FaultSpec &spec) {
                          return serverFault(s, spec);
                      });
-        if (params_.watchdogPeriod > 0)
-            srv.startWatchdog(params_.watchdogPeriod);
+        srv.startWatchdog(watchdogPeriod);
     }
-    if (params_.healthPeriod > 0)
-        startHealthSweep(params_.healthPeriod);
+    scheduleIn(&healthEvent_, healthPeriod);
 }
 
 FleetController::~FleetController()
@@ -354,7 +368,7 @@ FleetController::settle(GuestId id)
         (m.failover || hv.service().blkInflight() == 0);
     if (!settled) {
         if (!m.failover &&
-            curTick() - m.drainStart >= params_.settleTimeout) {
+            curTick() - m.drainStart >= settleTimeout) {
             // Stuck block I/O (e.g. an injected lost request):
             // roll back rather than hold the guest dark forever —
             // the rollback respawn's recovery republish re-serves
@@ -472,27 +486,19 @@ FleetController::abortMigration(GuestId id, unsigned reason)
 // --- server health / fault surface -------------------------------
 
 void
-FleetController::startHealthSweep(Tick period)
-{
-    panic_if(period == 0, name(), ": health sweep needs a period");
-    healthPeriod_ = period;
-    eventq().reschedule(&healthEvent_, curTick() + period);
-}
-
-void
 FleetController::healthSweep()
 {
     for (unsigned s = 0; s < servers_.size(); ++s) {
         if (dead_[s])
             continue;
         if (curTick() < partitionedUntil_[s]) {
-            if (++missedBeats_[s] >= params_.missedBeatsToFence)
+            if (++missedBeats_[s] >= missedBeatsToFence)
                 fence(s);
         } else {
             missedBeats_[s] = 0; // heal: the partition lifted
         }
     }
-    scheduleIn(&healthEvent_, healthPeriod_);
+    scheduleIn(&healthEvent_, healthPeriod);
 }
 
 bool
@@ -572,8 +578,13 @@ FleetController::failoverServer(unsigned s)
         }
         int t = pickTarget(&guest(id).instance(), s);
         if (t < 0) {
+            // Released like a failed board: its board powers off
+            // and its slot is freed, so the dead server's watchdog
+            // (which skips a disconnected backend) cannot respawn
+            // the backend STONITH just crashed.
             warn(name(), ": guest ", id,
                  " lost — no failover capacity");
+            servers_[s]->release(guest(id));
             lostGuests_.inc();
             locs_.erase(id);
             continue;

@@ -53,19 +53,8 @@ struct FleetParams
     unsigned servers = 2;
     /** Shared per-server configuration. */
     core::BmServerParams server = {};
-    /** Per-server watchdog period (0 = caller starts watchdogs). */
-    Tick watchdogPeriod = usToTicks(100);
-    /** Fabric heartbeat sweep period (0 = no health sweep). */
-    Tick healthPeriod = usToTicks(100);
-    /** Consecutive missed fabric heartbeats before a server is
-     *  fenced and its guests failed over. */
-    unsigned missedBeatsToFence = 3;
     /** Settle-poll retry while waiting for DMA + block I/O. */
     Tick settleRetry = usToTicks(10);
-    /** A planned migration whose block I/O will not settle (e.g. a
-     *  lost request) aborts and rolls back after this long; the
-     *  respawn's recovery republish re-serves the stuck I/O. */
-    Tick settleTimeout = msToTicks(2.0);
     /**
      * Give every base server its own vSwitch, joined by a NetFabric
      * (the real rack topology), instead of sharing the single
@@ -155,8 +144,6 @@ class FleetController : public SimObject
      */
     bool hotSwapBoard(GuestId id,
                       std::function<void(bool)> done = nullptr);
-
-    void startHealthSweep(Tick period);
 
     // --- fleet metrics accessors (names: "<name>.*") ---
     std::uint64_t placements() const { return placements_.value(); }
@@ -261,7 +248,6 @@ class FleetController : public SimObject
     std::map<GuestId, Loc> locs_;
     std::map<GuestId, Migration> migrations_;
     GuestId nextId_ = 0;
-    Tick healthPeriod_ = 0;
 
     Counter &placements_;
     Counter &migrationStarts_;

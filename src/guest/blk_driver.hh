@@ -73,7 +73,6 @@ class BlkDriver : public VirtioDriver
      * the caller. Set before issuing I/O; must match the backend.
      */
     void setIntegrity(bool on) { integrity_ = on; }
-    bool integrityEnabled() const { return integrity_; }
 
     /** Read completions whose DIF tags failed verification. */
     std::uint64_t integrityDetects() const

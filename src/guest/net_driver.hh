@@ -98,7 +98,6 @@ class NetDriver : public VirtioDriver
      * pre-integrity wire format semantics for A/B benchmarks.
      */
     void setIntegrity(bool on) { integrity_ = on; }
-    bool integrityEnabled() const { return integrity_; }
 
   private:
     /** Per-pair rings, arenas, and NAPI state. */

@@ -12,6 +12,19 @@ namespace hv {
 
 using namespace virtio;
 
+namespace {
+
+/** CPU cost to submit/complete one block I/O. */
+constexpr Tick blkTouchCost = usToTicks(1.0);
+/** Block-fabric request timeout: a request not completed within
+ *  this window is resubmitted with exponential backoff (each
+ *  attempt doubles the wait). */
+constexpr Tick blkTimeout = msToTicks(10.0);
+/** Resubmissions before a request fails with IOERR. */
+constexpr unsigned blkMaxRetries = 4;
+
+} // namespace
+
 VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
                                  hw::CpuExecutor &core,
                                  IoServiceParams params)
@@ -526,9 +539,11 @@ VirtioIoService::pollConsole(unsigned max, hw::CpuExecutor &core)
 hw::CpuExecutor &
 VirtioIoService::blkExecutor(unsigned q)
 {
+    if (blkCore_)
+        return *blkCore_;
     if (q < blkQueues_.size() && blkQueues_[q].core)
         return *blkQueues_[q].core;
-    return blkCore_ ? *blkCore_ : core_;
+    return core_;
 }
 
 unsigned
@@ -536,9 +551,10 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
                          hw::CpuExecutor &core, bool shared)
 {
     BlkQueue &bq = blkQueues_[q];
-    // Completions for this queue follow the core that polls it, so
-    // a per-queue poller keeps its whole submit/complete path on
-    // its own executor.
+    // Unless block work is pinned (setBlkCore), completions for
+    // this queue follow the core that polls it, so a per-queue
+    // poller keeps its whole submit/complete path on its own
+    // executor.
     bq.core = &core;
     unsigned picked = 0;
     // Requests completed without a storage round trip (flush,
@@ -711,17 +727,14 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
     io.srcPartition = partition();
     auto io_box = std::make_shared<cloud::BlockIo>(std::move(io));
 
-    if (params_.blkTimeout > 0) {
-        // Bounded exponential backoff: every resubmission doubles
-        // the wait before the next one.
-        Tick wait = params_.blkTimeout << p.attempt;
-        scheduleIn(new OneShotEvent(
-                       [this, seq, gen, attempt = p.attempt] {
-                           onBlkTimeout(seq, gen, attempt);
-                       },
-                       "svc.blk_timeout"),
-                   wait);
-    }
+    // Bounded exponential backoff: every resubmission doubles the
+    // wait before the next one.
+    scheduleIn(new OneShotEvent(
+                   [this, seq, gen, attempt = p.attempt] {
+                       onBlkTimeout(seq, gen, attempt);
+                   },
+                   "svc.blk_timeout"),
+               blkTimeout << p.attempt);
 
     // The submission path: CPU work (touch + payload copy)
     // occupies the iothread — a preempted or copy-saturated
@@ -731,7 +744,7 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
     hw::CpuExecutor *score = &blkExecutor(p.q);
     Bytes len = p.len;
     score->run(
-        params_.blkTouchCost + copy_cost,
+        blkTouchCost + copy_cost,
         [this, io_box, len, gen] {
             if (gen != blkGen_)
                 return; // rings torn down since submission
@@ -776,42 +789,42 @@ VirtioIoService::onBlkServiceDone(std::uint64_t seq,
         return;
     }
 
-    // Read payloads cross the storage fabric here; with DIF on,
-    // assemble and verify the tagged buffer before it reaches the
-    // guest-facing path. A mismatch (injected fabric flip) heals
-    // through the same sequence-tagged resubmit the timeout path
-    // uses, so completion toward the guest stays exactly-once.
-    std::vector<std::uint8_t> rbuf;
-    if (blkIntegrity_ && !it->second.write) {
-        const PendingBlk &q = it->second;
-        rbuf = vol_->readData(q.lba, q.payloadLen);
-        auto tags = vol_->readTags(q.lba, q.payloadLen);
-        rbuf.insert(rbuf.end(), tags.begin(), tags.end());
-        // The service claims the return-leg corruption budget and
-        // ships the verdict with the completion.
-        if (wire_corrupt && !rbuf.empty())
-            rbuf[0] ^= 0xA5;
-        if (cloud::difCheck(rbuf, q.lba) >= 0) {
-            difDetects_.inc();
-            if (it->second.attempt < params_.blkMaxRetries) {
-                ++it->second.attempt;
-                difRetries_.inc();
-                blkRetries_.inc();
-                submitBlkAttempt(seq, 0);
-                return;
-            }
-            // Persistent mismatch: fail, never deliver garbage.
-            PendingBlk bad = it->second;
-            blkPending_.erase(it);
-            difFails_.inc();
-            blkFailures_.inc();
-            failBlkToGuest(bad, gen);
+    // Read payloads cross the storage fabric here. The service
+    // claims the return-leg corruption budget (only for DIF-tagged
+    // reads) and ships the verdict with the completion. The DIF
+    // read check is modelled by its outcome: the volume holds only
+    // tags verified before they were stored, so a tagged payload
+    // fails the check exactly when the fabric flipped a byte of
+    // it. A mismatch heals through the same sequence-tagged
+    // resubmit the timeout path uses, so completion toward the
+    // guest stays exactly-once.
+    if (wire_corrupt && it->second.payloadLen > 0) {
+        difDetects_.inc();
+        if (it->second.attempt < blkMaxRetries) {
+            ++it->second.attempt;
+            difRetries_.inc();
+            blkRetries_.inc();
+            submitBlkAttempt(seq, 0);
             return;
         }
+        // Persistent mismatch: fail, never deliver garbage.
+        PendingBlk bad = it->second;
+        blkPending_.erase(it);
+        difFails_.inc();
+        blkFailures_.inc();
+        failBlkToGuest(bad, gen);
+        return;
     }
 
     PendingBlk p = it->second;
     blkPending_.erase(it);
+    // A clean tagged read delivers the stored data with its tags.
+    std::vector<std::uint8_t> rbuf;
+    if (blkIntegrity_ && !p.write) {
+        rbuf = vol_->readData(p.lba, p.payloadLen);
+        auto tags = vol_->readTags(p.lba, p.payloadLen);
+        rbuf.insert(rbuf.end(), tags.begin(), tags.end());
+    }
 
     // The storage round trip ends here: everything from poll
     // pickup until now is the Service span.
@@ -822,8 +835,7 @@ VirtioIoService::onBlkServiceDone(std::uint64_t seq,
     // preempted, every in-flight I/O behind it waits — the
     // mechanism behind the vm's latency tail.
     hw::CpuExecutor *core = &blkExecutor(p.q);
-    Tick cost =
-        params_.blkTouchCost + params_.completionRegisterCost;
+    Tick cost = blkTouchCost + params_.completionRegisterCost;
     if (!p.write && params_.blkCopyBytesPerSec > 0.0) {
         cost += Tick(double(p.len) / params_.blkCopyBytesPerSec *
                      double(tickSec));
@@ -862,7 +874,7 @@ VirtioIoService::onBlkTimeout(std::uint64_t seq, std::uint64_t gen,
     if (it->second.attempt != attempt)
         return; // superseded by a newer attempt's timer
     blkTimeouts_.inc();
-    if (it->second.attempt >= params_.blkMaxRetries) {
+    if (it->second.attempt >= blkMaxRetries) {
         // Retries exhausted: fail toward the guest, exactly once.
         PendingBlk p = it->second;
         blkPending_.erase(it);
@@ -881,7 +893,7 @@ VirtioIoService::failBlkToGuest(const PendingBlk &p,
 {
     hw::CpuExecutor *core = &blkExecutor(p.q);
     core->run(
-        params_.blkTouchCost + params_.completionRegisterCost,
+        blkTouchCost + params_.completionRegisterCost,
         [this, p, gen] {
             if (gen != blkGen_)
                 return;

@@ -69,8 +69,6 @@ struct IoServiceParams
     /** CPU copy cost per packet payload (vm backend only; the
      *  bm path is copied by IO-Bond's DMA engine instead). */
     Tick perPacketCopyCost = 0;
-    /** CPU cost to submit/complete one block I/O. */
-    Tick blkTouchCost = usToTicks(1.0);
     /** Extra host-side cost per block I/O (vm: the extra memory
      *  copies and the longer software path, section 4.3). */
     Tick blkExtraCost = 0;
@@ -81,14 +79,6 @@ struct IoServiceParams
     bool suppressGuestNotify = false;
     /** Backend rx buffering (socket backlog analog), per queue. */
     std::size_t rxPendingMax = 4096;
-    /**
-     * Block-fabric request timeout: a request not completed within
-     * this window is resubmitted with exponential backoff (each
-     * attempt doubles the wait). 0 disables the timeout path.
-     */
-    Tick blkTimeout = msToTicks(10.0);
-    /** Resubmissions before a request fails with IOERR. */
-    unsigned blkMaxRetries = 4;
 };
 
 /**
@@ -167,9 +157,10 @@ class VirtioIoService : public SimObject
     void setPerPacketCost(Tick t) { params_.perPacketCost = t; }
 
     /**
-     * Run block completions on @p core instead of the main poll
-     * core (the vm baseline uses a separate, preemptible
-     * iothread; see paper section 2.1 on host I/O contention).
+     * Run block submissions and completions on @p core instead of
+     * the core that polls the queue (the vm baseline uses a
+     * separate, preemptible iothread; see paper section 2.1 on
+     * host I/O contention).
      */
     void setBlkCore(hw::CpuExecutor *core) { blkCore_ = core; }
 
@@ -233,33 +224,16 @@ class VirtioIoService : public SimObject
 
     std::uint64_t blkTimeouts() const { return blkTimeouts_.value(); }
     std::uint64_t blkRetries() const { return blkRetries_.value(); }
-    std::uint64_t
-    blkDupCompletions() const
-    {
-        return blkDupDone_.value();
-    }
-    std::uint64_t
-    blkIoFailures() const
-    {
-        return blkFailures_.value();
-    }
-    /** Guest-authored LBA/length outside the volume (contained
-     *  as VIRTIO_BLK_S_IOERR toward the guest). */
-    std::uint64_t
-    blkRangeErrors() const
-    {
-        return blkRangeErrors_.value();
-    }
 
     /**
      * T10-DIF-style protection on the block path: expect tagged
      * writes from the guest (verified before persisting) and
-     * return tagged reads, verified against fabric corruption with
-     * a bounded resubmit through the sequence-tagged retry path.
-     * Must match the guest driver's setting.
+     * return tagged reads. A read the storage fabric corrupted
+     * (the service's verdict) is resubmitted, a bounded number of
+     * times, through the sequence-tagged retry path. Must match
+     * the guest driver's setting.
      */
     void setIntegrity(bool on) { blkIntegrity_ = on; }
-    bool integrityEnabled() const { return blkIntegrity_; }
 
     /** DIF mismatches detected (either direction). */
     std::uint64_t difDetects() const { return difDetects_.value(); }
@@ -427,11 +401,13 @@ class VirtioIoService : public SimObject
                       unsigned attempt);
     /** Push an IOERR completion for @p p toward the guest. */
     void failBlkToGuest(const PendingBlk &p, std::uint64_t gen);
-    /** Executor blk completions for queue @p q charge. */
+    /** Executor blk submissions and completions for queue @p q
+     *  charge: blkCore_ when set, else the core that polls @p q,
+     *  else core_. */
     hw::CpuExecutor &blkExecutor(unsigned q);
 
     hw::CpuExecutor &core_;
-    hw::CpuExecutor *blkCore_ = nullptr; ///< defaults to &core_
+    hw::CpuExecutor *blkCore_ = nullptr;
     IoServiceParams params_;
 
     // Net role.

@@ -12,8 +12,7 @@ ComputeBoard::ComputeBoard(Simulation &sim, std::string name,
                            Tick pci_access_latency)
     : SimObject(sim, std::move(name)), cpu_(cpu),
       mem_(this->name() + ".mem", mem_size),
-      bus_(sim, this->name() + ".pci", pci_access_latency,
-           Bandwidth::gbps(32) /* PCIe x4 per virtio device */),
+      bus_(sim, this->name() + ".pci", pci_access_latency),
       firmware_{"factory-1.0", 0x1000,
                 FirmwareImage::sign(0x1000, 0xa11baba)}
 {
@@ -72,8 +71,7 @@ BaseBoard::BaseBoard(Simulation &sim, std::string name,
                      Tick pci_access_latency)
     : SimObject(sim, std::move(name)), cpu_(cpu),
       mem_(this->name() + ".mem", mem_size),
-      bus_(sim, this->name() + ".pci", pci_access_latency,
-           Bandwidth::gbps(64) /* PCIe x8 toward IO-Bond */)
+      bus_(sim, this->name() + ".pci", pci_access_latency)
 {
     cores_.reserve(cpu.threads);
     for (unsigned i = 0; i < cpu.threads; ++i) {

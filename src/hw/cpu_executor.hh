@@ -104,7 +104,6 @@ class CpuExecutor : public SimObject
     }
 
     double speedFactor() const { return speedFactor_; }
-    ExecutionModel *executionModel() const { return exec_; }
 
   private:
     double speedFactor_;

@@ -28,13 +28,6 @@ struct CpuModel
     /** Single-thread performance relative to Xeon E5-2682 v4. */
     double singleThreadFactor = 1.0;
     double tdpWatts = 0.0;
-
-    /** Seconds of wall time to execute @p work normalized units. */
-    double
-    secondsFor(double work) const
-    {
-        return work / singleThreadFactor;
-    }
 };
 
 /** The SKUs appearing in the paper. */

@@ -12,6 +12,21 @@ namespace iobond {
 
 using namespace virtio;
 
+namespace {
+
+/** Upper bound on the payload bytes one chain may pin in the
+ *  shadow arena. A guest describing absurd buffers gets a
+ *  contained DescLenOversized fault instead of starving its
+ *  neighbours' arena allocations. */
+constexpr Bytes maxChainBytes = 4 * MiB;
+/** Scrub cadence while chains are in flight. */
+constexpr Tick scrubPeriod = usToTicks(50);
+/** Consecutive dirty scrub passes on one queue before the
+ *  function is reset (containment-ladder rung two). */
+constexpr unsigned scrubEscalateAfter = 2;
+
+} // namespace
+
 IoBondFunction::IoBondFunction(Simulation &sim, std::string name,
                                IoBond &owner, unsigned index,
                                DeviceType type, unsigned num_queues,
@@ -145,7 +160,6 @@ IoBond::IoBond(Simulation &sim, std::string name,
     });
     dma_.setErrorHandler([this] { onDmaError(); });
     dma_.setIntegrityHandler([this] { onIntegrityEscalation(); });
-    integrity_ = params.integrity;
     dma_.setIntegrity(integrity_);
 }
 
@@ -301,7 +315,7 @@ IoBond::scheduleScrub()
                            scrubPass();
                    },
                    "iobond.scrub"),
-               params_.scrubPeriod);
+               scrubPeriod);
 }
 
 void
@@ -339,7 +353,7 @@ IoBond::scrubPass()
             // A repair IS the heal for metadata: the chain keeps
             // flowing on the corrected descriptors. Repeated dirt
             // on one queue escalates to a reset instead.
-            if (++sq.scrubStrikes >= params_.scrubEscalateAfter) {
+            if (++sq.scrubStrikes >= scrubEscalateAfter) {
                 sq.scrubStrikes = 0;
                 if (std::find(escalate.begin(), escalate.end(),
                               fi) == escalate.end())
@@ -1091,7 +1105,7 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
     Bytes total = 0;
     for (const auto &s : walk.chain.segs)
         total += s.len;
-    if (total > params_.maxChainBytes) {
+    if (total > maxChainBytes) {
         // Arithmetically valid but absurd: one chain must not pin
         // a neighbour-starving share of the shadow arena.
         guestFault(fault::GuestFaultKind::DescLenOversized);

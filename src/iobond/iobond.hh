@@ -75,27 +75,6 @@ struct IoBondParams
     double doorbellRate = 2.0e6;
     double doorbellBurst = 4096;
 
-    /**
-     * Upper bound on the payload bytes one chain may pin in the
-     * shadow arena. A guest describing absurd buffers gets a
-     * contained DescLenOversized fault instead of starving its
-     * neighbours' arena allocations.
-     */
-    Bytes maxChainBytes = 4 * MiB;
-
-    /**
-     * End-to-end integrity: ECRC verification on every internal
-     * DMA transfer plus a periodic scrubber that audits the shadow
-     * vring metadata of every in-flight chain against the content
-     * recorded at mirror time and repairs silent flips in place.
-     */
-    bool integrity = true;
-    /** Scrub cadence while chains are in flight. */
-    Tick scrubPeriod = usToTicks(50);
-    /** Consecutive dirty scrub passes on one queue before the
-     *  function is reset (containment-ladder rung two). */
-    unsigned scrubEscalateAfter = 2;
-
     /** FPGA timing (default). ASIC variant for the section 6
      *  ablation: both hops drop to 0.2 us. */
     static IoBondParams
@@ -395,13 +374,14 @@ class IoBond : public SimObject
     // --- End-to-end integrity ---
 
     /**
-     * Enable/disable the integrity layer at runtime: ECRC on the
-     * internal DMA engine plus the shadow-metadata scrubber. Off,
-     * an injected corruption is delivered silently (the pre-PR-8
-     * behaviour benches compare against with --integrity=off).
+     * Enable/disable the integrity layer (on by default): ECRC on
+     * the internal DMA engine plus a periodic scrubber that audits
+     * the shadow vring metadata of every in-flight chain against
+     * the content recorded at mirror time and repairs silent flips
+     * in place. Off, an injected corruption is delivered silently
+     * (the baseline benches compare against with --integrity=off).
      */
     void setIntegrity(bool on);
-    bool integrityEnabled() const { return integrity_; }
 
     /**
      * Invoked (with the function index) whenever the integrity

@@ -113,14 +113,14 @@ class DmaEngine : public SimObject
 
     /**
      * PCIe ECRC-style end-to-end protection: every data transfer is
-     * checksummed at the source and verified before it lands. A
-     * mismatch is never delivered — the transfer retries (link-level
+     * checked before it lands, modelled by its outcome (a transfer
+     * the injected bit rot touched mismatches). A mismatch is
+     * never delivered — the transfer retries (link-level
      * replay re-reads the clean source), and after ecrcMaxRetries
      * consecutive mismatches the integrity handler fires so the
      * owner can escalate (IO-Bond resets the active function).
      */
     void setIntegrity(bool on) { integrity_ = on; }
-    bool integrity() const { return integrity_; }
 
     /** Called after a transfer exhausts its ECRC retries (the
      *  data-less completion has run, like the DmaFail path). */

@@ -5,7 +5,7 @@
 namespace bmhive {
 
 PoolAllocator::PoolAllocator(Addr base, Bytes size)
-    : base_(base), size_(size), free_(size)
+    : free_(size)
 {
     panic_if(size == 0, "empty pool");
     extents_[base] = size;

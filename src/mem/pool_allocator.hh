@@ -32,14 +32,11 @@ class PoolAllocator
     void free(Addr addr);
 
     Bytes bytesFree() const { return free_; }
-    Bytes bytesTotal() const { return size_; }
     std::size_t liveAllocations() const { return live_.size(); }
 
     static constexpr Addr nullAddr = ~Addr(0);
 
   private:
-    Addr base_;
-    Bytes size_;
     Bytes free_;
     /** start -> length of each free extent, sorted. */
     std::map<Addr, Bytes> extents_;

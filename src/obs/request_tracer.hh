@@ -105,7 +105,6 @@ class RequestTracer
      *  it. Guards against a hostile guest posting heads it never
      *  lets complete. */
     void setMaxOpen(std::size_t n) { maxOpen_ = n ? n : 1; }
-    std::size_t maxOpen() const { return maxOpen_; }
 
     /** Transition-latency recorder feeding stage @p s (not valid
      *  for GuestPost, which opens flows and has no predecessor). */

@@ -28,9 +28,9 @@ PciDevice::raiseMsi(unsigned vec)
 }
 
 PciBus::PciBus(Simulation &sim, std::string name, Tick access_latency,
-               Bandwidth link, Tick msi_latency)
+               Tick msi_latency)
     : SimObject(sim, std::move(name)), accessLatency_(access_latency),
-      link_(link), msiLatency_(msi_latency)
+      msiLatency_(msi_latency)
 {
 }
 

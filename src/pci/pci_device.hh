@@ -78,16 +78,14 @@ class PciBus : public SimObject
     /**
      * @param access_latency  time for one config/MMIO access (one
      *                        non-posted TLP round trip)
-     * @param link            link bandwidth for bulk data
      */
     PciBus(Simulation &sim, std::string name, Tick access_latency,
-           Bandwidth link, Tick msi_latency = nsToTicks(200));
+           Tick msi_latency = nsToTicks(200));
 
     /** Attach @p dev at @p slot (0-31). */
     void attach(PciDevice &dev, int slot);
 
     PciDevice *deviceAt(int slot) const;
-    std::size_t deviceCount() const { return devices_.size(); }
 
     /** Config space access by slot. */
     std::uint32_t configRead(int slot, std::uint16_t offset,
@@ -104,7 +102,6 @@ class PciBus : public SimObject
 
     /** Cost of one register access (caller-accounted). */
     Tick accessLatency() const { return accessLatency_; }
-    Bandwidth linkBandwidth() const { return link_; }
 
     /** Register the MSI sink (e.g. the guest's LAPIC model). */
     void setMsiHandler(MsiHandler h) { msiHandler_ = std::move(h); }
@@ -126,7 +123,6 @@ class PciBus : public SimObject
 
     std::map<int, PciDevice *> devices_;
     Tick accessLatency_;
-    Bandwidth link_;
     Tick msiLatency_;
     MsiHandler msiHandler_;
     Counter accesses_;

@@ -30,18 +30,15 @@ Pollable::sharedLoop() const
 }
 
 PollScheduler::PollScheduler(Simulation &sim, std::string name,
-                             std::vector<hw::CpuExecutor *> cores,
-                             PollSchedulerParams params)
-    : SimObject(sim, std::move(name)), params_(params),
+                             std::vector<hw::CpuExecutor *> cores)
+    : SimObject(sim, std::move(name)),
       sharedCores_(unsigned(cores.size()))
 {
-    fatal_if(params_.quantum == 0, this->name(),
-             ": DWRR quantum must be positive");
     loops_.resize(cores.size());
     for (unsigned i = 0; i < cores.size(); ++i) {
         Loop &c = loops_[i];
         c.exec = cores[i];
-        c.period = params_.pollPeriod;
+        c.period = paper::bmPollPeriod;
         std::string base =
             this->name() + ".core" + std::to_string(i);
         c.rounds = &metrics().counter(base + ".rounds");
@@ -116,10 +113,10 @@ PollScheduler::add(unsigned core, Pollable &p, double weight,
     // recovery republish) has no doorbell left to post a wake.
     if (c.state == CoreState::Sleep) {
         c.state = CoreState::Busy;
-        c.period = params_.pollPeriod;
+        c.period = paper::bmPollPeriod;
         c.idleRounds = 0;
     }
-    kick(core, curTick() + params_.wakeLatency);
+    kick(core, curTick() + paper::schedWakeLatency);
     return h;
 }
 
@@ -239,7 +236,7 @@ void
 PollScheduler::expedite(unsigned ci, bool count_wake)
 {
     Loop &c = loops_[ci];
-    Tick at = curTick() + params_.wakeLatency;
+    Tick at = curTick() + paper::schedWakeLatency;
     bool resting = c.state != CoreState::Busy ||
                    !c.event->scheduled() || c.event->when() > at;
     if (!resting)
@@ -249,7 +246,7 @@ PollScheduler::expedite(unsigned ci, bool count_wake)
          c.event->when() > at))
         c.wakes->inc();
     c.state = CoreState::Busy;
-    c.period = params_.pollPeriod;
+    c.period = paper::bmPollPeriod;
     c.idleRounds = 0;
     kick(ci, at);
 }
@@ -326,7 +323,7 @@ PollScheduler::runRound(unsigned ci)
         // DWRR: earn quantum*weight credit, service up to the
         // accumulated deficit, forfeit the remainder on running
         // dry so idle rounds never bank future bursts.
-        m.deficit += double(params_.quantum) * m.weight;
+        m.deficit += double(paper::schedQuantum) * m.weight;
         auto budget = unsigned(m.deficit);
         if (budget == 0)
             continue; // fractional weight, still accruing credit
@@ -357,22 +354,22 @@ PollScheduler::runRound(unsigned ci)
     // Adaptive-poll governor: busy-poll -> backoff -> sleep.
     if (total > 0) {
         c.state = CoreState::Busy;
-        c.period = params_.pollPeriod;
+        c.period = paper::bmPollPeriod;
         c.idleRounds = 0;
     } else {
         ++c.idleRounds;
         if (c.state == CoreState::Busy) {
-            if (c.idleRounds >= params_.idleRoundsBeforeBackoff) {
+            if (c.idleRounds >= paper::schedIdleRoundsBeforeBackoff) {
                 c.state = CoreState::Backoff;
                 c.period =
-                    std::min(c.period * 2, params_.maxBackoff);
+                    std::min(c.period * 2, paper::schedMaxBackoff);
             }
         } else if (c.state == CoreState::Backoff) {
-            if (c.period >= params_.maxBackoff)
+            if (c.period >= paper::schedMaxBackoff)
                 c.state = CoreState::Sleep; // ceiling and still dry
             else
                 c.period =
-                    std::min(c.period * 2, params_.maxBackoff);
+                    std::min(c.period * 2, paper::schedMaxBackoff);
         }
     }
 
@@ -381,9 +378,9 @@ PollScheduler::runRound(unsigned ci)
             // A stalled unit exists; resume when it unblocks
             // instead of waiting for a doorbell it already rang.
             c.state = CoreState::Backoff;
-            c.period = params_.maxBackoff;
+            c.period = paper::schedMaxBackoff;
             kick(ci, std::max(next_blocked,
-                              now + params_.pollPeriod));
+                              now + paper::bmPollPeriod));
         } else {
             c.sleeps->inc(); // no events until a wake
         }

@@ -57,21 +57,6 @@
 namespace bmhive {
 namespace sched {
 
-struct PollSchedulerParams
-{
-    /** Round period while busy (the PMD spin granularity). */
-    Tick pollPeriod = paper::bmPollPeriod;
-    /** Work items one unit of weight earns per round. */
-    unsigned quantum = paper::schedQuantum;
-    /** Idle rounds before the governor starts backing off. */
-    unsigned idleRoundsBeforeBackoff =
-        paper::schedIdleRoundsBeforeBackoff;
-    /** Backoff ceiling; idle there sends the core to sleep. */
-    Tick maxBackoff = paper::schedMaxBackoff;
-    /** Doorbell-to-first-poll latency of a sleeping core. */
-    Tick wakeLatency = paper::schedWakeLatency;
-};
-
 class PollScheduler : public SimObject
 {
   public:
@@ -80,8 +65,7 @@ class PollScheduler : public SimObject
     /** @p cores is the Shared pool; a scheduler that only runs
      *  Dedicated loops passes none. */
     PollScheduler(Simulation &sim, std::string name,
-                  std::vector<hw::CpuExecutor *> cores = {},
-                  PollSchedulerParams params = {});
+                  std::vector<hw::CpuExecutor *> cores = {});
     ~PollScheduler() override;
 
     /** Cores in the Shared pool. */
@@ -127,7 +111,7 @@ class PollScheduler : public SimObject
     /**
      * Work was posted for @p h (doorbell, backend rx, console
      * input): wake a sleeping/backed-off Shared core so it polls
-     * within wakeLatency. Dedicated loops never sleep.
+     * within paper::schedWakeLatency. Dedicated loops never sleep.
      */
     void wake(Handle h);
 
@@ -155,8 +139,6 @@ class PollScheduler : public SimObject
     unsigned pollablesOn(unsigned core) const;
     double busyRatio(unsigned core) const;
     const LatencyRecorder &wakeToPoll(unsigned core) const;
-
-    const PollSchedulerParams &params() const { return params_; }
 
   private:
     enum class CoreState { Busy, Backoff, Sleep };
@@ -205,7 +187,7 @@ class PollScheduler : public SimObject
     void runDedicated(unsigned li);
     /** Arm @p li's next Dedicated visit (or stop a dead unit's). */
     void planDedicated(unsigned li);
-    /** Resume busy polling on @p ci within wakeLatency. */
+    /** Resume busy polling on @p ci within schedWakeLatency. */
     void expedite(unsigned ci, bool count_wake);
     /** Schedule (or expedite) core @p ci's next round at @p at. */
     void kick(unsigned ci, Tick at);
@@ -215,7 +197,6 @@ class PollScheduler : public SimObject
     const Member *find(Handle h) const;
     const Loop &sharedCore(unsigned core) const;
 
-    PollSchedulerParams params_;
     /** Pool cores first, then Dedicated loops (recycled). */
     std::deque<Loop> loops_;
     unsigned sharedCores_ = 0;

@@ -170,7 +170,6 @@ class VirtioPciDevice : public pci::PciDevice
      * The driver's only way out is a full reset + reinit.
      */
     void markNeedsReset();
-    bool needsReset() const { return status_ & STATUS_NEEDS_RESET; }
 
   protected:
     /** Driver wrote the doorbell for queue @p q. */

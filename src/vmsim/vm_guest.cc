@@ -28,7 +28,7 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
     // are injected rather than delivered by hardware.
     vbus_ = std::make_unique<pci::PciBus>(
         sim, this->name() + ".vbus", paper::vmExitCost,
-        Bandwidth::gbps(100), paper::vmIrqInjectCost);
+        paper::vmIrqInjectCost);
 
     VmExecParams ep = params_.exclusive ? VmExecParams::exclusive()
                                         : VmExecParams::shared();

@@ -110,9 +110,6 @@ class VmGuest : public SimObject
     pci::PciBus &bus() { return *vbus_; }
     guest::GuestOs &os() { return *os_; }
     hw::CpuExecutor &vcpu(unsigned i);
-    unsigned vcpuCount() const { return unsigned(vcpus_.size()); }
-    VmExecutionModel &execModel() { return *execModel_; }
-    hw::CpuExecutor &backendCore() { return *backendCore_; }
     hv::VirtioIoService &service() { return *service_; }
 
     static constexpr int netSlot = 3;

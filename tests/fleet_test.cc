@@ -15,7 +15,8 @@
  *  - reactive failover on base-server power loss and on fabric
  *    partitions past the fencing threshold (with the heal-in-time
  *    no-op counterpart), including a source or target server that
- *    loses power while a migration is in flight;
+ *    loses power while a migration is in flight, and a guest lost
+ *    for want of failover capacity;
  *  - planned board hot-swap;
  *  - flight-dump filenames are distinct across servers hosting the
  *    same guest slot index (the shared-dump-dir collision fix).
@@ -366,12 +367,45 @@ TEST(FleetFailover, TargetPowerLossMidMigrationFailsOver)
     load.expectExactlyOnce();
 }
 
+/** A power cut on a full fleet: the dead server's guest has no
+ *  failover capacity and is lost. It is released like a failed
+ *  board, so its slot is free, its board is off, and the dead
+ *  server's watchdog never respawns the backend STONITH crashed;
+ *  the survivor's guest keeps serving I/O. */
+TEST(FleetFailover, LostGuestIsReleased)
+{
+    FleetBed bed(1003, 2, 1);
+    GuestId a = bed.addGuest(0x41);
+    GuestId b = bed.addGuest(0x42);
+    ASSERT_NE(a, invalidGuest);
+    ASSERT_NE(b, invalidGuest);
+    ASSERT_EQ(bed.fleet->serverOf(a), 0u);
+    ASSERT_EQ(bed.fleet->serverOf(b), 1u);
+    bed.runFor(1000);
+
+    core::BmHiveServer &s0 = bed.fleet->server(0);
+    core::BmGuest &lost = s0.guest(0);
+    bed.cutPowerIn(0, 1);
+    bed.runFor(2);
+    EXPECT_TRUE(bed.fleet->serverDead(0));
+    EXPECT_EQ(bed.fleet->lostGuests(), 1u);
+    EXPECT_EQ(bed.fleet->failovers(), 0u);
+    EXPECT_EQ(s0.freeSlots(), 1u);
+    EXPECT_EQ(lost.board().powerState(), hw::BoardPower::Off);
+
+    bed.runFor(500);
+    EXPECT_EQ(s0.watchdogRespawns(), 0u);
+    EXPECT_TRUE(lost.hypervisor().crashed());
+
+    BlkLoad load;
+    load.issue(bed.fleet->guest(b), 8);
+    bed.runFor(5000);
+    load.expectExactlyOnce();
+}
+
 TEST(FleetFailover, PartitionPastThresholdFences)
 {
-    FleetParams fp;
-    fp.healthPeriod = usToTicks(100);
-    fp.missedBeatsToFence = 3;
-    FleetBed bed(505, 2, 2, fp);
+    FleetBed bed(505, 2, 2);
     GuestId id = bed.addGuest(0xE1);
     ASSERT_NE(id, invalidGuest);
     unsigned src = bed.fleet->serverOf(id);
@@ -397,10 +431,7 @@ TEST(FleetFailover, PartitionPastThresholdFences)
 
 TEST(FleetFailover, PartitionHealingBeforeThresholdIsNoOp)
 {
-    FleetParams fp;
-    fp.healthPeriod = usToTicks(100);
-    fp.missedBeatsToFence = 3;
-    FleetBed bed(606, 2, 2, fp);
+    FleetBed bed(606, 2, 2);
     GuestId id = bed.addGuest(0xE2);
     ASSERT_NE(id, invalidGuest);
     unsigned src = bed.fleet->serverOf(id);

@@ -134,7 +134,7 @@ class PciBusTest : public ::testing::Test
 {
   protected:
     PciBusTest()
-        : bus(sim, "bus", usToTicks(0.8), Bandwidth::gbps(32)),
+        : bus(sim, "bus", usToTicks(0.8)),
           devA(sim, "devA", 0x1000), devB(sim, "devB", 0x1000)
     {
         bus.attach(devA, 0);

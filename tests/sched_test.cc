@@ -29,7 +29,6 @@ namespace bmhive {
 namespace {
 
 using sched::PollScheduler;
-using sched::PollSchedulerParams;
 
 class FakePollable : public sched::Pollable
 {
@@ -81,13 +80,12 @@ class SchedTest : public ::testing::Test
     }
 
     PollScheduler &
-    make(PollSchedulerParams p = {})
+    make()
     {
         sched = std::make_unique<PollScheduler>(
             sim, "sched",
             std::vector<hw::CpuExecutor *>{cpus[0].get(),
-                                           cpus[1].get()},
-            p);
+                                           cpus[1].get()});
         return *sched;
     }
 
@@ -109,7 +107,7 @@ TEST_F(SchedTest, DwrrSharesFollowWeights)
     // Weight 1.0 vs 0.25: the heavy guest gets ~4x the items.
     EXPECT_NEAR(ratio, 4.0, 0.4);
     // Per-round budget is capped at one quantum of credit.
-    EXPECT_EQ(a.lastBudget_, s.params().quantum);
+    EXPECT_EQ(a.lastBudget_, paper::schedQuantum);
 }
 
 TEST_F(SchedTest, DryRunForfeitsDeficit)
@@ -125,7 +123,7 @@ TEST_F(SchedTest, DryRunForfeitsDeficit)
     a.pending_ = 1u << 20;
     s.wake(h);
     sim.run(sim.now() + msToTicks(1));
-    EXPECT_EQ(a.lastBudget_, s.params().quantum);
+    EXPECT_EQ(a.lastBudget_, paper::schedQuantum);
 }
 
 TEST_F(SchedTest, GovernorBacksOffAndSleeps)
@@ -157,7 +155,7 @@ TEST_F(SchedTest, WakeResumesWithinBoundedLatency)
     sim.run(sim.now() + msToTicks(1));
     EXPECT_EQ(a.served_, 8u);
     EXPECT_GE(a.firstServedAt_, posted);
-    EXPECT_LE(a.firstServedAt_ - posted, s.params().wakeLatency);
+    EXPECT_LE(a.firstServedAt_ - posted, paper::schedWakeLatency);
     EXPECT_GE(s.wakes(0), 1u);
     EXPECT_GE(s.wakeToPoll(0).count(), 1u);
 }
@@ -198,7 +196,7 @@ TEST_F(SchedTest, WedgedSeesStalledNotIdleOrStarved)
     FakePollable dstalled("dstalled"), didle("didle"),
         dstopped("dstopped");
     dstalled.blockedUntil_ = secToTicks(10);
-    Tick period = s.params().pollPeriod;
+    Tick period = paper::bmPollPeriod;
     auto ds = s.addDedicated(*cpus[0], dstalled, period);
     auto di = s.addDedicated(*cpus[1], didle, period);
     auto dz = s.addDedicated(*cpus[1], dstopped, period);
@@ -232,7 +230,7 @@ TEST_F(SchedTest, DedicatedLoopKeepsItsCadence)
     auto &s = make();
     const auto names = sim.metrics().size();
     FakePollable a("a", &sim);
-    const Tick period = s.params().pollPeriod;
+    const Tick period = paper::bmPollPeriod;
     const Tick t0 = sim.now();
     auto h = s.addDedicated(*cpus[0], a, period);
 

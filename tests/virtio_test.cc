@@ -298,7 +298,7 @@ class VirtioPciTest : public ::testing::Test
 {
   protected:
     VirtioPciTest()
-        : bus(sim, "bus", nsToTicks(100), Bandwidth::gbps(32)),
+        : bus(sim, "bus", nsToTicks(100)),
           dev(sim, "dev", DeviceType::Net, 2,
               std::uint64_t(VIRTIO_NET_F_MAC) |
                   VIRTIO_RING_F_INDIRECT_DESC)
