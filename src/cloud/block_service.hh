@@ -147,11 +147,8 @@ class BlockService : public SimObject
                networkBandwidth.transferTime(to_storage);
     }
 
-    std::uint64_t completedIos() const { return completed_.value(); }
     std::uint64_t reads() const { return reads_.value(); }
     std::uint64_t writes() const { return writes_.value(); }
-    /** Requests dropped by injected BlockLose faults. */
-    std::uint64_t lostIos() const { return faultLost_.value(); }
 
     std::uint64_t fabricCorruptions() const
     {

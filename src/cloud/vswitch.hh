@@ -110,8 +110,6 @@ class VSwitch : public SimObject
 
     std::uint64_t forwarded() const { return forwarded_.value(); }
     std::uint64_t dropped() const { return dropped_.value(); }
-    std::uint64_t uplinkTx() const { return uplinkTx_.value(); }
-    std::uint64_t bytesSwitched() const { return bytes_.value(); }
 
     /**
      * Frame-checksum verification at switch ingress (the FCS check
@@ -121,7 +119,6 @@ class VSwitch : public SimObject
      */
     void setIntegrity(bool on) { integrity_ = on; }
 
-    std::uint64_t frameDrops() const { return frameDrops_.value(); }
     std::uint64_t fabricCorruptions() const
     {
         return fabricCorruptions_.value();

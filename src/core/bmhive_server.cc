@@ -324,7 +324,7 @@ BmHiveServer::tryProvision(const InstanceType &type,
     g->os_->enumeratePci();
 
     bool integrity = params_.integrity.enabled;
-    g->hv_->setBlkIntegrity(integrity);
+    g->hv_->service().setIntegrity(integrity);
     g->net_ = std::make_unique<guest::NetDriver>(*g->os_, 3, mac);
     g->net_->setIntegrity(integrity);
     g->net_->start();
@@ -342,9 +342,7 @@ BmHiveServer::tryProvision(const InstanceType &type,
         // partial bring-up back so the slot can be reused.
         warn(name(), ": backend connection failed for mac 0x",
              std::hex, mac, std::dec, "; rolling back");
-        vswitch_.removePort(g->hv_->port());
-        g->hv_->powerOffGuest();
-        freeRegions_.push_back(g->regionBase_);
+        teardown(*g);
         provisionFailures_.inc();
         return nullptr;
     }
@@ -746,12 +744,33 @@ BmHiveServer::releaseQuarantine(unsigned i)
 }
 
 void
+BmHiveServer::teardown(BmGuest &g)
+{
+    vswitch_.removePort(g.hv_->port());
+    g.hv_->powerOffGuest();
+    freeRegions_.push_back(g.regionBase_);
+}
+
+void
 BmHiveServer::release(BmGuest &g)
 {
-    panic_if(usedSlots_ == 0, name(), ": release with no guests");
-    g.hypervisor().powerOffGuest();
-    freeRegions_.push_back(g.regionBase_);
+    auto it = std::find_if(slots_.begin(), slots_.end(),
+                           [&](const Slot &s) {
+                               return s.guest.get() == &g;
+                           });
+    panic_if(it == slots_.end(), name(), ": released guest not here");
+    // The slot becomes a tombstone the next provision reuses, the
+    // way exportGuest leaves it; the guest's late faults, resets
+    // and breaches belong to no slot.
+    std::unique_ptr<BmGuest> out = std::exchange(*it, Slot{}).guest;
     --usedSlots_;
+    teardown(g);
+    g.bond_->setGuestFaultCallback(nullptr);
+    g.bond_->setIntegrityEscalationCallback(nullptr);
+    g.bond_->setResetCallback(nullptr);
+    if (g.slo_)
+        g.slo_->setBreachCallback(nullptr);
+    retired_.push_back(std::move(out));
 }
 
 BmGuest &

@@ -203,8 +203,11 @@ class BmHiveServer : public SimObject
                           cloud::Volume *vol = nullptr,
                           bool rate_limited = true);
 
-    /** Power a guest off and release its board slot (and the
-     *  guest's shadow region back to the server's free list). */
+    /**
+     * Power a guest off and release its board slot, its vSwitch
+     * port and its shadow region for the next provision. @p g stays
+     * readable until the server is destroyed.
+     */
     void release(BmGuest &g);
 
     /** Slot count including tombstones of exported/released
@@ -330,7 +333,6 @@ class BmHiveServer : public SimObject
     void releaseQuarantine(unsigned i);
 
     std::uint64_t quarantines() const { return quarantines_.value(); }
-    std::uint64_t suspects() const { return suspects_.value(); }
     std::uint64_t
     guestFaultEvents() const
     {
@@ -394,6 +396,9 @@ class BmHiveServer : public SimObject
     unsigned freeSlot() const;
     /** Occupy slot @p idx (a freeSlot() answer) with @p s. */
     void fillSlot(unsigned idx, Slot s);
+    /** Remove @p g's vSwitch port, power its board off and free its
+     *  shadow region (release, and a failed provision's rollback). */
+    void teardown(BmGuest &g);
     /** A home for one bm-hypervisor PMD: the next dedicated base
      *  core round-robin, or the least-loaded core of the shared
      *  pool (second: the pool core index, 0 when dedicated). */
@@ -430,6 +435,10 @@ class BmHiveServer : public SimObject
     std::unique_ptr<sched::PollScheduler> sched_;
     /** Board slots; indices stay stable for callbacks. */
     std::vector<Slot> slots_;
+    /** Released guests: kept until teardown so events still
+     *  holding their board, bond or hypervisor unwind against live
+     *  objects (the rule BmHypervisor's retired services follow). */
+    std::vector<std::unique_ptr<BmGuest>> retired_;
     unsigned usedSlots_ = 0;
     Addr nextShadowRegion_ = 0;
     /** Shadow regions of released/exported guests, ready for

@@ -222,10 +222,8 @@ BlkDriver::completionInterrupt(unsigned q)
             // back to us) surfaces here instead of in the data.
             auto buf = os_.memory().readBlob(
                 s.data, cloud::difWireBytes(s.len));
-            if (cloud::difCheck(buf, s.sector) >= 0) {
-                difDetects_.inc();
+            if (cloud::difCheck(buf, s.sector) >= 0)
                 status = VIRTIO_BLK_S_IOERR;
-            }
         }
         if (integrity_ && status != VIRTIO_BLK_S_OK &&
             s.retries < maxIntegrityRetries) {
@@ -233,7 +231,6 @@ BlkDriver::completionInterrupt(unsigned q)
             // buffer still holds the pristine payload (writes),
             // and storage still holds the good copy (reads).
             ++s.retries;
-            difRetries_.inc();
             if (resubmit(slot)) {
                 resubmitted = true;
                 continue;

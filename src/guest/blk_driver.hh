@@ -74,17 +74,6 @@ class BlkDriver : public VirtioDriver
      */
     void setIntegrity(bool on) { integrity_ = on; }
 
-    /** Read completions whose DIF tags failed verification. */
-    std::uint64_t integrityDetects() const
-    {
-        return difDetects_.value();
-    }
-    /** Requests resubmitted by the integrity layer. */
-    std::uint64_t integrityRetries() const
-    {
-        return difRetries_.value();
-    }
-
   private:
     struct Slot
     {
@@ -139,8 +128,6 @@ class BlkDriver : public VirtioDriver
     Counter done_;
     Counter errors_;
     Counter resets_;
-    Counter difDetects_;
-    Counter difRetries_;
     bool integrity_ = false;
 };
 

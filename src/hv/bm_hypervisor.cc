@@ -43,12 +43,11 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
     params.suppressGuestNotify = false; // the doorbell is hardware
 
     core_ = &core;
-    serviceParams_ = params;
     service_ = std::make_unique<VirtioIoService>(
         sim, this->name() + ".svc", core, params);
 
     port_ = vswitch_->addPort(mac, [this](const cloud::Packet &pkt) {
-        service_->enqueueRx(pkt);
+        service_->enqueueRx(pkt, 0);
     });
 
     bond_.setReadyCallback(
@@ -266,9 +265,8 @@ BmHypervisor::replaceService(const std::string &suffix)
     // must still home in this guest's partition, sharing its cell
     // so a later migration re-homes it too.
     psim::PartitionScope scope(sim_, partitionCell(), partition());
-    auto next = std::make_unique<VirtioIoService>(
-        sim_, name() + ".svc." + suffix, *core_, serviceParams_);
-    next->setIntegrity(blkIntegrity_);
+    auto next =
+        service_->nextGeneration(name() + ".svc." + suffix, *core_);
     // The old process stays allocated until teardown so any event
     // still holding it unwinds against a dead service, not freed
     // memory.
@@ -284,10 +282,19 @@ BmHypervisor::replaceService(const std::string &suffix)
 }
 
 void
-BmHypervisor::setBlkIntegrity(bool on)
+BmHypervisor::recoverQueues()
 {
-    blkIntegrity_ = on;
-    service_->setIntegrity(on);
+    // Republish whatever the dead process had picked up but not
+    // completed, in original submission order; the fresh device
+    // views of the next generation resume from the rings' live
+    // indices and re-serve exactly those chains.
+    for (unsigned fn = 0; fn < bond_.numFunctions(); ++fn) {
+        for (unsigned q = 0; q < bond_.function(fn).numQueues();
+             ++q) {
+            if (bond_.shadowReady(fn, q))
+                bond_.recoverQueue(fn, q);
+        }
+    }
 }
 
 void
@@ -296,17 +303,7 @@ BmHypervisor::respawn()
     panic_if(!connected_, name(), ": respawn before first connect");
     if (service_->alive())
         service_->markDead();
-    // Republish whatever the dead process had picked up but not
-    // completed, in original submission order; the fresh device
-    // views below resume from the rings' live indices and re-serve
-    // exactly those chains.
-    for (unsigned fn = 0; fn < bond_.numFunctions(); ++fn) {
-        for (unsigned q = 0; q < bond_.function(fn).numQueues();
-             ++q) {
-            if (bond_.shadowReady(fn, q))
-                bond_.recoverQueue(fn, q);
-        }
-    }
+    recoverQueues();
     ++respawnCount_;
     replaceService("r" + std::to_string(respawnCount_));
     respawns_.inc();
@@ -349,7 +346,7 @@ BmHypervisor::rebindVSwitch(cloud::VSwitch &sw)
     vswitch_ = &sw;
     port_ = vswitch_->addPort(mac_,
                               [this](const cloud::Packet &pkt) {
-                                  service_->enqueueRx(pkt);
+                                  service_->enqueueRx(pkt, 0);
                               });
     // RSS (if the guest runs multi-queue) is re-established by the
     // attachFunction pass of the migration's replaceService, which
@@ -371,50 +368,42 @@ BmHypervisor::powerOffGuest()
     board_.powerOff();
 }
 
+CompletionBarrier
+BmHypervisor::tailWrite(unsigned fn, unsigned q)
+{
+    return [this, fn, q](virtio::VirtQueueDevice &) {
+        bond_.backendCompleted(fn, q);
+    };
+}
+
 bool
 BmHypervisor::attachFunction(unsigned fn)
 {
-    auto type = bond_.function(fn).deviceType();
-    if (type == virtio::DeviceType::Net) {
-        if (!bond_.shadowReady(fn, virtio::NET_RXQ) ||
-            !bond_.shadowReady(fn, virtio::NET_TXQ))
+    using virtio::netRxQueue;
+    using virtio::netTxQueue;
+    auto &f = bond_.function(fn);
+    // A role comes up with its queue 0; the device serves every
+    // further queue whose shadow rings the guest driver enabled.
+    if (!bond_.shadowReady(fn, 0))
+        return false;
+    if (f.deviceType() == virtio::DeviceType::Net) {
+        if (!bond_.shadowReady(fn, netTxQueue(0)))
             return false;
-        auto limiter =
-            rateLimited_
-                ? cloud::InstanceLimits::cloudNetwork()
-                : cloud::DualRateLimiter::unlimited();
         service_->attachNet(
-            bond_.baseMemory(),
-            bond_.shadowLayout(fn, virtio::NET_RXQ),
-            bond_.shadowLayout(fn, virtio::NET_TXQ),
-            [this, fn] {
-                bond_.backendCompleted(fn, virtio::NET_RXQ);
-            },
-            [this, fn] {
-                bond_.backendCompleted(fn, virtio::NET_TXQ);
-            },
-            *vswitch_, port_, limiter);
+            bond_.baseMemory(), *vswitch_, port_,
+            rateLimited_ ? cloud::InstanceLimits::cloudNetwork()
+                         : cloud::DualRateLimiter::unlimited());
         netFn_ = int(fn);
-        // Every further pair whose shadow rings the guest driver
-        // enabled (VIRTIO_NET_F_MQ). The device serves all live
-        // rings; the set-queue-pairs commitment governs only how
-        // wide RSS spreads arriving traffic.
-        auto &f = bond_.function(fn);
-        for (unsigned p = 1; p < f.maxQueuePairs(); ++p) {
-            if (!bond_.shadowReady(fn, virtio::netRxQueue(p)) ||
-                !bond_.shadowReady(fn, virtio::netTxQueue(p)))
-                continue;
-            service_->attachNetPair(
-                p, bond_.shadowLayout(fn, virtio::netRxQueue(p)),
-                bond_.shadowLayout(fn, virtio::netTxQueue(p)),
-                [this, fn, p] {
-                    bond_.backendCompleted(fn,
-                                           virtio::netRxQueue(p));
-                },
-                [this, fn, p] {
-                    bond_.backendCompleted(fn,
-                                           virtio::netTxQueue(p));
-                });
+        // The set-queue-pairs commitment (VIRTIO_NET_F_MQ) governs
+        // only how wide RSS spreads arriving traffic.
+        for (unsigned p = 0; p < f.maxQueuePairs(); ++p) {
+            if (bond_.shadowReady(fn, netRxQueue(p)) &&
+                bond_.shadowReady(fn, netTxQueue(p)))
+                service_->attachNetPair(
+                    p, bond_.shadowLayout(fn, netRxQueue(p)),
+                    bond_.shadowLayout(fn, netTxQueue(p)),
+                    tailWrite(fn, netRxQueue(p)),
+                    tailWrite(fn, netTxQueue(p)));
         }
         if (service_->netPairCount() > 1) {
             vswitch_->setPortRss(
@@ -425,42 +414,31 @@ BmHypervisor::attachFunction(unsigned fn)
         }
         return true;
     }
-    if (type == virtio::DeviceType::Console) {
-        if (!bond_.shadowReady(fn, 0) || !bond_.shadowReady(fn, 1))
+    if (f.deviceType() == virtio::DeviceType::Console) {
+        if (!bond_.shadowReady(fn, 1))
             return false;
         service_->attachConsole(
             bond_.baseMemory(), bond_.shadowLayout(fn, 0),
-            bond_.shadowLayout(fn, 1),
-            [this, fn] { bond_.backendCompleted(fn, 0); },
-            [this, fn] { bond_.backendCompleted(fn, 1); },
-            [this](const std::string &text) {
+            bond_.shadowLayout(fn, 1), tailWrite(fn, 0),
+            tailWrite(fn, 1), [this](const std::string &text) {
                 if (consoleSink_)
                     consoleSink_(text);
             });
         return true;
     }
-    if (type == virtio::DeviceType::Block) {
-        if (!bond_.shadowReady(fn, 0))
-            return false;
+    if (f.deviceType() == virtio::DeviceType::Block) {
         panic_if(storage_ == nullptr || volume_ == nullptr,
                  name(), ": blk function without storage backing");
-        auto limiter =
-            rateLimited_
-                ? cloud::InstanceLimits::cloudStorage()
-                : cloud::DualRateLimiter::unlimited();
         service_->attachBlk(
-            bond_.baseMemory(), bond_.shadowLayout(fn, 0),
-            [this, fn] { bond_.backendCompleted(fn, 0); },
-            *storage_, *volume_, limiter);
+            bond_.baseMemory(), *storage_, *volume_,
+            rateLimited_ ? cloud::InstanceLimits::cloudStorage()
+                         : cloud::DualRateLimiter::unlimited());
         blkFn_ = int(fn);
-        // Further submission queues (VIRTIO_BLK_F_MQ).
-        for (unsigned q = 1; q < bond_.function(fn).maxQueuePairs();
-             ++q) {
-            if (!bond_.shadowReady(fn, q))
-                continue;
-            service_->attachBlkQueue(
-                q, bond_.shadowLayout(fn, q),
-                [this, fn, q] { bond_.backendCompleted(fn, q); });
+        // VIRTIO_BLK_F_MQ: one submission queue per vCPU.
+        for (unsigned q = 0; q < f.maxQueuePairs(); ++q) {
+            if (bond_.shadowReady(fn, q))
+                service_->attachBlkQueue(q, bond_.shadowLayout(fn, q),
+                                         tailWrite(fn, q));
         }
         return true;
     }
@@ -521,38 +499,25 @@ BmHypervisor::wireTracers()
     if (!traceIo_)
         return;
     // Only guest-initiated directions carry request spans; the rx
-    // ring's buffer turnaround is not a request latency.
+    // ring's buffer turnaround is not a request latency. Per-queue
+    // key bases keep MQ spans distinct: the flow key carries the
+    // queue's shadow index.
+    auto trace = [&](int fn, unsigned q, obs::RequestTracer *t) {
+        bond_.setQueueTracer(unsigned(fn), q, t);
+        return obs::RequestTracer::flowKey(unsigned(fn), q, 0);
+    };
     if (netFn_ >= 0) {
-        bond_.setQueueTracer(unsigned(netFn_), virtio::NET_TXQ,
-                             netTracer_.get());
-        service_->setNetTxTracer(
-            netTracer_.get(),
-            obs::RequestTracer::flowKey(unsigned(netFn_),
-                                        virtio::NET_TXQ, 0));
-        // Per-pair key bases keep MQ spans distinct: the flow key
-        // carries the pair's tx shadow-queue index.
-        for (unsigned p = 1; p < service_->netPairCount(); ++p) {
-            bond_.setQueueTracer(unsigned(netFn_),
-                                 virtio::netTxQueue(p),
-                                 netTracer_.get());
+        service_->setNetTracer(netTracer_.get());
+        for (unsigned p = 0; p < service_->netPairCount(); ++p)
             service_->setNetTxKeyBase(
-                p, obs::RequestTracer::flowKey(
-                       unsigned(netFn_), virtio::netTxQueue(p),
-                       0));
-        }
+                p, trace(netFn_, virtio::netTxQueue(p),
+                         netTracer_.get()));
     }
     if (blkFn_ >= 0) {
-        bond_.setQueueTracer(unsigned(blkFn_), 0, blkTracer_.get());
-        service_->setBlkTracer(
-            blkTracer_.get(),
-            obs::RequestTracer::flowKey(unsigned(blkFn_), 0, 0));
-        for (unsigned q = 1; q < service_->blkQueueCount(); ++q) {
-            bond_.setQueueTracer(unsigned(blkFn_), q,
-                                 blkTracer_.get());
+        service_->setBlkTracer(blkTracer_.get());
+        for (unsigned q = 0; q < service_->blkQueueCount(); ++q)
             service_->setBlkKeyBase(
-                q, obs::RequestTracer::flowKey(unsigned(blkFn_), q,
-                                               0));
-        }
+                q, trace(blkFn_, q, blkTracer_.get()));
     }
 }
 
@@ -566,10 +531,9 @@ void
 BmHypervisor::liveUpgrade(std::function<void(Tick)> done)
 {
     panic_if(!connected_, name(), ": live upgrade while detached");
-    Tick t0 = curTick();
     // Stop taking new work; in-flight block I/O keeps completing.
-    service_->stop();
-    finishUpgrade(t0, std::move(done));
+    quiesce();
+    finishUpgrade(curTick(), std::move(done));
 }
 
 void
@@ -582,17 +546,17 @@ BmHypervisor::finishUpgrade(Tick t0, std::function<void(Tick)> done)
                    usToTicks(10));
         return;
     }
+    // With no block I/O in flight every chain the stopped process
+    // popped is on a used ring, so the next generation's views
+    // resume exactly from the rings' live indices. A process that
+    // crashed while quiescing dropped its in-flight requests
+    // instead: republish them as a respawn does.
+    if (crashed_)
+        recoverQueues();
     ++upgrades_;
-    unregisterUnits();
-    auto next = std::make_unique<VirtioIoService>(
-        sim_, name() + ".svc.v" + std::to_string(upgrades_ + 1),
-        *core_, serviceParams_);
-    next->adoptFrom(*service_);
-    // The old process stays allocated until teardown (its
-    // in-flight lambdas are gone once quiesced).
-    retired_.push_back(std::move(service_));
-    service_ = std::move(next);
-    startService();
+    VirtioIoService &old = *service_;
+    replaceService("v" + std::to_string(upgrades_ + 1));
+    service_->takeBacklog(old);
     if (done)
         done(curTick() - t0);
 }

@@ -119,8 +119,10 @@ class BmHypervisor : public SimObject
      * Orthus-style live upgrade (paper section 6): replace this
      * process's backend with a freshly constructed one while the
      * guest keeps running. New work is held while in-flight block
-     * I/O quiesces, then the new service adopts all ring state and
-     * buffered traffic. @p done receives the service downtime.
+     * I/O quiesces, then the next generation attaches the way a
+     * respawned one does (its views resume from the shadow rings'
+     * live indices) and takes over the buffered host->guest
+     * traffic. @p done receives the service downtime.
      */
     void liveUpgrade(std::function<void(Tick downtime)> done);
 
@@ -221,14 +223,6 @@ class BmHypervisor : public SimObject
     cloud::PortId port() const { return port_; }
     bool connected() const { return connected_; }
 
-    /**
-     * DIF protection on the blk backend: applied to the current
-     * service generation and to every future one (respawn,
-     * migration, live upgrade), so a crash can't silently drop
-     * the protection.
-     */
-    void setBlkIntegrity(bool on);
-
     /** Provider firmware-signing key (shared by the fleet). */
     static constexpr std::uint64_t providerKey = 0xa11baba;
 
@@ -245,7 +239,6 @@ class BmHypervisor : public SimObject
     std::vector<std::unique_ptr<VirtioIoService>> retired_;
     std::function<void(const std::string &)> consoleSink_;
     hw::CpuExecutor *core_ = nullptr;
-    IoServiceParams serviceParams_;
     /** Period of this process's Dedicated loops. */
     Tick pollPeriod_ = paper::bmPollPeriod;
     /** Loops of this process's own: its PMD under dedicated
@@ -261,7 +254,6 @@ class BmHypervisor : public SimObject
     unsigned passQueues_ = 0;
     bool passthroughWanted_ = false;
     bool connected_ = false;
-    bool blkIntegrity_ = false;
     unsigned upgrades_ = 0;
     unsigned migrations_ = 0;
     bool crashed_ = false;
@@ -308,14 +300,22 @@ class BmHypervisor : public SimObject
     }
     /** Route an IO-Bond (fn, q) doorbell to the unit polling it. */
     void wakeQueue(unsigned fn, unsigned q);
-    /** Retire service_ and attach a fresh generation named
-     *  "<name>.svc.<suffix>" on core_; shared by respawn (after
-     *  recoverQueue) and migrateTo (after IoBond::rebase). */
+    /** Retire service_ and attach a fresh generation with its
+     *  settings, named "<name>.svc.<suffix>", on core_: the one
+     *  generation swap of respawn (after recoverQueues), migrateTo
+     *  (after IoBond::rebase) and live upgrade (after quiescing). */
     void replaceService(const std::string &suffix);
+    /** Republish every ready shadow queue's unfinished window
+     *  (IoBond::recoverQueue) after the process died. */
+    void recoverQueues();
 
-    /** Attach one function's role to service_ if its shadow
-     *  vrings are ready. */
+    /** Attach one function's role, and every queue of it whose
+     *  shadow vrings are ready, to service_; false until its queue
+     *  0 is ready. The only place a generation's views come from. */
     bool attachFunction(unsigned fn);
+    /** Completion barrier for shadow queue (@p fn, @p q): the
+     *  IO-Bond tail write. */
+    CompletionBarrier tailWrite(unsigned fn, unsigned q);
 
     /** A guest driver (re)initialized function @p fn: rebuild the
      *  backend's views on the new shadow layouts. */

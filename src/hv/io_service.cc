@@ -57,28 +57,14 @@ VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
 
 void
 VirtioIoService::attachNet(GuestMemory &ring_mem,
-                           const VringLayout &rx,
-                           const VringLayout &tx,
-                           CompletionBarrier rx_done,
-                           CompletionBarrier tx_done,
                            cloud::VSwitch &vswitch, cloud::PortId port,
                            cloud::DualRateLimiter limiter)
 {
     netMem_ = &ring_mem;
     netPairs_.clear();
-    netPairs_.resize(1);
-    NetPair &np = netPairs_[0];
-    np.rx = std::make_unique<VirtQueueDevice>(ring_mem, rx);
-    np.tx = std::make_unique<VirtQueueDevice>(ring_mem, tx);
-    np.rxDone = std::move(rx_done);
-    np.txDone = std::move(tx_done);
     vswitch_ = &vswitch;
     port_ = port;
     netLimiter_ = limiter;
-    if (params_.suppressGuestNotify) {
-        np.rx->setNoNotify(true);
-        np.tx->setNoNotify(true);
-    }
 }
 
 void
@@ -89,7 +75,6 @@ VirtioIoService::attachNetPair(unsigned pair, const VringLayout &rx,
 {
     panic_if(netMem_ == nullptr,
              name(), ": attachNetPair before attachNet");
-    panic_if(pair == 0, name(), ": pair 0 belongs to attachNet");
     if (pair >= netPairs_.size())
         netPairs_.resize(pair + 1);
     NetPair &np = netPairs_[pair];
@@ -97,7 +82,6 @@ VirtioIoService::attachNetPair(unsigned pair, const VringLayout &rx,
     np.tx = std::make_unique<VirtQueueDevice>(*netMem_, tx);
     np.rxDone = std::move(rx_done);
     np.txDone = std::move(tx_done);
-    np.rxPending.clear();
     if (params_.suppressGuestNotify) {
         np.rx->setNoNotify(true);
         np.tx->setNoNotify(true);
@@ -106,22 +90,14 @@ VirtioIoService::attachNetPair(unsigned pair, const VringLayout &rx,
 
 void
 VirtioIoService::attachBlk(GuestMemory &ring_mem,
-                           const VringLayout &vq,
-                           CompletionBarrier done,
                            cloud::BlockService &svc, cloud::Volume &vol,
                            cloud::DualRateLimiter limiter)
 {
     blkMem_ = &ring_mem;
     blkQueues_.clear();
-    blkQueues_.resize(1);
-    BlkQueue &bq = blkQueues_[0];
-    bq.vq = std::make_unique<VirtQueueDevice>(ring_mem, vq);
-    bq.done = std::move(done);
     blkSvc_ = &svc;
     vol_ = &vol;
     blkLimiter_ = limiter;
-    if (params_.suppressGuestNotify)
-        bq.vq->setNoNotify(true);
     // A (re)attach invalidates anything the previous incarnation of
     // these rings had in flight: completions and timers carrying an
     // older generation are ignored.
@@ -136,13 +112,11 @@ VirtioIoService::attachBlkQueue(unsigned q, const VringLayout &vq,
 {
     panic_if(blkMem_ == nullptr,
              name(), ": attachBlkQueue before attachBlk");
-    panic_if(q == 0, name(), ": queue 0 belongs to attachBlk");
     if (q >= blkQueues_.size())
         blkQueues_.resize(q + 1);
     BlkQueue &bq = blkQueues_[q];
     bq.vq = std::make_unique<VirtQueueDevice>(*blkMem_, vq);
     bq.done = std::move(done);
-    bq.core = nullptr;
     if (params_.suppressGuestNotify)
         bq.vq->setNoNotify(true);
 }
@@ -211,71 +185,28 @@ VirtioIoService::setBlkKeyBase(unsigned q, std::uint64_t key_base)
         blkQueues_[q].keyBase = key_base;
 }
 
-void
-VirtioIoService::adoptFrom(VirtioIoService &old)
+std::unique_ptr<VirtioIoService>
+VirtioIoService::nextGeneration(std::string name,
+                                hw::CpuExecutor &core) const
 {
-    panic_if(running_, name(), ": adopt into a running service");
-    panic_if(old.running_, name(), ": adopt from a running service");
-    panic_if(old.blkInflight_ != 0,
-             name(), ": adopt with block I/O in flight");
-    netMem_ = old.netMem_;
-    netPairs_ = std::move(old.netPairs_);
-    vswitch_ = old.vswitch_;
-    port_ = old.port_;
-    netLimiter_ = old.netLimiter_;
-    conMem_ = old.conMem_;
-    conRx_ = std::move(old.conRx_);
-    conTx_ = std::move(old.conTx_);
-    conRxDone_ = std::move(old.conRxDone_);
-    conTxDone_ = std::move(old.conTxDone_);
-    consoleSink_ = std::move(old.consoleSink_);
-    conPending_ = std::move(old.conPending_);
-    blkMem_ = old.blkMem_;
-    blkQueues_ = std::move(old.blkQueues_);
-    blkSvc_ = old.blkSvc_;
-    vol_ = old.vol_;
-    blkLimiter_ = old.blkLimiter_;
-    netTracer_ = old.netTracer_;
-    blkTracer_ = old.blkTracer_;
-    // The old service's queue->core bindings belonged to its
-    // scheduler registration; the new incarnation re-records them
-    // on its own first visits.
-    for (auto &bq : blkQueues_)
-        bq.core = nullptr;
-    // Traffic counters continue across the generation swap so
-    // per-guest rollups don't restart at zero on a live upgrade.
-    txPkts_.inc(old.txPkts_.value());
-    rxPkts_.inc(old.rxPkts_.value());
-    blkIos_.inc(old.blkIos_.value());
-    rxDropped_.inc(old.rxDropped_.value());
-    blkTimeouts_.inc(old.blkTimeouts_.value());
-    blkRetries_.inc(old.blkRetries_.value());
-    blkDupDone_.inc(old.blkDupDone_.value());
-    blkFailures_.inc(old.blkFailures_.value());
-    blkRangeErrors_.inc(old.blkRangeErrors_.value());
-    difDetects_.inc(old.difDetects_.value());
-    difRetries_.inc(old.difRetries_.value());
-    difFails_.inc(old.difFails_.value());
-    blkIntegrity_ = old.blkIntegrity_;
-    // Suppression flags follow the new flavour.
-    if (params_.suppressGuestNotify) {
-        for (auto &np : netPairs_) {
-            if (np.rx)
-                np.rx->setNoNotify(true);
-            if (np.tx)
-                np.tx->setNoNotify(true);
-        }
-        for (auto &bq : blkQueues_) {
-            if (bq.vq)
-                bq.vq->setNoNotify(true);
-        }
-    }
+    auto next = std::make_unique<VirtioIoService>(
+        sim_, std::move(name), core, params_);
+    next->blkIntegrity_ = blkIntegrity_;
+    return next;
 }
 
 void
-VirtioIoService::enqueueRx(const cloud::Packet &pkt)
+VirtioIoService::takeBacklog(VirtioIoService &old)
 {
-    enqueueRx(pkt, 0);
+    for (unsigned p = 0;
+         p < std::min(netPairs_.size(), old.netPairs_.size()); ++p) {
+        netPairs_[p].rxPending = std::move(old.netPairs_[p].rxPending);
+        if (!netPairs_[p].rxPending.empty())
+            wake(UnitKind::NetPair, p);
+    }
+    conPending_ = std::move(old.conPending_);
+    if (!conPending_.empty())
+        wake(UnitKind::Console);
 }
 
 void
@@ -285,7 +216,7 @@ VirtioIoService::enqueueRx(const cloud::Packet &pkt, unsigned pair)
         // Steered toward a queue the guest never set up (stale RSS
         // table during a pair-count change): fall back to pair 0.
         pair = 0;
-        if (netPairs_.empty())
+        if (netPairs_.empty() || !netPairs_[0].rx)
             return;
     }
     NetPair &np = netPairs_[pair];
@@ -436,7 +367,7 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
         cost += params_.completionRegisterCost;
     core.charge(cost);
     if (np.txDone)
-        np.txDone();
+        np.txDone(*np.tx);
     return unsigned(chains.size());
 }
 
@@ -468,7 +399,7 @@ VirtioIoService::pollNetRx(NetPair &np, unsigned max,
             cost += params_.completionRegisterCost;
         core.charge(cost);
         if (np.rxDone)
-            np.rxDone();
+            np.rxDone(*np.rx);
     } else if (cost > 0) {
         core.charge(cost);
     }
@@ -501,7 +432,7 @@ VirtioIoService::pollConsole(unsigned max, hw::CpuExecutor &core)
         if (params_.completionRegisterCost > 0)
             core.charge(params_.completionRegisterCost);
         if (conTxDone_)
-            conTxDone_();
+            conTxDone_(*conTx_);
     }
 
     // Host input: copy pending strings into posted rx buffers.
@@ -531,7 +462,7 @@ VirtioIoService::pollConsole(unsigned max, hw::CpuExecutor &core)
         if (params_.completionRegisterCost > 0)
             core.charge(params_.completionRegisterCost);
         if (conRxDone_)
-            conRxDone_();
+            conRxDone_(*conRx_);
     }
     return out + in;
 }
@@ -705,7 +636,7 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
         if (params_.completionRegisterCost > 0)
             core.charge(params_.completionRegisterCost);
         if (bq.done)
-            bq.done();
+            bq.done(*bq.vq);
     }
     return picked;
 }
@@ -858,7 +789,7 @@ VirtioIoService::onBlkServiceDone(std::uint64_t seq,
         panic_if(blkInflight_ == 0, name(), ": inflight underflow");
         --blkInflight_;
         if (bq.done)
-            bq.done();
+            bq.done(*bq.vq);
     });
 }
 
@@ -904,7 +835,7 @@ VirtioIoService::failBlkToGuest(const PendingBlk &p,
                      name(), ": inflight underflow");
             --blkInflight_;
             if (bq.done)
-                bq.done();
+                bq.done(*bq.vq);
         });
 }
 

@@ -17,9 +17,10 @@
  *    IO-Bond's hardware front-end cannot do.
  *
  * Multi-queue: the net role holds a vector of rx/tx queue pairs
- * and the blk role a vector of submission queues. Pair/queue 0 is
- * attached through the classic attachNet/attachBlk entry points;
- * further queues through attachNetPair/attachBlkQueue.
+ * and the blk role a vector of submission queues. attachNet and
+ * attachBlk set up a role; every queue of it, 0 included, attaches
+ * through attachNetPair/attachBlkQueue (a single-queue device is
+ * the one-queue case).
  *
  * The service runs no loop of its own: it owns scheduling units
  * (sched::Pollable) that a PollScheduler loop visits, and one drain
@@ -82,11 +83,12 @@ struct IoServiceParams
 };
 
 /**
- * Completion barrier: invoked after the service pushed used
- * elements so the platform can propagate them to the guest
- * (IO-Bond tail write, or a direct MSI for the vhost case).
+ * Completion barrier: invoked with the queue view the service just
+ * pushed used elements on, so the platform can propagate them to
+ * the guest (IO-Bond tail write, or a direct MSI for the vhost
+ * case).
  */
-using CompletionBarrier = std::function<void()>;
+using CompletionBarrier = std::function<void(virtio::VirtQueueDevice &)>;
 
 class VirtioIoService : public SimObject
 {
@@ -95,20 +97,16 @@ class VirtioIoService : public SimObject
                     hw::CpuExecutor &core, IoServiceParams params);
 
     /**
-     * Attach the network role: device views of the guest's rx/tx
-     * rings (queue pair 0) plus the vSwitch port this guest owns.
-     * Drops any previously attached extra pairs.
+     * Attach the network role: the ring memory its queues live in
+     * and the vSwitch port this guest owns. Drops every previously
+     * attached queue pair; attachNetPair attaches them.
      */
-    void attachNet(GuestMemory &ring_mem,
-                   const virtio::VringLayout &rx,
-                   const virtio::VringLayout &tx,
-                   CompletionBarrier rx_done, CompletionBarrier tx_done,
-                   cloud::VSwitch &vswitch, cloud::PortId port,
-                   cloud::DualRateLimiter limiter);
+    void attachNet(GuestMemory &ring_mem, cloud::VSwitch &vswitch,
+                   cloud::PortId port, cloud::DualRateLimiter limiter);
 
     /**
-     * Attach one additional rx/tx queue pair (VIRTIO_NET_F_MQ).
-     * attachNet must have attached pair 0 first; pairs may be
+     * Attach rx/tx queue pair @p pair (pairs beyond 0 are
+     * VIRTIO_NET_F_MQ). attachNet must have run first; pairs may be
      * attached in any order after that.
      */
     void attachNetPair(unsigned pair,
@@ -132,22 +130,21 @@ class VirtioIoService : public SimObject
     /** Queue text toward the guest console (host->guest). */
     void consoleInput(const std::string &text);
 
-    /** Attach the storage role (submission queue 0). Drops any
-     *  previously attached extra queues. */
-    void attachBlk(GuestMemory &ring_mem,
-                   const virtio::VringLayout &vq,
-                   CompletionBarrier done, cloud::BlockService &svc,
-                   cloud::Volume &vol,
-                   cloud::DualRateLimiter limiter);
+    /**
+     * Attach the storage role. Drops every previously attached
+     * submission queue and invalidates whatever the previous rings
+     * had in flight; attachBlkQueue attaches the queues.
+     */
+    void attachBlk(GuestMemory &ring_mem, cloud::BlockService &svc,
+                   cloud::Volume &vol, cloud::DualRateLimiter limiter);
 
-    /** Attach one additional blk submission queue
-     *  (VIRTIO_BLK_F_MQ); attachBlk must have run first. */
+    /** Attach blk submission queue @p q (queues beyond 0 are
+     *  VIRTIO_BLK_F_MQ); attachBlk must have run first. */
     void attachBlkQueue(unsigned q, const virtio::VringLayout &vq,
                         CompletionBarrier done);
 
-    /** Frames from the vSwitch destined to this guest (pair 0). */
-    void enqueueRx(const cloud::Packet &pkt);
-    /** RSS-steered delivery onto a specific rx queue pair. */
+    /** Frames from the vSwitch for rx queue pair @p pair (RSS
+     *  steering; 0 without it). */
     void enqueueRx(const cloud::Packet &pkt, unsigned pair);
 
     /** Resize the rx backlog (socket-backlog analog). */
@@ -192,11 +189,20 @@ class VirtioIoService : public SimObject
     }
 
     /**
-     * Adopt all attached roles, ring positions, limiter state, and
-     * buffered traffic from @p old (which must be stopped). Used
-     * by the Orthus-style live upgrade (paper section 6).
+     * A fresh, unattached generation named @p name polling on
+     * @p core, with this one's settings (params, as changed by the
+     * setters, and blk integrity): what respawn, migration and live
+     * upgrade start next.
      */
-    void adoptFrom(VirtioIoService &old);
+    std::unique_ptr<VirtioIoService>
+    nextGeneration(std::string name, hw::CpuExecutor &core) const;
+
+    /**
+     * Move @p old's undelivered host->guest traffic (each pair's rx
+     * backlog, the console input queue) onto this generation's
+     * queues, so a live upgrade loses no frame.
+     */
+    void takeBacklog(VirtioIoService &old);
 
     /** Block I/Os submitted but not yet completed. */
     std::uint64_t blkInflight() const { return blkInflight_; }
@@ -221,9 +227,6 @@ class VirtioIoService : public SimObject
     void markDead();
 
     bool alive() const { return running_; }
-
-    std::uint64_t blkTimeouts() const { return blkTimeouts_.value(); }
-    std::uint64_t blkRetries() const { return blkRetries_.value(); }
 
     /**
      * T10-DIF-style protection on the block path: expect tagged
@@ -261,47 +264,19 @@ class VirtioIoService : public SimObject
     }
 
     /**
-     * Stamp PollPickup/Service spans on guest tx packets. Keys are
-     * @p key_base | chain head; the base carries the (fn, queue)
-     * the platform glue knows and this service does not. Applies
-     * to pair 0; per-pair bases via setNetTxKeyBase.
+     * Stamp PollPickup/Service spans on guest tx packets (@p t, or
+     * null for none). Keys are a per-pair key base | chain head; the
+     * base carries the (fn, queue) the platform glue knows and this
+     * service does not.
      */
-    void
-    setNetTxTracer(obs::RequestTracer *t, std::uint64_t key_base)
-    {
-        netTracer_ = t;
-        if (!netPairs_.empty())
-            netPairs_[0].txKeyBase = key_base;
-    }
-
-    /** Key base for pair @p k tx spans (multi-queue tracing). */
+    void setNetTracer(obs::RequestTracer *t) { netTracer_ = t; }
+    /** Key base for pair @p pair's tx spans. */
     void setNetTxKeyBase(unsigned pair, std::uint64_t key_base);
 
     /** Same for block requests (Service spans the storage trip). */
-    void
-    setBlkTracer(obs::RequestTracer *t, std::uint64_t key_base)
-    {
-        blkTracer_ = t;
-        if (!blkQueues_.empty())
-            blkQueues_[0].keyBase = key_base;
-    }
-
-    /** Key base for blk queue @p q spans (multi-queue tracing). */
+    void setBlkTracer(obs::RequestTracer *t) { blkTracer_ = t; }
+    /** Key base for blk queue @p q's spans. */
     void setBlkKeyBase(unsigned q, std::uint64_t key_base);
-
-    virtio::VirtQueueDevice *netTxQueue()
-    {
-        return netPairs_.empty() ? nullptr : netPairs_[0].tx.get();
-    }
-    virtio::VirtQueueDevice *netRxQueue()
-    {
-        return netPairs_.empty() ? nullptr : netPairs_[0].rx.get();
-    }
-    virtio::VirtQueueDevice *blkQueue()
-    {
-        return blkQueues_.empty() ? nullptr
-                                  : blkQueues_[0].vq.get();
-    }
 
   private:
     /** One rx/tx queue pair of the net role. */

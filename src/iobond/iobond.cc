@@ -38,25 +38,6 @@ IoBondFunction::IoBondFunction(Simulation &sim, std::string name,
 }
 
 void
-IoBondFunction::setDeviceCfgBytes(std::vector<std::uint8_t> bytes)
-{
-    devCfg_ = std::move(bytes);
-}
-
-std::uint32_t
-IoBondFunction::deviceCfgRead(Addr offset, unsigned size)
-{
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        Addr idx = offset + i;
-        std::uint8_t b =
-            idx < devCfg_.size() ? devCfg_[idx] : 0;
-        v |= std::uint32_t(b) << (8 * i);
-    }
-    return v;
-}
-
-void
 IoBondFunction::deviceCfgWrite(Addr offset, std::uint32_t value,
                                unsigned size)
 {
@@ -77,12 +58,8 @@ IoBondFunction::deviceCfgWrite(Addr offset, std::uint32_t value,
         pairs = std::clamp(pairs, 1u, maxPairs_);
     }
     currPairs_ = pairs;
-    if (devCfg_.size() >= VirtioNetConfig::currPairsOffset + 2) {
-        devCfg_[VirtioNetConfig::currPairsOffset] =
-            std::uint8_t(pairs);
-        devCfg_[VirtioNetConfig::currPairsOffset + 1] =
-            std::uint8_t(pairs >> 8);
-    }
+    setDeviceCfg16(VirtioNetConfig::currPairsOffset,
+                   std::uint16_t(pairs));
     owner_.queuePairsSet(*this, pairs);
 }
 
@@ -104,11 +81,8 @@ IoBondFunction::onReset()
     // Reset rewinds the committed pair count to the single-queue
     // default; the re-initializing driver negotiates again.
     currPairs_ = 1;
-    if (deviceType() == DeviceType::Net &&
-        devCfg_.size() >= VirtioNetConfig::currPairsOffset + 2) {
-        devCfg_[VirtioNetConfig::currPairsOffset] = 1;
-        devCfg_[VirtioNetConfig::currPairsOffset + 1] = 0;
-    }
+    if (deviceType() == DeviceType::Net)
+        setDeviceCfg16(VirtioNetConfig::currPairsOffset, 1);
     owner_.functionReset(*this);
 }
 

@@ -97,9 +97,6 @@ class IoBondFunction : public virtio::VirtioPciDevice
                    unsigned index, virtio::DeviceType type,
                    unsigned num_queues, std::uint64_t features);
 
-    /** Device-specific config contents (MAC, capacity, ...). */
-    void setDeviceCfgBytes(std::vector<std::uint8_t> bytes);
-
     unsigned index() const { return index_; }
 
     /**
@@ -113,7 +110,6 @@ class IoBondFunction : public virtio::VirtioPciDevice
     unsigned maxQueuePairs() const { return maxPairs_; }
 
   protected:
-    std::uint32_t deviceCfgRead(Addr offset, unsigned size) override;
     void deviceCfgWrite(Addr offset, std::uint32_t value,
                         unsigned size) override;
     void onQueueNotify(unsigned q) override;
@@ -125,7 +121,6 @@ class IoBondFunction : public virtio::VirtioPciDevice
 
     IoBond &owner_;
     unsigned index_;
-    std::vector<std::uint8_t> devCfg_;
     unsigned maxPairs_ = 1;  ///< pairs/queues offered
     unsigned currPairs_ = 1; ///< pairs the driver committed to
 };
@@ -286,11 +281,6 @@ class IoBond : public SimObject
      */
     void rebase(GuestMemory &new_base, Addr region_base,
                 std::function<void()> done);
-
-    std::uint64_t drainDeferredDoorbells() const
-    {
-        return drainDeferred_.value();
-    }
 
     /**
      * Stamp request spans for chains of (fn, q): GuestPost at the

@@ -308,9 +308,22 @@ VirtioPciDevice::resetDevice()
 std::uint32_t
 VirtioPciDevice::deviceCfgRead(Addr offset, unsigned size)
 {
-    (void)offset;
-    (void)size;
-    return 0;
+    std::uint32_t v = 0;
+    for (unsigned i = 0; i < size; ++i) {
+        Addr idx = offset + i;
+        std::uint8_t b = idx < devCfg_.size() ? devCfg_[idx] : 0;
+        v |= std::uint32_t(b) << (8 * i);
+    }
+    return v;
+}
+
+void
+VirtioPciDevice::setDeviceCfg16(Addr offset, std::uint16_t v)
+{
+    if (devCfg_.size() < offset + 2)
+        return;
+    devCfg_[offset] = std::uint8_t(v);
+    devCfg_[offset + 1] = std::uint8_t(v >> 8);
 }
 
 void

@@ -137,6 +137,13 @@ class VirtioPciDevice : public pci::PciDevice
         return (guestFeatures_ & f) == f;
     }
 
+    /** Device-specific config contents (MAC, capacity, ...); the
+     *  driver reads them byte by byte, zero past the end. */
+    void setDeviceCfgBytes(std::vector<std::uint8_t> bytes)
+    {
+        devCfg_ = std::move(bytes);
+    }
+
     unsigned numQueues() const { return unsigned(queues_.size()); }
     QueueState &queueState(unsigned q);
     const QueueState &queueState(unsigned q) const;
@@ -179,10 +186,13 @@ class VirtioPciDevice : public pci::PciDevice
     /** Device reset requested (status written to 0). */
     virtual void onReset() {}
 
-    /** Device-specific config space accesses (offset-relative). */
-    virtual std::uint32_t deviceCfgRead(Addr offset, unsigned size);
+    /** Device-specific config space writes (offset-relative);
+     *  the default ignores them (the config is read-only). */
     virtual void deviceCfgWrite(Addr offset, std::uint32_t value,
                                 unsigned size);
+    /** Store @p v little-endian at config offset @p offset, if the
+     *  config is that long. */
+    void setDeviceCfg16(Addr offset, std::uint16_t v);
 
     /** Record a contained guest fault (forwards to the handler). */
     void
@@ -194,6 +204,7 @@ class VirtioPciDevice : public pci::PciDevice
 
   private:
     std::uint32_t commonRead(Addr offset, unsigned size);
+    std::uint32_t deviceCfgRead(Addr offset, unsigned size);
     void commonWrite(Addr offset, std::uint32_t value, unsigned size);
     void resetDevice();
 
@@ -206,6 +217,7 @@ class VirtioPciDevice : public pci::PciDevice
     std::uint8_t isr_ = 0;
     std::uint16_t queueSelect_ = 0;
     std::vector<QueueState> queues_;
+    std::vector<std::uint8_t> devCfg_;
     GuestFaultHandler guestFaultHandler_;
 };
 

@@ -146,7 +146,6 @@ class VirtQueueDriver
     void setNoInterrupt(bool suppress);
 
     const VringLayout &layout() const { return layout_; }
-    std::uint16_t availIdxShadow() const { return availIdx_; }
     /** used->idx value collectUsed() has consumed up to. */
     std::uint16_t usedIdxSeen() const { return lastUsed_; }
 
@@ -239,8 +238,6 @@ class VirtQueueDevice
     std::uint64_t badChains() const { return badChains_.value(); }
     std::uint64_t popped() const { return popped_.value(); }
     const VringLayout &layout() const { return layout_; }
-    std::uint16_t lastAvail() const { return lastAvail_; }
-    std::uint16_t usedIdxShadow() const { return usedIdx_; }
 
   private:
     GuestMemory &mem_;

@@ -104,7 +104,7 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
     port_ = vswitch_.addPort(
         params_.mac,
         [this](const cloud::Packet &pkt) {
-            service_->enqueueRx(pkt);
+            service_->enqueueRx(pkt, 0);
         });
 }
 
@@ -138,44 +138,37 @@ VmGuest::connectBackends()
 {
     panic_if(connected_, name(), ": backends already connected");
     bool any = false;
+    // Completions reach the guest as an injected interrupt, unless
+    // the driver suppressed it on the queue just published on.
+    auto irq = [](VhostVirtioDevice *dev, unsigned q) {
+        return [dev, q](VirtQueueDevice &vq) {
+            if (vq.shouldInterrupt())
+                dev->notifyGuest(q);
+        };
+    };
 
     if (netDev_->driverOk() &&
         netDev_->queueState(NET_RXQ).enabled &&
         netDev_->queueState(NET_TXQ).enabled) {
-        auto limiter = params_.rateLimited
-                           ? cloud::InstanceLimits::cloudNetwork()
-                           : cloud::DualRateLimiter::unlimited();
-        VhostVirtioDevice *dev = netDev_.get();
-        hv::VirtioIoService *svc = service_.get();
         service_->attachNet(
-            *mem_, netDev_->queueState(NET_RXQ).layout(),
+            *mem_, vswitch_, port_,
+            params_.rateLimited ? cloud::InstanceLimits::cloudNetwork()
+                                : cloud::DualRateLimiter::unlimited());
+        service_->attachNetPair(
+            0, netDev_->queueState(NET_RXQ).layout(),
             netDev_->queueState(NET_TXQ).layout(),
-            [dev, svc] {
-                if (svc->netRxQueue()->shouldInterrupt())
-                    dev->notifyGuest(NET_RXQ);
-            },
-            [dev, svc] {
-                if (svc->netTxQueue()->shouldInterrupt())
-                    dev->notifyGuest(NET_TXQ);
-            },
-            vswitch_, port_, limiter);
+            irq(netDev_.get(), NET_RXQ), irq(netDev_.get(), NET_TXQ));
         any = true;
     }
 
     if (blkDev_ && blkDev_->driverOk() &&
         blkDev_->queueState(0).enabled) {
-        auto limiter = params_.rateLimited
-                           ? cloud::InstanceLimits::cloudStorage()
-                           : cloud::DualRateLimiter::unlimited();
-        VhostVirtioDevice *dev = blkDev_.get();
-        hv::VirtioIoService *svc = service_.get();
         service_->attachBlk(
-            *mem_, blkDev_->queueState(0).layout(),
-            [dev, svc] {
-                if (svc->blkQueue()->shouldInterrupt())
-                    dev->notifyGuest(0);
-            },
-            *storage_, *volume_, limiter);
+            *mem_, *storage_, *volume_,
+            params_.rateLimited ? cloud::InstanceLimits::cloudStorage()
+                                : cloud::DualRateLimiter::unlimited());
+        service_->attachBlkQueue(0, blkDev_->queueState(0).layout(),
+                                 irq(blkDev_.get(), 0));
         any = true;
     }
 

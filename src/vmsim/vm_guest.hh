@@ -41,43 +41,12 @@ class VhostVirtioDevice : public virtio::VirtioPciDevice
   public:
     using VirtioPciDevice::VirtioPciDevice;
 
-    /** Invoked on DRIVER_OK (used to wire the backend). */
-    std::function<void()> onReady;
-
-    void setDeviceCfgBytes(std::vector<std::uint8_t> bytes)
-    {
-        devCfg_ = std::move(bytes);
-    }
-
   protected:
     void
     onQueueNotify(unsigned q) override
     {
         (void)q; // the backend polls; kicks are suppressed
     }
-
-    void
-    onDriverOk() override
-    {
-        if (onReady)
-            onReady();
-    }
-
-    std::uint32_t
-    deviceCfgRead(Addr offset, unsigned size) override
-    {
-        std::uint32_t v = 0;
-        for (unsigned i = 0; i < size; ++i) {
-            Addr idx = offset + i;
-            std::uint8_t b =
-                idx < devCfg_.size() ? devCfg_[idx] : 0;
-            v |= std::uint32_t(b) << (8 * i);
-        }
-        return v;
-    }
-
-  private:
-    std::vector<std::uint8_t> devCfg_;
 };
 
 struct VmGuestParams

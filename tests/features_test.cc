@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <numeric>
+
 #include "base/logging.hh"
 #include "cloud/block_service.hh"
 #include "cloud/vswitch.hh"
 #include "core/bmhive_server.hh"
+#include "virtio/virtio_net.hh"
 
 namespace bmhive {
 namespace {
@@ -190,6 +194,145 @@ TEST_F(FeatureTest, LiveUpgradePreservesNetworking)
 
     EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(a.hypervisor().upgrades(), 1u);
+}
+
+TEST_F(FeatureTest, LiveUpgradeDeliversFramesSentWhileQuiescing)
+{
+    auto &vol = storage.createVolume("v", 32 * MiB);
+    auto &a = server.provision(core::InstanceCatalog::evaluated(),
+                               0xA);
+    auto &b = server.provision(core::InstanceCatalog::evaluated(),
+                               0xB, &vol);
+    sim.run(sim.now() + msToTicks(1));
+
+    std::vector<std::uint64_t> seqs;
+    b.net().setRxHandler(
+        [&](const cloud::Packet &p) { seqs.push_back(p.seq); });
+
+    // Block reads in flight hold b's upgrade in its quiesce wait.
+    unsigned reads = 0;
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(b.blk()->read(
+            std::uint64_t(i) * 8, 4 * KiB, b.os().cpu(1),
+            [&](std::uint8_t st, Addr) {
+                EXPECT_EQ(st, virtio::VIRTIO_BLK_S_OK);
+                ++reads;
+            }));
+    }
+    sim.run(sim.now() + usToTicks(50));
+    ASSERT_GT(b.hypervisor().service().blkInflight(), 0u);
+    auto &old_svc = b.hypervisor().service();
+    bool done = false;
+    b.hypervisor().liveUpgrade([&](Tick) { done = true; });
+
+    std::uint64_t forwarded = vswitch.forwarded();
+    for (std::uint64_t seq = 1; seq <= 16; ++seq) {
+        cloud::Packet p;
+        p.src = 0xA;
+        p.dst = 0xB;
+        p.len = 64;
+        p.seq = seq;
+        ASSERT_TRUE(a.net().sendPacket(p, false, a.os().cpu(1)));
+    }
+    a.net().kickTx(a.os().cpu(1));
+    sim.run(sim.now() + usToTicks(50));
+    // Every frame reached b's stopped process before the swap.
+    ASSERT_FALSE(done);
+    EXPECT_EQ(vswitch.forwarded() - forwarded, 16u);
+    EXPECT_TRUE(seqs.empty());
+
+    sim.run(sim.now() + msToTicks(30));
+    ASSERT_TRUE(done);
+    EXPECT_EQ(reads, 4u);
+    std::vector<std::uint64_t> want(16);
+    std::iota(want.begin(), want.end(), 1);
+    EXPECT_EQ(seqs, want);
+    EXPECT_EQ(old_svc.rxDropped(), 0u);
+    EXPECT_EQ(b.hypervisor().service().rxDropped(), 0u);
+}
+
+TEST_F(FeatureTest, CrashWhileQuiescingCompletesEveryReadOnce)
+{
+    auto &vol = storage.createVolume("v", 32 * MiB);
+    auto &g = server.provision(core::InstanceCatalog::evaluated(),
+                               0xA, &vol);
+    sim.run(sim.now() + msToTicks(1));
+
+    std::vector<unsigned> done(16, 0);
+    unsigned completed = 0;
+    for (unsigned i = 0; i < done.size(); ++i) {
+        ASSERT_TRUE(g.blk()->read(
+            std::uint64_t(i) * 8, 4 * KiB, g.os().cpu(1),
+            [&, i](std::uint8_t st, Addr) {
+                EXPECT_EQ(st, virtio::VIRTIO_BLK_S_OK);
+                ++done[i];
+                ++completed;
+            }));
+    }
+    // Some reads back (in storage order, not submission order),
+    // the rest in flight when the process dies mid-upgrade.
+    while (completed < 6)
+        sim.run(sim.now() + usToTicks(5));
+    ASSERT_LT(completed, done.size());
+    bool upgraded = false;
+    g.hypervisor().liveUpgrade([&](Tick) { upgraded = true; });
+    g.hypervisor().crash();
+    sim.run(sim.now() + msToTicks(50));
+
+    ASSERT_TRUE(upgraded);
+    EXPECT_FALSE(g.hypervisor().crashed());
+    for (unsigned i = 0; i < done.size(); ++i)
+        EXPECT_EQ(done[i], 1u) << "read " << i;
+}
+
+TEST(FeatureMqTest, LiveUpgradeKeepsEveryQueuePair)
+{
+    Simulation sim(67);
+    cloud::VSwitch vswitch(sim, "vs");
+    core::BmServerParams params;
+    params.maxBoards = 2;
+    params.netQueuePairs = 4;
+    core::BmHiveServer server(sim, "srv", vswitch, nullptr, params);
+    auto &a = server.provision(core::InstanceCatalog::evaluated(),
+                               0xA);
+    auto &b = server.provision(core::InstanceCatalog::evaluated(),
+                               0xB);
+    sim.run(sim.now() + msToTicks(1));
+    ASSERT_EQ(b.net().activeQueuePairs(), 4u);
+
+    b.hypervisor().liveUpgrade(nullptr);
+    sim.run(sim.now() + msToTicks(1));
+    EXPECT_EQ(b.hypervisor().upgrades(), 1u);
+    EXPECT_EQ(b.net().activeQueuePairs(), 4u);
+    EXPECT_EQ(b.bond().function(0).activeQueuePairs(), 4u);
+    EXPECT_EQ(b.hypervisor().service().netPairCount(), 4u);
+    EXPECT_EQ(vswitch.portRssQueues(b.hypervisor().port()), 4u);
+
+    // The backend's deliveries on each rx shadow ring.
+    auto rx_used = [&](unsigned pair) {
+        return b.bond()
+            .shadowLayout(0, virtio::netRxQueue(pair))
+            .usedIdx(b.bond().baseMemory());
+    };
+    std::array<std::uint16_t, 4> before{};
+    for (unsigned p = 0; p < 4; ++p)
+        before[p] = rx_used(p);
+    unsigned got = 0;
+    b.net().setRxHandler([&](const cloud::Packet &) { ++got; });
+    for (unsigned i = 0; i < 64; ++i) {
+        cloud::Packet p;
+        p.src = 0xA;
+        p.dst = 0xB;
+        p.len = 64;
+        p.seq = i;
+        p.flow = i;
+        ASSERT_TRUE(a.net().sendPacket(p, false, a.os().cpu(1)));
+    }
+    a.net().kickTx(a.os().cpu(1));
+    sim.run(sim.now() + msToTicks(10));
+    EXPECT_EQ(got, 64u);
+    for (unsigned p = 0; p < 4; ++p)
+        EXPECT_NE(rx_used(p), before[p]) << "rx queue " << p;
 }
 
 TEST_F(FeatureTest, RepeatedUpgradesAccumulate)

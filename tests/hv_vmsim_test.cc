@@ -295,6 +295,40 @@ TEST_F(ServiceTest, RxBacklogOverflowDropsAndCounts)
     EXPECT_GT(b.hypervisor().service().rxDropped(), 0u);
 }
 
+TEST_F(ServiceTest, NextGenerationKeepsServiceSettings)
+{
+    core::BmServerParams sp;
+    sp.maxBoards = 1;
+    core::BmHiveServer server(sim, "srv", vswitch, &storage, sp);
+    auto &g = server.provision(core::InstanceCatalog::evaluated(),
+                               0xB, nullptr, false);
+    sim.run(sim.now() + msToTicks(1));
+
+    // Ten frames land on the current generation at once; the
+    // backlog set before the swap decides how many it keeps.
+    auto burst_drops = [&] {
+        auto &svc = g.hypervisor().service();
+        std::uint64_t before = svc.rxDropped();
+        cloud::Packet pk;
+        pk.src = 0xA;
+        pk.dst = 0xB;
+        pk.len = 64;
+        for (int i = 0; i < 10; ++i)
+            svc.enqueueRx(pk, 0);
+        return svc.rxDropped() - before;
+    };
+    g.hypervisor().service().setRxBacklog(4);
+    g.hypervisor().crash();
+    g.hypervisor().respawn();
+    EXPECT_EQ(g.hypervisor().respawns(), 1u);
+    EXPECT_EQ(burst_drops(), 6u);
+
+    sim.run(sim.now() + msToTicks(1)); // the guest takes the four
+    g.hypervisor().liveUpgrade(nullptr);
+    EXPECT_EQ(g.hypervisor().upgrades(), 1u);
+    EXPECT_EQ(burst_drops(), 6u);
+}
+
 TEST_F(ServiceTest, PowerOffStopsBackend)
 {
     core::BmServerParams sp;

@@ -200,11 +200,44 @@ TEST_F(ServerTest, ReleaseAllowsReprovision)
     auto &g = server.provision(core::InstanceCatalog::evaluated(),
                                0x1);
     server.release(g);
-    vswitch.removePort(g.hypervisor().port());
     // The slot (and the MAC) can be reused.
     auto &g2 = server.provision(core::InstanceCatalog::evaluated(),
                                 0x1);
     EXPECT_EQ(g2.board().powerState(), hw::BoardPower::On);
+}
+
+TEST(ServerReleaseTest, OneBoardServerReusesItsSlot)
+{
+    Simulation sim(5);
+    cloud::VSwitch vswitch(sim, "vs");
+    core::BmServerParams p;
+    p.maxBoards = 1;
+    core::BmHiveServer server(sim, "srv", vswitch, nullptr, p);
+    core::BmGuest *released = nullptr;
+    for (int round = 0; round < 4; ++round) {
+        // The same MAC every round: release took the port with it.
+        auto &g = server.provision(core::InstanceCatalog::evaluated(),
+                                   0x1);
+        ASSERT_TRUE(server.hasGuest(0));
+        EXPECT_EQ(&server.guest(0), &g);
+        EXPECT_EQ(server.guestCount(), 1u);
+        EXPECT_EQ(server.freeSlots(), 0u);
+        if (released) {
+            // A late fault of the slot's previous tenant (a config
+            // read of a bad size) scores nobody.
+            std::uint64_t faults = server.guestFaultEvents();
+            released->board().pciBus().configRead(3, 0, 3);
+            EXPECT_EQ(server.guestFaultEvents(), faults);
+            EXPECT_EQ(server.guestScore(0), 0.0);
+        }
+        sim.run(sim.now() + msToTicks(1));
+        server.release(g);
+        EXPECT_EQ(server.freeSlots(), 1u);
+        EXPECT_FALSE(server.hasGuest(0));
+        // The released guest stays readable.
+        EXPECT_EQ(g.board().powerState(), hw::BoardPower::Off);
+        released = &g;
+    }
 }
 
 TEST_F(ServerTest, ShadowRegionsDoNotOverlap)
