@@ -31,6 +31,9 @@ constexpr double suspectPollWeight = 0.25;
 
 /** Flight-recorder events per anomaly dump. */
 constexpr std::size_t flightDumpEvents = 256;
+/** Per-guest floor between dumps; a flapping guest produces one
+ *  dump per cooldown, not one per anomaly. */
+constexpr Tick flightDumpCooldown = msToTicks(1.0);
 
 } // namespace
 
@@ -540,7 +543,7 @@ BmHiveServer::flightDump(unsigned i, const char *trigger)
     Slot &slot = slots_[i];
     Tick now = curTick();
     if (slot.lastDumpAt != maxTick &&
-        now - slot.lastDumpAt < params_.obs.flightDumpCooldown) {
+        now - slot.lastDumpAt < flightDumpCooldown) {
         obsDumpSuppressed_.inc();
         return;
     }

@@ -58,9 +58,6 @@ struct ObsParams
     obs::SloParams slo = {};
     /** Where dumps land ("" = triggers counted, no files). */
     std::string flightDumpDir;
-    /** Per-guest floor between dumps; a flapping guest produces
-     *  one dump per cooldown, not one per anomaly. */
-    Tick flightDumpCooldown = msToTicks(1.0);
 };
 
 /**

@@ -57,6 +57,10 @@ enum class GuestFaultKind {
     /** Multi-queue set-queue-pairs write of zero or more pairs than
      *  the device offered (clamped, counted, contained). */
     BadQueuePairs,
+    /** Avail ring re-publishes a head whose chain the device still
+     *  owns (it has not come back on the used ring). Last, so the
+     *  older kinds keep the numbers flight records carry. */
+    HeadInFlight,
     kCount,
 };
 
@@ -98,6 +102,8 @@ guestFaultName(GuestFaultKind k)
         return "doorbell_storm";
       case GuestFaultKind::BadQueuePairs:
         return "bad_queue_pairs";
+      case GuestFaultKind::HeadInFlight:
+        return "head_in_flight";
       default:
         return "unknown";
     }

@@ -33,7 +33,12 @@ IoBondFunction::IoBondFunction(Simulation &sim, std::string name,
                                std::uint64_t features)
     : VirtioPciDevice(sim, std::move(name), type, num_queues,
                       features),
-      owner_(owner), index_(index)
+      owner_(owner), index_(index),
+      // Net offers rx/tx pairs and runs one until the driver
+      // commits more; blk queues are all active, always.
+      maxPairs_(type == DeviceType::Block ? num_queues
+                                          : num_queues / 2),
+      currPairs_(type == DeviceType::Block ? num_queues : 1)
 {
 }
 
@@ -78,11 +83,13 @@ IoBondFunction::onDriverOk()
 void
 IoBondFunction::onReset()
 {
-    // Reset rewinds the committed pair count to the single-queue
-    // default; the re-initializing driver negotiates again.
-    currPairs_ = 1;
-    if (deviceType() == DeviceType::Net)
+    // Reset rewinds a net function's committed pair count to the
+    // single-queue default; the re-initializing driver negotiates
+    // again. Blk queues stay all active.
+    if (deviceType() == DeviceType::Net) {
+        currPairs_ = 1;
         setDeviceCfg16(VirtioNetConfig::currPairsOffset, 1);
+    }
     owner_.functionReset(*this);
 }
 
@@ -192,10 +199,10 @@ IoBond::injectFault(const fault::FaultSpec &spec)
                 ShadowQueue &sq = shadow_[fi][q];
                 if (!sq.ready)
                     continue;
-                for (auto &[head, cs] : sq.inflight) {
+                for (const auto &[head, cs] : sq.inflight) {
                     if (budget == 0)
                         break;
-                    corruptShadowMeta(sq, head, cs);
+                    corruptShadowMeta(sq, cs);
                     --budget;
                 }
             }
@@ -256,21 +263,15 @@ IoBond::onIntegrityEscalation()
 }
 
 void
-IoBond::corruptShadowMeta(ShadowQueue &sq, std::uint16_t head,
-                          const ChainShadow &cs)
+IoBond::corruptShadowMeta(const ShadowQueue &sq, const ChainShadow &cs)
 {
     metaInjected_.inc();
-    if (cs.indirectBlock != PoolAllocator::nullAddr) {
-        // Rot the len field of the first indirect-table entry.
-        Addr a = cs.indirectBlock + 8;
-        baseMem_->write32(a, baseMem_->read32(a) ^ 0xA5);
-    } else if (!cs.path.empty()) {
-        VringDesc d =
-            sq.shadowLayout.readDesc(*baseMem_, cs.path[0]);
-        d.len ^= 0xA5;
-        sq.shadowLayout.writeDesc(*baseMem_, cs.path[0], d);
-    }
-    (void)head;
+    // The first buffer descriptor: indirect-table entry 0, or the
+    // head slot of a direct chain.
+    Addr a = cs.table().value_or(sq.shadowLayout.descAddr(cs.path[0]));
+    VringDesc d = readDescAt(*baseMem_, a);
+    d.len ^= 0xA5;
+    writeDescAt(*baseMem_, a, d);
 }
 
 void
@@ -354,76 +355,19 @@ IoBond::scrubQueue(unsigned fn, unsigned q)
 {
     ShadowQueue &sq = shadow_[fn][q];
     unsigned repairs = 0;
-    for (auto &[head, cs] : sq.inflight) {
+    for (const auto &[head, cs] : sq.inflight) {
         scrubChecked_.inc();
-        if (cs.indirectBlock != PoolAllocator::nullAddr) {
-            // Head descriptor pointing at the indirect table.
-            VringDesc want;
-            want.addr = cs.indirectBlock;
-            want.len = std::uint32_t(cs.segs.size()) *
-                       std::uint32_t(vringDescSize);
-            want.flags = VRING_DESC_F_INDIRECT;
-            want.next = 0;
-            VringDesc got =
-                sq.shadowLayout.readDesc(*baseMem_, head);
-            if (got.addr != want.addr || got.len != want.len ||
-                got.flags != want.flags || got.next != want.next) {
-                sq.shadowLayout.writeDesc(*baseMem_, head, want);
-                ++repairs;
-            }
-            // Indirect-table entries, re-derived from the layout
-            // recorded at mirror time.
-            for (std::size_t i = 0; i < cs.segs.size(); ++i) {
-                const auto &seg = cs.segs[i];
-                Addr a = cs.indirectBlock + Addr(i) * vringDescSize;
-                bool last = i + 1 >= cs.segs.size();
-                std::uint16_t flags = std::uint16_t(
-                    (seg.write ? VRING_DESC_F_WRITE : 0) |
-                    (last ? 0 : VRING_DESC_F_NEXT));
-                std::uint16_t next =
-                    std::uint16_t(last ? 0 : i + 1);
-                if (baseMem_->read64(a) != seg.shadowAddr) {
-                    baseMem_->write64(a, seg.shadowAddr);
-                    ++repairs;
-                }
-                if (baseMem_->read32(a + 8) !=
-                    std::uint32_t(seg.len)) {
-                    baseMem_->write32(a + 8,
-                                      std::uint32_t(seg.len));
-                    ++repairs;
-                }
-                if (baseMem_->read16(a + 12) != flags) {
-                    baseMem_->write16(a + 12, flags);
-                    ++repairs;
-                }
-                if (baseMem_->read16(a + 14) != next) {
-                    baseMem_->write16(a + 14, next);
-                    ++repairs;
-                }
-            }
-        } else {
-            for (std::size_t i = 0; i < cs.path.size(); ++i) {
-                const auto &seg = cs.segs[i];
-                VringDesc want;
-                want.addr = seg.shadowAddr;
-                want.len = std::uint32_t(seg.len);
-                want.flags = std::uint16_t(
-                    (seg.write ? VRING_DESC_F_WRITE : 0) |
-                    (i + 1 < cs.path.size() ? VRING_DESC_F_NEXT
-                                            : 0));
-                want.next = std::uint16_t(
-                    i + 1 < cs.path.size() ? cs.path[i + 1] : 0);
-                VringDesc got = sq.shadowLayout.readDesc(
-                    *baseMem_, cs.path[i]);
-                if (got.addr != want.addr || got.len != want.len ||
-                    got.flags != want.flags ||
-                    got.next != want.next) {
-                    sq.shadowLayout.writeDesc(*baseMem_, cs.path[i],
-                                              want);
-                    ++repairs;
-                }
-            }
-        }
+        // Re-derive every descriptor with the mirror's own encoder
+        // and rewrite each one that differs: one repair apiece.
+        encodeChain(sq.shadowLayout, cs.path.data(), cs.table(),
+                    std::uint16_t(cs.segs.size()),
+                    [&cs](std::uint16_t i) { return cs.shadowSeg(i); },
+                    [&](Addr a, const VringDesc &want) {
+                        if (readDescAt(*baseMem_, a) != want) {
+                            writeDescAt(*baseMem_, a, want);
+                            ++repairs;
+                        }
+                    });
     }
     // Avail-ring audit. Chains complete out of order (blk), so ring
     // positions cannot be paired with the inflight table sorted by
@@ -579,13 +523,8 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
             // used element lands, so guest memory still holds them
             // verbatim — the same replay recoverQueue does after a
             // backend crash.
-            auto old = std::move(sq.inflight);
+            std::vector<std::uint16_t> order = submissionOrder(sq);
             sq.inflight.clear();
-            std::vector<std::pair<std::uint64_t, std::uint16_t>>
-                order;
-            for (const auto &[head, cs] : old)
-                order.emplace_back(cs.seq, head);
-            std::sort(order.begin(), order.end());
             std::uint16_t window =
                 std::uint16_t(sq.shadowAvail - sq.syncedUsed);
             if (order.size() != window)
@@ -593,15 +532,10 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
                      " inflight chains for a ", window,
                      "-entry window");
             std::uint16_t pos = sq.syncedUsed;
-            for (const auto &[seq, head] : order) {
+            for (std::uint16_t head : order) {
                 if (!mirrorChain(fi, q, head, segs, meta))
                     continue; // contained; completed as failed
-                sq.shadowLayout.setAvailRing(
-                    *baseMem_, pos % sq.shadowLayout.size(), head);
-                ChainShadow &ncs = sq.inflight.at(head);
-                ncs.availPos = pos;
-                ncs.published = true;
-                ++pos;
+                publishHead(sq, pos++, head);
             }
             replayed += unsigned(std::uint16_t(pos - sq.syncedUsed));
             sq.shadowAvail = pos;
@@ -651,63 +585,17 @@ IoBond::rescanReady()
 }
 
 IoBondFunction &
-IoBond::addNetFunction(int guest_slot, std::uint64_t mac,
-                       unsigned queue_pairs)
+IoBond::addFunction(int guest_slot, DeviceType type,
+                    unsigned num_queues, std::uint64_t features,
+                    std::vector<std::uint8_t> cfg)
 {
-    panic_if(queue_pairs == 0, name(), ": need >= 1 queue pair");
     auto idx = unsigned(functions_.size());
-    std::uint64_t features =
-        VIRTIO_NET_F_CSUM | VIRTIO_NET_F_MAC | VIRTIO_NET_F_STATUS |
-        VIRTIO_RING_F_INDIRECT_DESC | VIRTIO_RING_F_EVENT_IDX;
-    if (queue_pairs > 1)
-        features |= VIRTIO_NET_F_MQ;
+    const char *role = type == DeviceType::Net     ? ".net"
+                       : type == DeviceType::Block ? ".blk"
+                                                   : ".console";
     auto fn = std::make_unique<IoBondFunction>(
-        sim_, name() + ".net" + std::to_string(idx), *this, idx,
-        DeviceType::Net, 2 * queue_pairs, features);
-    std::vector<std::uint8_t> cfg(12, 0);
-    for (int i = 0; i < 6; ++i)
-        cfg[i] = std::uint8_t(mac >> (8 * i));
-    cfg[6] = 1; // VIRTIO_NET_S_LINK_UP
-    cfg[VirtioNetConfig::maxPairsOffset] =
-        std::uint8_t(queue_pairs);
-    cfg[VirtioNetConfig::maxPairsOffset + 1] =
-        std::uint8_t(queue_pairs >> 8);
-    cfg[VirtioNetConfig::currPairsOffset] = 1;
-    fn->maxPairs_ = queue_pairs;
-    fn->setDeviceCfgBytes(std::move(cfg));
-    fn->setGuestFaultHandler(
-        [this](fault::GuestFaultKind k) { guestFault(k); });
-    board_.pciBus().attach(*fn, guest_slot);
-    functions_.push_back(std::move(fn));
-    shadow_.emplace_back(2 * queue_pairs);
-    fnDoorbells_.push_back(TokenBucket::unlimited());
-    return *functions_.back();
-}
-
-IoBondFunction &
-IoBond::addBlkFunction(int guest_slot, std::uint64_t capacity_sectors,
-                       unsigned num_queues)
-{
-    panic_if(num_queues == 0, name(), ": need >= 1 blk queue");
-    auto idx = unsigned(functions_.size());
-    std::uint64_t features =
-        VIRTIO_BLK_F_SEG_MAX | VIRTIO_BLK_F_BLK_SIZE |
-        VIRTIO_BLK_F_FLUSH | VIRTIO_RING_F_INDIRECT_DESC |
-        VIRTIO_RING_F_EVENT_IDX;
-    if (num_queues > 1)
-        features |= VIRTIO_BLK_F_MQ;
-    auto fn = std::make_unique<IoBondFunction>(
-        sim_, name() + ".blk" + std::to_string(idx), *this, idx,
-        DeviceType::Block, num_queues, features);
-    std::vector<std::uint8_t> cfg(10, 0);
-    for (int i = 0; i < 8; ++i)
-        cfg[i] = std::uint8_t(capacity_sectors >> (8 * i));
-    cfg[VirtioBlkConfig::numQueuesOffset] =
-        std::uint8_t(num_queues);
-    cfg[VirtioBlkConfig::numQueuesOffset + 1] =
-        std::uint8_t(num_queues >> 8);
-    fn->maxPairs_ = num_queues;
-    fn->currPairs_ = num_queues; // blk queues are all active
+        sim_, name() + role + std::to_string(idx), *this, idx, type,
+        num_queues, features);
     fn->setDeviceCfgBytes(std::move(cfg));
     fn->setGuestFaultHandler(
         [this](fault::GuestFaultKind k) { guestFault(k); });
@@ -719,19 +607,55 @@ IoBond::addBlkFunction(int guest_slot, std::uint64_t capacity_sectors,
 }
 
 IoBondFunction &
+IoBond::addNetFunction(int guest_slot, std::uint64_t mac,
+                       unsigned queue_pairs)
+{
+    panic_if(queue_pairs == 0, name(), ": need >= 1 queue pair");
+    std::uint64_t features =
+        VIRTIO_NET_F_CSUM | VIRTIO_NET_F_MAC | VIRTIO_NET_F_STATUS |
+        VIRTIO_RING_F_INDIRECT_DESC | VIRTIO_RING_F_EVENT_IDX;
+    if (queue_pairs > 1)
+        features |= VIRTIO_NET_F_MQ;
+    std::vector<std::uint8_t> cfg(12, 0);
+    for (int i = 0; i < 6; ++i)
+        cfg[i] = std::uint8_t(mac >> (8 * i));
+    cfg[6] = 1; // VIRTIO_NET_S_LINK_UP
+    cfg[VirtioNetConfig::maxPairsOffset] =
+        std::uint8_t(queue_pairs);
+    cfg[VirtioNetConfig::maxPairsOffset + 1] =
+        std::uint8_t(queue_pairs >> 8);
+    cfg[VirtioNetConfig::currPairsOffset] = 1;
+    return addFunction(guest_slot, DeviceType::Net, 2 * queue_pairs,
+                       features, std::move(cfg));
+}
+
+IoBondFunction &
+IoBond::addBlkFunction(int guest_slot, std::uint64_t capacity_sectors,
+                       unsigned num_queues)
+{
+    panic_if(num_queues == 0, name(), ": need >= 1 blk queue");
+    std::uint64_t features =
+        VIRTIO_BLK_F_SEG_MAX | VIRTIO_BLK_F_BLK_SIZE |
+        VIRTIO_BLK_F_FLUSH | VIRTIO_RING_F_INDIRECT_DESC |
+        VIRTIO_RING_F_EVENT_IDX;
+    if (num_queues > 1)
+        features |= VIRTIO_BLK_F_MQ;
+    std::vector<std::uint8_t> cfg(10, 0);
+    for (int i = 0; i < 8; ++i)
+        cfg[i] = std::uint8_t(capacity_sectors >> (8 * i));
+    cfg[VirtioBlkConfig::numQueuesOffset] =
+        std::uint8_t(num_queues);
+    cfg[VirtioBlkConfig::numQueuesOffset + 1] =
+        std::uint8_t(num_queues >> 8);
+    return addFunction(guest_slot, DeviceType::Block, num_queues,
+                       features, std::move(cfg));
+}
+
+IoBondFunction &
 IoBond::addConsoleFunction(int guest_slot)
 {
-    auto idx = unsigned(functions_.size());
-    auto fn = std::make_unique<IoBondFunction>(
-        sim_, name() + ".console" + std::to_string(idx), *this, idx,
-        DeviceType::Console, 2, VIRTIO_RING_F_INDIRECT_DESC);
-    fn->setGuestFaultHandler(
-        [this](fault::GuestFaultKind k) { guestFault(k); });
-    board_.pciBus().attach(*fn, guest_slot);
-    functions_.push_back(std::move(fn));
-    shadow_.emplace_back(2);
-    fnDoorbells_.push_back(TokenBucket::unlimited());
-    return *functions_.back();
+    return addFunction(guest_slot, DeviceType::Console, 2,
+                       VIRTIO_RING_F_INDIRECT_DESC, {});
 }
 
 IoBondFunction &
@@ -1012,15 +936,7 @@ IoBond::syncAvail(unsigned fn, unsigned q)
                 return;
             }
             for (std::uint16_t head : heads) {
-                s.shadowLayout.setAvailRing(
-                    *baseMem_, s.shadowAvail % s.shadowLayout.size(),
-                    head);
-                auto ci = s.inflight.find(head);
-                if (ci != s.inflight.end()) {
-                    ci->second.availPos = s.shadowAvail;
-                    ci->second.published = true;
-                }
-                ++s.shadowAvail;
+                publishHead(s, s.shadowAvail++, head);
                 if (s.reqTracer)
                     s.reqTracer->stamp(
                         obs::RequestTracer::flowKey(fn, q, head),
@@ -1085,6 +1001,14 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
         guestFault(fault::GuestFaultKind::DescLenOversized);
         return fail_chain();
     }
+    if (sq.inflight.contains(head)) {
+        // The device still owns this head. Mirroring it again would
+        // orphan the live chain's shadow blocks; leave that chain
+        // alone and drop the re-post, with no zero-length
+        // completion (the live chain completes this head itself).
+        guestFault(fault::GuestFaultKind::HeadInFlight);
+        return false;
+    }
 
     ChainShadow cs;
     if (total > 0) {
@@ -1103,57 +1027,26 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
         cs.segs.push_back({s.addr, cursor, s.len, s.deviceWrites});
         cursor += s.len;
     }
-
-    // Materialize shadow descriptors.
-    std::uint16_t desc_count = 0;
+    auto n = std::uint16_t(cs.segs.size());
     if (walk.indirect) {
-        cs.indirectBlock =
-            pool_.alloc(Bytes(walk.indirectCount) * vringDescSize,
-                        16);
+        cs.indirectBlock = pool_.alloc(Bytes(n) * vringDescSize, 16);
         if (cs.indirectBlock == PoolAllocator::nullAddr) {
             pool_.free(cs.bufBlock);
             warn(name(), ": shadow arena exhausted (indirect)");
             return fail_chain();
         }
-        for (std::uint16_t i = 0; i < walk.indirectCount; ++i) {
-            const auto &seg = cs.segs[i];
-            Addr a = cs.indirectBlock + Addr(i) * vringDescSize;
-            baseMem_->write64(a, seg.shadowAddr);
-            baseMem_->write32(a + 8, std::uint32_t(seg.len));
-            std::uint16_t flags = std::uint16_t(
-                (seg.write ? VRING_DESC_F_WRITE : 0) |
-                (i + 1 < walk.indirectCount ? VRING_DESC_F_NEXT
-                                            : 0));
-            baseMem_->write16(a + 12, flags);
-            baseMem_->write16(a + 14,
-                             std::uint16_t(i + 1 < walk.indirectCount
-                                               ? i + 1
-                                               : 0));
-        }
-        VringDesc d;
-        d.addr = cs.indirectBlock;
-        d.len = std::uint32_t(walk.indirectCount) *
-                std::uint32_t(vringDescSize);
-        d.flags = VRING_DESC_F_INDIRECT;
-        d.next = 0;
-        sq.shadowLayout.writeDesc(*baseMem_, head, d);
-        desc_count = std::uint16_t(walk.indirectCount + 1);
-    } else {
-        for (std::size_t i = 0; i < walk.path.size(); ++i) {
-            const auto &seg = cs.segs[i];
-            VringDesc d;
-            d.addr = seg.shadowAddr;
-            d.len = std::uint32_t(seg.len);
-            d.flags = std::uint16_t(
-                (seg.write ? VRING_DESC_F_WRITE : 0) |
-                (i + 1 < walk.path.size() ? VRING_DESC_F_NEXT : 0));
-            d.next = std::uint16_t(
-                i + 1 < walk.path.size() ? walk.path[i + 1] : 0);
-            sq.shadowLayout.writeDesc(*baseMem_, walk.path[i], d);
-        }
-        desc_count = std::uint16_t(walk.path.size());
-        cs.path = walk.path;
     }
+
+    // Materialize shadow descriptors: the guest's ring slots, with
+    // shadow buffer (and table) addresses.
+    cs.path = std::move(walk.path);
+    unsigned descs = 0;
+    encodeChain(sq.shadowLayout, cs.path.data(), cs.table(), n,
+                [&cs](std::uint16_t i) { return cs.shadowSeg(i); },
+                [&](Addr a, const VringDesc &d) {
+                    writeDescAt(*baseMem_, a, d);
+                    ++descs;
+                });
 
     // Everything allocated: the chain joins the burst. Payload
     // copies and the per-chain ring metadata (descriptor reads +
@@ -1164,17 +1057,18 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
                 &gmem, seg.guestAddr, baseMem_, seg.shadowAddr,
                 seg.len});
     }
-    meta += Bytes(desc_count) * vringDescSize + 2;
+    meta += Bytes(descs) * vringDescSize + 2;
 
     cs.seq = sq.nextSeq++;
-    sq.inflight[head] = std::move(cs);
+    const ChainShadow &live =
+        sq.inflight.emplace(head, std::move(cs)).first->second;
 
     // A DmaCorruptMeta armed while no chain was live lands in the
     // freshly-written descriptors; the scrubber (armed below) is
     // what must catch it.
     if (metaCorruptBudget_ > 0) {
         --metaCorruptBudget_;
-        corruptShadowMeta(sq, head, sq.inflight[head]);
+        corruptShadowMeta(sq, live);
     }
     if (integrity_)
         scheduleScrub();
@@ -1185,6 +1079,32 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
         sq.reqTracer->stamp(obs::RequestTracer::flowKey(fn, q, head),
                             obs::Stage::GuestPost, sq.lastDoorbell);
     return true;
+}
+
+void
+IoBond::publishHead(ShadowQueue &sq, std::uint16_t pos,
+                    std::uint16_t head)
+{
+    sq.shadowLayout.setAvailRing(*baseMem_,
+                                 pos % sq.shadowLayout.size(), head);
+    auto it = sq.inflight.find(head);
+    if (it != sq.inflight.end()) {
+        it->second.availPos = pos;
+        it->second.published = true;
+    }
+}
+
+std::vector<std::uint16_t>
+IoBond::submissionOrder(const ShadowQueue &sq)
+{
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> bySeq;
+    for (const auto &[head, cs] : sq.inflight)
+        bySeq.emplace_back(cs.seq, head);
+    std::sort(bySeq.begin(), bySeq.end());
+    std::vector<std::uint16_t> order;
+    for (const auto &[seq, head] : bySeq)
+        order.push_back(head);
+    return order;
 }
 
 void
@@ -1344,24 +1264,14 @@ IoBond::recoverQueue(unsigned fn, unsigned q)
     // whose publish DMA is still queued will append after it.
     std::uint16_t window =
         std::uint16_t(sq.shadowAvail - sq.syncedUsed);
-    std::vector<std::pair<std::uint64_t, std::uint16_t>> order;
-    for (const auto &[head, cs] : sq.inflight)
-        order.emplace_back(cs.seq, head);
-    std::sort(order.begin(), order.end());
+    std::vector<std::uint16_t> order = submissionOrder(sq);
     if (order.size() < window) {
         warn(name(), ": recovery found ", order.size(),
              " inflight chains for a ", window, "-entry window");
         window = std::uint16_t(order.size());
     }
-    for (std::uint16_t i = 0; i < window; ++i) {
-        auto pos = std::uint16_t(sq.syncedUsed + i);
-        sq.shadowLayout.setAvailRing(
-            *baseMem_, pos % sq.shadowLayout.size(),
-            order[i].second);
-        ChainShadow &cs = sq.inflight.at(order[i].second);
-        cs.availPos = pos;
-        cs.published = true;
-    }
+    for (std::uint16_t i = 0; i < window; ++i)
+        publishHead(sq, std::uint16_t(sq.syncedUsed + i), order[i]);
     sq.shadowLayout.setAvailIdx(*baseMem_, sq.shadowAvail);
     if (window > 0)
         faultRecovered_.inc(window);

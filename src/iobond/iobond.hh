@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,8 +122,8 @@ class IoBondFunction : public virtio::VirtioPciDevice
 
     IoBond &owner_;
     unsigned index_;
-    unsigned maxPairs_ = 1;  ///< pairs/queues offered
-    unsigned currPairs_ = 1; ///< pairs the driver committed to
+    unsigned maxPairs_;  ///< pairs/queues offered
+    unsigned currPairs_; ///< pairs the driver committed to
 };
 
 class IoBond : public SimObject
@@ -415,9 +416,10 @@ class IoBond : public SimObject
         std::vector<Seg> segs;
         Addr bufBlock = PoolAllocator::nullAddr;
         Addr indirectBlock = PoolAllocator::nullAddr;
-        /** Direct shadow descriptor ids written at mirror time
-         *  (empty for indirect chains) — the scrubber re-derives
-         *  the expected descriptor bytes from segs + path, never
+        /** Shadow ring slots of the chain, head first (the head
+         *  alone for an indirect chain). With segs and the table
+         *  they are what the mirror encodes, and the scrubber
+         *  re-derives the expected descriptors from them, never
          *  from guest memory a hostile tenant could rewrite. */
         std::vector<std::uint16_t> path;
         /** Submission order, for crash-recovery replay. */
@@ -429,6 +431,22 @@ class IoBond : public SimObject
          *  inflight entries with ring positions. */
         std::uint16_t availPos = 0;
         bool published = false;
+
+        /** The indirect table, or nullopt for a direct chain. */
+        std::optional<Addr>
+        table() const
+        {
+            if (indirectBlock == PoolAllocator::nullAddr)
+                return std::nullopt;
+            return indirectBlock;
+        }
+        /** Buffer @p i as its shadow descriptor describes it. */
+        virtio::Segment
+        shadowSeg(std::uint16_t i) const
+        {
+            return {segs[i].shadowAddr, std::uint32_t(segs[i].len),
+                    segs[i].write};
+        }
     };
 
     /** One completed chain travelling back to the guest as part of
@@ -469,6 +487,12 @@ class IoBond : public SimObject
         std::map<std::uint16_t, ChainShadow> inflight;
     };
 
+    /** The one body behind addNet/Blk/ConsoleFunction. */
+    IoBondFunction &addFunction(int guest_slot, virtio::DeviceType type,
+                                unsigned num_queues,
+                                std::uint64_t features,
+                                std::vector<std::uint8_t> cfg);
+
     /** Front-end hooks. */
     void guestNotified(IoBondFunction &fn, unsigned q);
     void driverReady(IoBondFunction &fn);
@@ -483,10 +507,18 @@ class IoBond : public SimObject
     unsigned syncAvail(unsigned fn, unsigned q);
     /** Mirror one chain's descriptors into shadow memory and
      *  append its readable payload segments to the burst's
-     *  scatter-gather list; false if malformed or out of arena. */
+     *  scatter-gather list; false if malformed, already in
+     *  flight, or out of arena. */
     bool mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
                      std::vector<DmaEngine::CopySeg> &segs,
                      Bytes &meta);
+    /** Put @p head in shadow avail slot @p pos and record that
+     *  position on its inflight chain. */
+    void publishHead(ShadowQueue &sq, std::uint16_t pos,
+                     std::uint16_t head);
+    /** Heads of @p sq's inflight chains in submission order. */
+    static std::vector<std::uint16_t>
+    submissionOrder(const ShadowQueue &sq);
 
     /** Fault hook: link flaps, dropped doorbells, function death. */
     bool injectFault(const fault::FaultSpec &spec);
@@ -497,10 +529,10 @@ class IoBond : public SimObject
     /** Re-scan every ready queue (post-flap / resync sweep). */
     void rescanReady();
 
-    /** Flip the len field of one shadow descriptor of @p cs (the
-     *  DmaCorruptMeta payload: metadata rot the scrubber must
+    /** Flip the len field of the first buffer descriptor of @p cs
+     *  (the DmaCorruptMeta payload: metadata rot the scrubber must
      *  catch, distinct from payload corruption). */
-    void corruptShadowMeta(ShadowQueue &sq, std::uint16_t head,
+    void corruptShadowMeta(const ShadowQueue &sq,
                            const ChainShadow &cs);
     /** Arm the next scrub pass (lazily: only while chains are in
      *  flight, so an idle bond schedules nothing). */

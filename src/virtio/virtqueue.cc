@@ -77,48 +77,16 @@ VirtQueueDriver::submit(const std::vector<Segment> &out,
     cookies_[head] = cookie;
     chainLen_[head] = std::uint16_t(direct_needed);
 
-    if (use_indirect) {
-        // Write the indirect table into this head's private area.
-        Addr table = indirectTable(head);
-        std::uint16_t n = std::uint16_t(total);
-        for (std::uint16_t i = 0; i < n; ++i) {
-            const Segment &s = i < out.size()
-                                   ? out[i]
-                                   : in[i - out.size()];
-            VringDesc d;
-            d.addr = s.addr;
-            d.len = s.len;
-            d.flags = std::uint16_t(
-                (s.deviceWrites ? VRING_DESC_F_WRITE : 0) |
-                (i + 1 < n ? VRING_DESC_F_NEXT : 0));
-            d.next = std::uint16_t(i + 1 < n ? i + 1 : 0);
-            Addr a = table + Addr(i) * vringDescSize;
-            mem_.write64(a, d.addr);
-            mem_.write32(a + 8, d.len);
-            mem_.write16(a + 12, d.flags);
-            mem_.write16(a + 14, d.next);
-        }
-        VringDesc d;
-        d.addr = table;
-        d.len = std::uint32_t(n) * std::uint32_t(vringDescSize);
-        d.flags = VRING_DESC_F_INDIRECT;
-        d.next = 0;
-        layout_.writeDesc(mem_, head, d);
-    } else {
-        for (std::size_t i = 0; i < total; ++i) {
-            const Segment &s = i < out.size()
-                                   ? out[i]
-                                   : in[i - out.size()];
-            VringDesc d;
-            d.addr = s.addr;
-            d.len = s.len;
-            d.flags = std::uint16_t(
-                (s.deviceWrites ? VRING_DESC_F_WRITE : 0) |
-                (i + 1 < total ? VRING_DESC_F_NEXT : 0));
-            d.next = std::uint16_t(i + 1 < total ? ids[i + 1] : 0);
-            layout_.writeDesc(mem_, ids[i], d);
-        }
-    }
+    // An indirect chain goes into this head's private table area.
+    std::optional<Addr> table;
+    if (use_indirect)
+        table = indirectTable(head);
+    encodeChain(
+        layout_, ids.data(), table, std::uint16_t(total),
+        [&](std::uint16_t i) {
+            return i < out.size() ? out[i] : in[i - out.size()];
+        },
+        [this](Addr a, const VringDesc &d) { writeDescAt(mem_, a, d); });
 
     // Publish on the available ring; idx wraps naturally at 2^16.
     layout_.setAvailRing(mem_, availIdx_ % layout_.size(), head);
@@ -305,7 +273,6 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
                 d.addr + d.len > mem.size())
                 return fail(GuestFaultKind::IndirectMalformed);
             w.indirect = true;
-            w.indirectAddr = d.addr;
             // Follow the table's next pointers with the same
             // containment as the direct walk: a hostile guest can
             // write a self-referencing or cyclic table, and the
@@ -319,12 +286,8 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
                 if (++ind_steps > n)
                     // cyclic indirect table
                     return fail(GuestFaultKind::DescLoop);
-                Addr a = d.addr + Addr(idx) * vringDescSize;
-                VringDesc ind;
-                ind.addr = mem.read64(a);
-                ind.len = mem.read32(a + 8);
-                ind.flags = mem.read16(a + 12);
-                ind.next = mem.read16(a + 14);
+                VringDesc ind = readDescAt(
+                    mem, d.addr + Addr(idx) * vringDescSize);
                 if (ind.flags & VRING_DESC_F_INDIRECT)
                     // nesting forbidden by the spec
                     return fail(GuestFaultKind::IndirectMalformed);
@@ -334,7 +297,6 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
                 w.chain.segs.push_back(
                     {ind.addr, ind.len,
                      bool(ind.flags & VRING_DESC_F_WRITE)});
-                ++w.indirectCount;
                 if (!(ind.flags & VRING_DESC_F_NEXT))
                     break;
                 idx = ind.next;
@@ -358,52 +320,46 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
 }
 
 std::optional<DescChain>
-VirtQueueDevice::pop()
+VirtQueueDevice::take()
 {
-    if (!hasWork())
-        return std::nullopt;
     std::uint16_t head =
         layout_.availRing(mem_, lastAvail_ % layout_.size());
     ++lastAvail_;
-
     ChainWalk w = walkDescChain(mem_, layout_, head);
     if (!w.ok) {
         badChains_.inc();
-        // Complete the bad chain with zero length so the driver's
-        // descriptors are not leaked, then drop it.
         if (head < layout_.size())
             pushUsed(head, 0);
         return std::nullopt;
     }
     popped_.inc();
-    if (eventIdx_ && !notifySuppressed_) {
+    return std::move(w.chain);
+}
+
+std::optional<DescChain>
+VirtQueueDevice::pop()
+{
+    if (!hasWork())
+        return std::nullopt;
+    std::optional<DescChain> c = take();
+    if (c && eventIdx_ && !notifySuppressed_) {
         // Re-arm: kick us once anything beyond lastAvail_ appears.
         layout_.setAvailEvent(mem_, lastAvail_);
     }
-    return w.chain;
+    return c;
 }
 
 std::vector<DescChain>
 VirtQueueDevice::popBatch(unsigned max)
 {
     std::vector<DescChain> out;
-    unsigned consumed = 0;
+    bool consumed = false;
     while (out.size() < max && hasWork()) {
-        std::uint16_t head =
-            layout_.availRing(mem_, lastAvail_ % layout_.size());
-        ++lastAvail_;
-        ++consumed;
-        ChainWalk w = walkDescChain(mem_, layout_, head);
-        if (!w.ok) {
-            badChains_.inc();
-            if (head < layout_.size())
-                pushUsed(head, 0);
-            continue;
-        }
-        popped_.inc();
-        out.push_back(std::move(w.chain));
+        consumed = true;
+        if (std::optional<DescChain> c = take())
+            out.push_back(std::move(*c));
     }
-    if (consumed > 0 && eventIdx_ && !notifySuppressed_) {
+    if (consumed && eventIdx_ && !notifySuppressed_) {
         // One re-arm covers the whole drain: kick us once anything
         // beyond lastAvail_ appears.
         layout_.setAvailEvent(mem_, lastAvail_);

@@ -32,14 +32,6 @@
 namespace bmhive {
 namespace virtio {
 
-/** One buffer segment of a descriptor chain. */
-struct Segment
-{
-    Addr addr;
-    std::uint32_t len;
-    bool deviceWrites; ///< VRING_DESC_F_WRITE
-};
-
 /** A popped descriptor chain, device side. */
 struct DescChain
 {
@@ -63,8 +55,8 @@ struct UsedCompletion
 /**
  * Full result of walking a descriptor chain, including structure
  * information IO-Bond needs to mirror the chain into a shadow
- * ring: the direct descriptor ids visited and the location of an
- * indirect table if one was used.
+ * ring: the direct descriptor ids visited and whether the head
+ * points at an indirect table.
  */
 struct ChainWalk
 {
@@ -72,8 +64,6 @@ struct ChainWalk
     DescChain chain;
     std::vector<std::uint16_t> path; ///< direct desc ids, in order
     bool indirect = false;
-    Addr indirectAddr = 0;
-    std::uint16_t indirectCount = 0;
     /** Violation classification; meaningful only when !ok. */
     fault::GuestFaultKind fault = fault::GuestFaultKind::kCount;
 };
@@ -240,6 +230,12 @@ class VirtQueueDevice
     const VringLayout &layout() const { return layout_; }
 
   private:
+    /** Consume the next avail entry (the caller checked hasWork()):
+     *  its chain, or nullopt for a malformed one, which is counted
+     *  and completed with zero length so the driver's descriptors
+     *  are not leaked. */
+    std::optional<DescChain> take();
+
     GuestMemory &mem_;
     VringLayout layout_;
     bool eventIdx_;

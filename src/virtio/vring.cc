@@ -46,28 +46,39 @@ VringLayout::fitsIn(Bytes mem_size) const
 }
 
 VringDesc
-VringLayout::readDesc(const GuestMemory &m, std::uint16_t i) const
+readDescAt(const GuestMemory &m, Addr a)
+{
+    return {m.read64(a), m.read32(a + 8), m.read16(a + 12),
+            m.read16(a + 14)};
+}
+
+void
+writeDescAt(GuestMemory &m, Addr a, const VringDesc &d)
+{
+    m.write64(a, d.addr);
+    m.write32(a + 8, d.len);
+    m.write16(a + 12, d.flags);
+    m.write16(a + 14, d.next);
+}
+
+Addr
+VringLayout::descAddr(std::uint16_t i) const
 {
     panic_if(i >= size_, "descriptor index out of range: ", i);
-    Addr a = desc_ + Addr(i) * vringDescSize;
-    VringDesc d;
-    d.addr = m.read64(a);
-    d.len = m.read32(a + 8);
-    d.flags = m.read16(a + 12);
-    d.next = m.read16(a + 14);
-    return d;
+    return desc_ + Addr(i) * vringDescSize;
+}
+
+VringDesc
+VringLayout::readDesc(const GuestMemory &m, std::uint16_t i) const
+{
+    return readDescAt(m, descAddr(i));
 }
 
 void
 VringLayout::writeDesc(GuestMemory &m, std::uint16_t i,
                        const VringDesc &d) const
 {
-    panic_if(i >= size_, "descriptor index out of range: ", i);
-    Addr a = desc_ + Addr(i) * vringDescSize;
-    m.write64(a, d.addr);
-    m.write32(a + 8, d.len);
-    m.write16(a + 12, d.flags);
-    m.write16(a + 14, d.next);
+    writeDescAt(m, descAddr(i), d);
 }
 
 std::uint16_t

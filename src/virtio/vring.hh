@@ -14,6 +14,7 @@
 #define BMHIVE_VIRTIO_VRING_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "base/units.hh"
 #include "mem/guest_memory.hh"
@@ -45,9 +46,24 @@ struct VringDesc
     std::uint32_t len;   ///< buffer length
     std::uint16_t flags; ///< DescFlags
     std::uint16_t next;  ///< next descriptor if F_NEXT
+
+    bool operator==(const VringDesc &) const = default;
 };
 
 static constexpr Bytes vringDescSize = 16;
+
+/** The descriptor at byte address @p a: the one place its 16-byte
+ *  wire format is read or written. */
+VringDesc readDescAt(const GuestMemory &m, Addr a);
+void writeDescAt(GuestMemory &m, Addr a, const VringDesc &d);
+
+/** One buffer segment of a descriptor chain. */
+struct Segment
+{
+    Addr addr;
+    std::uint32_t len;
+    bool deviceWrites; ///< VRING_DESC_F_WRITE
+};
 
 /**
  * Event-index notification test (virtio 1.0 section 2.4.7.2):
@@ -108,6 +124,8 @@ class VringLayout
     bool fitsIn(Bytes mem_size) const;
 
     // --- Descriptor table ---
+    /** Byte address of descriptor @p i. */
+    Addr descAddr(std::uint16_t i) const;
     VringDesc readDesc(const GuestMemory &m, std::uint16_t i) const;
     void writeDesc(GuestMemory &m, std::uint16_t i,
                    const VringDesc &d) const;
@@ -149,6 +167,48 @@ class VringLayout
     Addr avail_ = 0;
     Addr used_ = 0;
 };
+
+/**
+ * The split-ring chain layout (virtio 1.0 sections 2.4.5 and
+ * 2.4.5.3), the one place the WRITE/NEXT/INDIRECT link rule lives:
+ * calls @p emit(addr, desc) for every descriptor of a chain of
+ * @p n buffers, head first, where buffer i is @p buf(i), a Segment.
+ * A direct chain puts buffer i in ring slot @p ids[i], linked to
+ * ids[i + 1]. With an indirect @p table the head slot ids[0] holds
+ * {table, n * 16, INDIRECT, 0} and buffer i fills table entry i,
+ * linked to entry i + 1. A device-writable buffer sets WRITE, and
+ * every buffer but the last sets NEXT.
+ */
+template <typename Buf, typename Emit>
+void
+encodeChain(const VringLayout &ring, const std::uint16_t *ids,
+            std::optional<Addr> table, std::uint16_t n, Buf buf,
+            Emit emit)
+{
+    auto link = [&](std::uint16_t i, Addr at, std::uint16_t next) {
+        Segment s = buf(i);
+        bool more = i + 1 < n;
+        emit(at, VringDesc{s.addr, s.len,
+                           std::uint16_t(
+                               (s.deviceWrites ? VRING_DESC_F_WRITE
+                                               : 0) |
+                               (more ? VRING_DESC_F_NEXT : 0)),
+                           more ? next : std::uint16_t(0)});
+    };
+    if (table) {
+        emit(ring.descAddr(ids[0]),
+             VringDesc{*table,
+                       std::uint32_t(n) * std::uint32_t(vringDescSize),
+                       VRING_DESC_F_INDIRECT, 0});
+        for (std::uint16_t i = 0; i < n; ++i)
+            link(i, *table + Addr(i) * vringDescSize,
+                 std::uint16_t(i + 1));
+    } else {
+        for (std::uint16_t i = 0; i < n; ++i)
+            link(i, ring.descAddr(ids[i]),
+                 i + 1 < n ? ids[i + 1] : std::uint16_t(0));
+    }
+}
 
 } // namespace virtio
 } // namespace bmhive

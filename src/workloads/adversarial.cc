@@ -4,7 +4,6 @@
 
 #include "pci/config_space.hh"
 #include "virtio/virtio_pci.hh"
-#include "virtio/vring.hh"
 
 namespace bmhive {
 namespace workloads {
@@ -46,50 +45,46 @@ AdversarialGuest::bar0(int slot)
            ~std::uint32_t(0xf);
 }
 
-AdversarialGuest::RingInfo
+std::optional<VringLayout>
 AdversarialGuest::ringInfo(Addr bar, unsigned q)
 {
     auto &bus = board_.pciBus();
     bus.memWrite(bar + COMMON_Q_SELECT, q, 2);
-    RingInfo ri;
-    ri.size = std::uint16_t(bus.memRead(bar + COMMON_Q_SIZE, 2));
+    auto size = std::uint16_t(bus.memRead(bar + COMMON_Q_SIZE, 2));
     bool enabled = bus.memRead(bar + COMMON_Q_ENABLE, 2) != 0;
-    ri.desc = Addr(bus.memRead(bar + COMMON_Q_DESCLO, 4)) |
-              Addr(bus.memRead(bar + COMMON_Q_DESCHI, 4)) << 32;
-    ri.avail = Addr(bus.memRead(bar + COMMON_Q_AVAILLO, 4)) |
-               Addr(bus.memRead(bar + COMMON_Q_AVAILHI, 4)) << 32;
+    Addr desc = Addr(bus.memRead(bar + COMMON_Q_DESCLO, 4)) |
+                Addr(bus.memRead(bar + COMMON_Q_DESCHI, 4)) << 32;
+    Addr avail = Addr(bus.memRead(bar + COMMON_Q_AVAILLO, 4)) |
+                 Addr(bus.memRead(bar + COMMON_Q_AVAILHI, 4)) << 32;
     // The attacker must not crash its own simulation: only
     // scribble rings that really live in this board's memory.
     Bytes msize = board_.memory().size();
-    ri.ok = enabled && ri.size > 0 &&
-            ri.desc + Bytes(ri.size) * vringDescSize <= msize &&
-            ri.avail + 6 + 2 * Bytes(ri.size) <= msize;
-    return ri;
+    VringLayout ring(size, desc, avail, 0);
+    if (!enabled || size == 0 || desc + ring.descBytes() > msize ||
+        avail + ring.availBytes() > msize)
+        return std::nullopt;
+    return ring;
 }
 
 void
-AdversarialGuest::scribbleDesc(const RingInfo &ri, std::uint16_t i,
+AdversarialGuest::scribbleDesc(const VringLayout &ring, std::uint16_t i,
                                std::uint64_t addr,
                                std::uint32_t len,
                                std::uint16_t flags,
                                std::uint16_t next)
 {
-    GuestMemory &m = board_.memory();
-    Addr a = ri.desc + Addr(i % ri.size) * vringDescSize;
-    m.write64(a, addr);
-    m.write32(a + 8, len);
-    m.write16(a + 12, flags);
-    m.write16(a + 14, next);
+    ring.writeDesc(board_.memory(), i % ring.size(),
+                   {addr, len, flags, next});
 }
 
 void
-AdversarialGuest::publish(Addr bar, const RingInfo &ri, unsigned q,
+AdversarialGuest::publish(Addr bar, const VringLayout &ring, unsigned q,
                           std::uint16_t head)
 {
     GuestMemory &m = board_.memory();
-    std::uint16_t idx = m.read16(ri.avail + 2);
-    m.write16(ri.avail + 4 + 2 * Addr(idx % ri.size), head);
-    m.write16(ri.avail + 2, std::uint16_t(idx + 1));
+    std::uint16_t idx = ring.availIdx(m);
+    ring.setAvailRing(m, idx % ring.size(), head);
+    ring.setAvailIdx(m, std::uint16_t(idx + 1));
     board_.pciBus().memWrite(bar + notifyRegionOffset, q, 4);
 }
 
@@ -119,91 +114,90 @@ AdversarialGuest::attack(unsigned kind)
       }
       case 2: {
         // Avail-index jump wider than the ring.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
         GuestMemory &m = board_.memory();
-        std::uint16_t idx = m.read16(ri.avail + 2);
-        m.write16(ri.avail + 2,
-                  std::uint16_t(idx + 2 * ri.size + 3));
+        std::uint16_t idx = ri->availIdx(m);
+        ri->setAvailIdx(m, std::uint16_t(idx + 2 * ri->size() + 3));
         bus.memWrite(bar + notifyRegionOffset, q, 4);
         break;
       }
       case 3: {
         // Publish a head index past the descriptor table.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
-        publish(bar, ri, q,
-                std::uint16_t(rng_.uniformInt(ri.size, 0xfffe)));
+        publish(bar, *ri, q,
+                std::uint16_t(rng_.uniformInt(ri->size(), 0xfffe)));
         break;
       }
       case 4: {
         // Descriptor pointing outside guest memory.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
-        auto i = std::uint16_t(rng_.uniformInt(0, ri.size - 1));
-        scribbleDesc(ri, i, board_.memory().size() + 0x10000, 512,
+        auto i = std::uint16_t(rng_.uniformInt(0, ri->size() - 1));
+        scribbleDesc(*ri, i, board_.memory().size() + 0x10000, 512,
                      0, 0);
-        publish(bar, ri, q, i);
+        publish(bar, *ri, q, i);
         break;
       }
       case 5: {
         // Zero-length descriptor.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
-        auto i = std::uint16_t(rng_.uniformInt(0, ri.size - 1));
-        scribbleDesc(ri, i, 0x1000, 0, 0, 0);
-        publish(bar, ri, q, i);
+        auto i = std::uint16_t(rng_.uniformInt(0, ri->size() - 1));
+        scribbleDesc(*ri, i, 0x1000, 0, 0, 0);
+        publish(bar, *ri, q, i);
         break;
       }
       case 6: {
         // Self-referencing descriptor chain.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
-        auto i = std::uint16_t(rng_.uniformInt(0, ri.size - 1));
-        scribbleDesc(ri, i, 0x1000, 64, VRING_DESC_F_NEXT, i);
-        publish(bar, ri, q, i);
+        auto i = std::uint16_t(rng_.uniformInt(0, ri->size() - 1));
+        scribbleDesc(*ri, i, 0x1000, 64, VRING_DESC_F_NEXT, i);
+        publish(bar, *ri, q, i);
         break;
       }
       case 7: {
         // Device-writable segment before a device-readable one.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok || ri.size < 2)
+        auto ri = ringInfo(bar, q);
+        if (!ri || ri->size() < 2)
             break;
-        auto i = std::uint16_t(rng_.uniformInt(0, ri.size - 2));
+        auto i = std::uint16_t(rng_.uniformInt(0, ri->size() - 2));
         auto j = std::uint16_t(i + 1);
-        scribbleDesc(ri, i, 0x1000, 64,
+        scribbleDesc(*ri, i, 0x1000, 64,
                      VRING_DESC_F_WRITE | VRING_DESC_F_NEXT, j);
-        scribbleDesc(ri, j, 0x2000, 64, 0, 0);
-        publish(bar, ri, q, i);
+        scribbleDesc(*ri, j, 0x2000, 64, 0, 0);
+        publish(bar, *ri, q, i);
         break;
       }
       case 8: {
         // INDIRECT combined with NEXT (forbidden by the spec).
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
-        auto i = std::uint16_t(rng_.uniformInt(0, ri.size - 1));
-        scribbleDesc(ri, i, 0x1000, 16 * 8,
+        auto i = std::uint16_t(rng_.uniformInt(0, ri->size() - 1));
+        scribbleDesc(*ri, i, 0x1000, 16 * 8,
                      VRING_DESC_F_INDIRECT | VRING_DESC_F_NEXT, 0);
-        publish(bar, ri, q, i);
+        publish(bar, *ri, q, i);
         break;
       }
       case 9: {
         // Arithmetically valid but absurdly large buffer.
-        RingInfo ri = ringInfo(bar, q);
-        if (!ri.ok)
+        auto ri = ringInfo(bar, q);
+        if (!ri)
             break;
-        auto i = std::uint16_t(rng_.uniformInt(0, ri.size - 1));
+        auto i = std::uint16_t(rng_.uniformInt(0, ri->size() - 1));
         Bytes msize = board_.memory().size();
         std::uint32_t len = std::uint32_t(
             std::min<Bytes>(msize, 8 * MiB));
-        scribbleDesc(ri, i, 0, len, 0, 0);
-        publish(bar, ri, q, i);
+        scribbleDesc(*ri, i, 0, len, 0, 0);
+        publish(bar, *ri, q, i);
         break;
       }
       case 10: {

@@ -16,6 +16,7 @@
 #define BMHIVE_WORKLOADS_ADVERSARIAL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "base/random.hh"
@@ -23,6 +24,7 @@
 #include "base/units.hh"
 #include "hw/compute_board.hh"
 #include "sim/sim_object.hh"
+#include "virtio/vring.hh"
 
 namespace bmhive {
 namespace workloads {
@@ -68,22 +70,18 @@ class AdversarialGuest : public SimObject
     /** Programmed, decoded BAR0 base of @p slot; 0 if absent. */
     Addr bar0(int slot);
 
-    /** Snapshot of the rings the (honest) driver programmed. */
-    struct RingInfo
-    {
-        bool ok = false; ///< enabled, sane size, areas in memory
-        std::uint16_t size = 0;
-        Addr desc = 0;
-        Addr avail = 0;
-    };
-    RingInfo ringInfo(Addr bar, unsigned q);
+    /** The rings the (honest) driver programmed on queue @p q:
+     *  descriptor table and avail ring (the attacker never touches
+     *  the used ring, so its address is left 0); nullopt unless
+     *  enabled, sized and inside this board's memory. */
+    std::optional<virtio::VringLayout> ringInfo(Addr bar, unsigned q);
 
     /** Scribble one descriptor table entry (bounds-checked). */
-    void scribbleDesc(const RingInfo &ri, std::uint16_t i,
+    void scribbleDesc(const virtio::VringLayout &ring, std::uint16_t i,
                       std::uint64_t addr, std::uint32_t len,
                       std::uint16_t flags, std::uint16_t next);
     /** Publish @p head on the avail ring and ring the doorbell. */
-    void publish(Addr bar, const RingInfo &ri, unsigned q,
+    void publish(Addr bar, const virtio::VringLayout &ring, unsigned q,
                  std::uint16_t head);
 
     void step();

@@ -514,7 +514,6 @@ TEST(FleetObs, DumpFilenamesDistinctAcrossServers)
     std::filesystem::create_directories(dir);
     FleetParams fp;
     fp.server.obs.flightDumpDir = dir;
-    fp.server.obs.flightDumpCooldown = 0;
     FleetBed bed(909, 2, 1, fp);
     GuestId a = bed.addGuest(0x21, 0);
     GuestId b = bed.addGuest(0x22, 0);

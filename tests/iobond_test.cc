@@ -91,6 +91,21 @@ class IoBondTest : public ::testing::Test
                                bond.shadowLayout(0, NET_TXQ));
     }
 
+    /** The mirrored chain carries every submitted segment's length
+     *  and direction, in order. */
+    static void
+    expectSameSegments(const DescChain &shadow,
+                       const std::vector<Segment> &guest)
+    {
+        ASSERT_EQ(shadow.segs.size(), guest.size());
+        for (std::size_t i = 0; i < guest.size(); ++i) {
+            EXPECT_EQ(shadow.segs[i].len, guest[i].len) << "seg " << i;
+            EXPECT_EQ(shadow.segs[i].deviceWrites,
+                      guest[i].deviceWrites)
+                << "seg " << i;
+        }
+    }
+
     Simulation sim;
     hw::ComputeBoard board;
     GuestMemory baseMem;
@@ -120,8 +135,9 @@ TEST_F(IoBondTest, DirectChainMirroredWithPayload)
         payload[i] = std::uint8_t(i);
     gmem.writeBlob(0x20000, payload);
 
-    auto head = driver->submit({{0x20000, 300, false}},
-                               {{0x21000, 100, true}}, 1);
+    std::vector<Segment> out{{0x20000, 300, false}};
+    std::vector<Segment> in{{0x21000, 100, true}};
+    auto head = driver->submit(out, in, 1);
     ASSERT_TRUE(head.has_value());
     kick();
     sim.run(sim.now() + msToTicks(1));
@@ -130,10 +146,7 @@ TEST_F(IoBondTest, DirectChainMirroredWithPayload)
     auto dev = shadowDev();
     auto chain = dev.pop();
     ASSERT_TRUE(chain.has_value());
-    ASSERT_EQ(chain->segs.size(), 2u);
-    EXPECT_EQ(chain->segs[0].len, 300u);
-    EXPECT_FALSE(chain->segs[0].deviceWrites);
-    EXPECT_TRUE(chain->segs[1].deviceWrites);
+    ASSERT_NO_FATAL_FAILURE(expectSameSegments(*chain, {out[0], in[0]}));
     // Shadow addresses are in base memory and hold the payload.
     EXPECT_EQ(baseMem.readBlob(chain->segs[0].addr, 300), payload);
     EXPECT_EQ(bond.chainsForwarded(), 1u);
@@ -144,9 +157,10 @@ TEST_F(IoBondTest, IndirectChainMirrored)
     VirtQueueDriver ind(board.memory(), layouts[NET_TXQ],
                         /*indirect=*/true, 0x40000);
     board.memory().write64(0x22000, 0x1122334455667788ull);
-    auto head = ind.submit({{0x22000, 64, false},
-                            {0x23000, 32, false}},
-                           {{0x24000, 16, true}}, 2);
+    std::vector<Segment> out{{0x22000, 64, false},
+                             {0x23000, 32, false}};
+    std::vector<Segment> in{{0x24000, 16, true}};
+    auto head = ind.submit(out, in, 2);
     ASSERT_TRUE(head.has_value());
     kick();
     sim.run(sim.now() + msToTicks(1));
@@ -154,7 +168,8 @@ TEST_F(IoBondTest, IndirectChainMirrored)
     auto dev = shadowDev();
     auto chain = dev.pop();
     ASSERT_TRUE(chain.has_value());
-    ASSERT_EQ(chain->segs.size(), 3u);
+    ASSERT_NO_FATAL_FAILURE(
+        expectSameSegments(*chain, {out[0], out[1], in[0]}));
     EXPECT_EQ(baseMem.read64(chain->segs[0].addr),
               0x1122334455667788ull);
 }
@@ -297,6 +312,101 @@ TEST_F(IoBondTest, ArenaAccountingBalancedUnderLoad)
     EXPECT_EQ(bond.completionsReturned(), 300u);
     // DMA moved every payload byte at least once.
     EXPECT_GE(bond.dma().bytesMoved(), 300u * 256u);
+}
+
+TEST_F(IoBondTest, RepostedInFlightHeadIsContained)
+{
+    // A guest re-publishes a 1 MiB chain whose head the device
+    // still owns. Mirroring each re-post would orphan the live
+    // chain's shadow blocks until 16 of them pinned the whole
+    // 16 MiB arena, for good: completions and resets free only
+    // the newest. Each re-post is a contained fault instead.
+    GuestMemory &gmem = board.memory();
+    const VringLayout &l = layouts[NET_TXQ];
+    auto post = [&](std::uint16_t head) {
+        std::uint16_t idx = l.availIdx(gmem);
+        l.setAvailRing(gmem, idx % l.size(), head);
+        l.setAvailIdx(gmem, std::uint16_t(idx + 1));
+        kick();
+        sim.run(sim.now() + msToTicks(2));
+    };
+    l.writeDesc(gmem, 0, {0x100000, std::uint32_t(MiB), 0, 0});
+    for (int i = 0; i < 20; ++i)
+        post(0);
+    EXPECT_EQ(bond.guestFaults(fault::GuestFaultKind::HeadInFlight),
+              19u);
+    EXPECT_EQ(bond.malformedChains(), 0u);
+    EXPECT_EQ(bond.chainsForwarded(), 1u);
+
+    // The backend runs the chain once, and its completion empties
+    // the arena.
+    auto dev = shadowDev();
+    unsigned popped = 0;
+    while (auto c = dev.pop()) {
+        dev.pushUsed(c->head, 0);
+        ++popped;
+    }
+    EXPECT_EQ(popped, 1u);
+    bond.backendCompleted(0, NET_TXQ);
+    sim.run(sim.now() + msToTicks(1));
+    EXPECT_EQ(bond.inflightChains(), 0u);
+
+    // So a chain of the 4 MiB per-chain maximum still mirrors.
+    l.writeDesc(gmem, 1, {0x400000, std::uint32_t(4 * MiB), 0, 0});
+    post(1);
+    EXPECT_EQ(bond.malformedChains(), 0u);
+    auto big = dev.pop();
+    ASSERT_TRUE(big.has_value());
+    EXPECT_EQ(big->segs[0].len, 4 * MiB);
+}
+
+TEST_F(IoBondTest, ScrubCountsOneRepairPerRottedDescriptor)
+{
+    // DmaCorruptMeta flips the len of a live chain's first buffer
+    // descriptor; the next scrub pass rewrites that one descriptor
+    // and counts exactly one repair. First a 3-descriptor direct
+    // chain on tx, then a 3-entry indirect table on rx.
+    auto rot = [&] {
+        fault::FaultSpec f;
+        f.kind = fault::FaultKind::DmaCorruptMeta;
+        ASSERT_TRUE(sim.faults().deliver("bond", f));
+    };
+    std::vector<Segment> out{{0x20000, 64, false},
+                             {0x20100, 64, false}};
+    std::vector<Segment> in{{0x21000, 64, true}};
+    ASSERT_TRUE(driver->submit(out, in, 1).has_value());
+    kick();
+    sim.run(sim.now() + usToTicks(10));
+    rot();
+    sim.run(sim.now() + usToTicks(100));
+    EXPECT_EQ(bond.metaFaultsInjected(), 1u);
+    EXPECT_EQ(bond.scrubRepairs(), 1u);
+    // The repaired chain reaches the backend intact; completing it
+    // leaves the rx chain below the only one live.
+    auto dev = shadowDev();
+    auto chain = dev.pop();
+    ASSERT_TRUE(chain.has_value());
+    ASSERT_NO_FATAL_FAILURE(
+        expectSameSegments(*chain, {out[0], out[1], in[0]}));
+    dev.pushUsed(chain->head, 0);
+    bond.backendCompleted(0, NET_TXQ);
+    sim.run(sim.now() + usToTicks(10));
+    ASSERT_EQ(bond.inflightChains(), 0u);
+
+    VirtQueueDriver rx(board.memory(), layouts[NET_RXQ],
+                       /*indirect=*/true, 0x40000);
+    ASSERT_TRUE(rx.submit({}, {{0x30000, 64, true},
+                               {0x30100, 64, true},
+                               {0x30200, 64, true}},
+                          2)
+                    .has_value());
+    wr(notifyRegionOffset, NET_RXQ, 4);
+    sim.run(sim.now() + usToTicks(10));
+    rot();
+    sim.run(sim.now() + usToTicks(100));
+    EXPECT_EQ(bond.metaFaultsInjected(), 2u);
+    EXPECT_EQ(bond.scrubRepairs(), 2u);
+    EXPECT_EQ(bond.integrityQueueResets(), 0u);
 }
 
 TEST_F(IoBondTest, ResetDropsInflightAndStopsSync)

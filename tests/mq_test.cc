@@ -104,6 +104,9 @@ TEST(MqNegotiation, EveryLayerAgreesOnTheQueueCount)
 
     auto &g = bed.server.guest(0);
     EXPECT_EQ(g.bond().function(0).activeQueuePairs(), 4u);
+    ASSERT_EQ(g.bond().function(1).deviceType(),
+              virtio::DeviceType::Block);
+    EXPECT_EQ(g.bond().function(1).activeQueuePairs(), 4u);
     EXPECT_EQ(g.hypervisor().service().netPairCount(), 4u);
     EXPECT_EQ(g.hypervisor().service().blkQueueCount(), 4u);
     EXPECT_TRUE(g.hypervisor().perQueueScheduled());

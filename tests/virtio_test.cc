@@ -267,7 +267,6 @@ TEST(WalkDescChainTest, ReportsPathAndIndirectInfo)
     ChainWalk w = walkDescChain(mem, l, 0);
     ASSERT_TRUE(w.ok);
     EXPECT_TRUE(w.indirect);
-    EXPECT_EQ(w.indirectCount, 3u);
     EXPECT_EQ(w.path.size(), 1u);
     ASSERT_EQ(w.chain.segs.size(), 3u);
     EXPECT_EQ(w.chain.segs[2].len, 30u);
