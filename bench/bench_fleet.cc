@@ -21,6 +21,8 @@
  * (shared-mode fleets on 2 sim threads panic, DESIGN.md 18.7).
  */
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -353,6 +355,10 @@ main(int argc, char **argv)
     std::printf("  %-26s %12.0f\n", "wall clock (ms)", wall_ms);
     std::printf("  %-26s %12.2f\n", "sim ms per wall s",
                 wall_ms > 0.0 ? sim_ms / (wall_ms / 1e3) : 0.0);
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    std::printf("  %-26s %12.1f\n", "peak RSS (MB)",
+                double(ru.ru_maxrss) / 1024.0);
 
     check(lost_dup == 0,
           "block requests lost or duplicated across migrations");

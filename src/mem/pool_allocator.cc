@@ -32,7 +32,8 @@ PoolAllocator::alloc(Bytes len, Bytes align)
         Bytes tail = ext_len - waste - len;
         if (tail > 0)
             extents_[aligned + len] = tail;
-        // Record the full carved span so free() returns the waste.
+        // free() returns just [aligned, aligned+len): the waste
+        // went back to the free map above.
         live_[aligned] = {aligned, len};
         free_ -= len;
         return aligned;

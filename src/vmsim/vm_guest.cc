@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "base/logging.hh"
+#include "hw/cpu_model.hh"
 #include "virtio/virtio_blk.hh"
 #include "virtio/virtio_net.hh"
 
@@ -11,6 +12,16 @@ namespace vmsim {
 
 using namespace virtio;
 
+namespace {
+
+/** vCPUs of every vm-guest, on the evaluated instance's E5-2682 v4
+ *  (the processor the paper compares bm-guests against). */
+constexpr unsigned vmVcpus = 16;
+/** Simulation backing of a vm-guest's memory, not its nominal RAM. */
+constexpr Bytes vmMemBytes = 64 * MiB;
+
+} // namespace
+
 VmGuest::VmGuest(Simulation &sim, std::string name,
                  VmGuestParams params, cloud::VSwitch &vswitch,
                  cloud::BlockService *storage, cloud::Volume *volume)
@@ -18,11 +29,8 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
       vswitch_(vswitch), storage_(storage), volume_(volume),
       loops_(sim, this->name() + ".loops")
 {
-    if (params_.cpu.model.empty())
-        params_.cpu = hw::CpuCatalog::xeonE5_2682v4();
-
     mem_ = std::make_unique<GuestMemory>(this->name() + ".mem",
-                                         params_.memBytes);
+                                         vmMemBytes);
     // Every MMIO access to an emulated device traps to the
     // hypervisor: one exit worth of latency per access. Interrupts
     // are injected rather than delivered by hardware.
@@ -36,10 +44,12 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
     hostExecModel_ = std::make_unique<VmExecutionModel>(
         sim.rng(), VmExecParams::hostThread());
 
-    for (unsigned i = 0; i < params_.vcpus; ++i) {
+    const double vcpu_speed =
+        hw::CpuCatalog::xeonE5_2682v4().singleThreadFactor;
+    for (unsigned i = 0; i < vmVcpus; ++i) {
         vcpus_.push_back(std::make_unique<hw::CpuExecutor>(
             sim, this->name() + ".vcpu" + std::to_string(i),
-            params_.cpu.singleThreadFactor, execModel_.get()));
+            vcpu_speed, execModel_.get()));
     }
     backendCore_ = std::make_unique<hw::CpuExecutor>(
         sim, this->name() + ".vhost", 1.0, hostExecModel_.get());

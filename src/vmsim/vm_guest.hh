@@ -22,7 +22,6 @@
 #include "guest/guest_os.hh"
 #include "guest/net_driver.hh"
 #include "hv/io_service.hh"
-#include "hw/cpu_model.hh"
 #include "sched/poll_scheduler.hh"
 #include "vmsim/vm_exec.hh"
 #include "virtio/virtio_pci.hh"
@@ -51,9 +50,6 @@ class VhostVirtioDevice : public virtio::VirtioPciDevice
 
 struct VmGuestParams
 {
-    hw::CpuModel cpu; ///< set in .cc default (E5-2682 v4)
-    unsigned vcpus = 16;
-    Bytes memBytes = 64 * MiB; ///< simulation backing, not nominal
     bool exclusive = true;     ///< pinned instance (paper Fig 1)
     bool rateLimited = true;
     std::uint64_t mac = 0;

@@ -15,6 +15,7 @@
 #include "hw/compute_board.hh"
 #include "hw/cpu_executor.hh"
 #include "hw/power.hh"
+#include "tests/resident.hh"
 
 namespace bmhive {
 namespace {
@@ -283,6 +284,34 @@ TEST_F(ServerTest, TooManyBoardsIsFatal)
                      core::InstanceCatalog::evaluated(), 0x99),
                  FatalError);
     Logger::global().setThrowOnDeath(false);
+}
+
+TEST(ServerFootprintTest, ProvisioningTouchesOnlyWhatGuestsUse)
+{
+    // A full server maps ~0.9 GiB of simulated memory: 16 boards
+    // and the base board's shadow regions. Firmware, driver and
+    // IO-Bond bring-up plus a millisecond of polling write rings,
+    // buffers and headers, never whole memories.
+    const std::uint64_t before = residentBytes();
+    Simulation sim(11);
+    cloud::VSwitch vswitch(sim, "vs");
+    cloud::BlockService storage(sim, "st");
+    core::BmHiveServer server(sim, "srv", vswitch, &storage,
+                              core::BmServerParams{});
+    // The E3 type is one that fits 16 boards to a server.
+    const auto &type = core::InstanceCatalog::byName("ebm.xeon-e3.8");
+    Bytes mapped = server.base().memory().size();
+    for (unsigned i = 0; i < paper::maxComputeBoards; ++i) {
+        auto &vol = storage.createVolume("v" + std::to_string(i),
+                                         8 * MiB);
+        auto &g = server.provision(type, 0x40 + i, &vol);
+        mapped += g.board().memory().size();
+    }
+    sim.run(sim.now() + msToTicks(1));
+    EXPECT_EQ(server.guestCount(), paper::maxComputeBoards);
+    EXPECT_GT(mapped, 896 * MiB);
+    const std::uint64_t after = residentBytes();
+    EXPECT_LT(after > before ? after - before : 0, mapped / 4);
 }
 
 TEST(ServerParamTest, RejectsMoreThan16Boards)

@@ -14,6 +14,7 @@
 #include "mem/dma_engine.hh"
 #include "mem/guest_memory.hh"
 #include "mem/pool_allocator.hh"
+#include "tests/resident.hh"
 
 namespace bmhive {
 namespace {
@@ -57,6 +58,25 @@ TEST(GuestMemoryTest, SeparateMemoriesDoNotAlias)
     GuestMemory a("a", 64), b("b", 64);
     a.write64(0, 0xdeadbeef);
     EXPECT_EQ(b.read64(0), 0u);
+}
+
+TEST(GuestMemoryTest, UntouchedPagesAreNotResident)
+{
+    // Simulated memory costs the host only the pages the model
+    // writes; every other byte still reads as zero.
+    const std::uint64_t before = residentBytes();
+    GuestMemory m("m", 256 * MiB);
+    m.write8(0, 0xa5);
+    m.write8(m.size() - 1, 0x5a);
+    EXPECT_EQ(m.read8(0), 0xa5u);
+    EXPECT_EQ(m.read8(m.size() - 1), 0x5au);
+    EXPECT_EQ(m.read8(1), 0u);
+    EXPECT_EQ(m.read64(128 * MiB), 0u);
+    EXPECT_EQ(m.read8(m.size() - 2), 0u);
+    EXPECT_EQ(m.readBlob(64 * MiB, 4096),
+              std::vector<std::uint8_t>(4096, 0));
+    const std::uint64_t after = residentBytes();
+    EXPECT_LT(after > before ? after - before : 0, 16 * MiB);
 }
 
 TEST(BumpAllocatorTest, AlignsAndAdvances)
