@@ -412,6 +412,9 @@ BmHypervisor::attachFunction(unsigned fn)
                     service_->enqueueRx(pkt, q);
                 });
         }
+        // Net and console chains are served within one poll: the
+        // old views hold none of them.
+        bond_.backendReattached(fn);
         return true;
     }
     if (f.deviceType() == virtio::DeviceType::Console) {
@@ -424,6 +427,7 @@ BmHypervisor::attachFunction(unsigned fn)
                 if (consoleSink_)
                     consoleSink_(text);
             });
+        bond_.backendReattached(fn);
         return true;
     }
     if (f.deviceType() == virtio::DeviceType::Block) {
@@ -440,6 +444,9 @@ BmHypervisor::attachFunction(unsigned fn)
                 service_->attachBlkQueue(q, bond_.shadowLayout(fn, q),
                                          tailWrite(fn, q));
         }
+        // attachBlk retired every read the old views had sent to
+        // storage: none can land in the bond's shadow blocks now.
+        bond_.backendReattached(fn);
         return true;
     }
     return false;

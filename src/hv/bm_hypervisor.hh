@@ -311,7 +311,9 @@ class BmHypervisor : public SimObject
 
     /** Attach one function's role, and every queue of it whose
      *  shadow vrings are ready, to service_; false until its queue
-     *  0 is ready. The only place a generation's views come from. */
+     *  0 is ready. The only place a generation's views come from,
+     *  so it tells the bond the old views let go of the function's
+     *  chains (IoBond::backendReattached). */
     bool attachFunction(unsigned fn);
     /** Completion barrier for shadow queue (@p fn, @p q): the
      *  IO-Bond tail write. */

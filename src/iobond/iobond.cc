@@ -478,6 +478,9 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
     baseMem_ = &new_base;
     pool_ = PoolAllocator(region_base + 4 * MiB,
                           params_.shadowArenaBytes);
+    // Blocks a reset dropped belong to the arena left behind.
+    for (auto &blocks : dropped_)
+        blocks.clear();
     shadowRings_.reseat(new_base, region_base);
 
     // Rebuild every shadow ring in the new memory and replay the
@@ -602,6 +605,7 @@ IoBond::addFunction(int guest_slot, DeviceType type,
     board_.pciBus().attach(*fn, guest_slot);
     functions_.push_back(std::move(fn));
     shadow_.emplace_back(num_queues);
+    dropped_.emplace_back();
     fnDoorbells_.push_back(TokenBucket::unlimited());
     return *functions_.back();
 }
@@ -743,6 +747,12 @@ void
 IoBond::functionReset(IoBondFunction &fn)
 {
     unsigned fi = fn.index();
+    // The dropped chains' blocks stay allocated until the backend
+    // has let go of them (backendReattached): it may still write
+    // one, a blk read completing late. Freed now, they would go to
+    // the next chains any function of this bond posts, and the late
+    // bytes would overwrite buffers and tables already laid out.
+    std::vector<Addr> &blocks = dropped_[fi];
     for (unsigned q = 0; q < shadow_[fi].size(); ++q) {
         ShadowQueue &sq = shadow_[fi][q];
         // Open traced flows on this queue will never see an MSI:
@@ -751,16 +761,29 @@ IoBond::functionReset(IoBondFunction &fn)
             sq.reqTracer->dropOpen(fi, q);
         for (auto &[head, cs] : sq.inflight) {
             if (cs.bufBlock != PoolAllocator::nullAddr)
-                pool_.free(cs.bufBlock);
+                blocks.push_back(cs.bufBlock);
             if (cs.indirectBlock != PoolAllocator::nullAddr)
-                pool_.free(cs.indirectBlock);
+                blocks.push_back(cs.indirectBlock);
         }
         sq.inflight.clear();
         sq.ready = false;
         // In-flight DMA completions for this queue must not touch
-        // the rings (or re-free the blocks just released above).
+        // the rings (or free the blocks kept above).
         ++sq.epoch;
     }
+}
+
+void
+IoBond::backendReattached(unsigned fn)
+{
+    panic_if(fn >= dropped_.size(), name(), ": bad function ", fn);
+    // A dropped chain's mirror copy may still be queued, too: its
+    // bytes land in the blocks whatever the epoch says. Free them
+    // only once every transfer queued so far has landed.
+    dma_.fence([this, blocks = std::exchange(dropped_[fn], {})] {
+        for (Addr b : blocks)
+            pool_.free(b);
+    });
 }
 
 void

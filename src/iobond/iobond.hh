@@ -225,6 +225,16 @@ class IoBond : public SimObject
      */
     void failFunction(unsigned fn);
 
+    /**
+     * The backend rebuilt its views of function @p fn's shadow
+     * rings, retiring whatever the old views had popped. Until
+     * then a chain a reset dropped may still be written by the
+     * backend holding it (a blk read completing late), so its
+     * shadow blocks stay allocated; they go back to the arena now,
+     * once the DMA queued so far has landed.
+     */
+    void backendReattached(unsigned fn);
+
     /** The guest requested a device reset while chains were in
      *  flight; the backend acknowledges via this. */
     GuestMemory &baseMemory() { return *baseMem_; }
@@ -558,6 +568,9 @@ class IoBond : public SimObject
     std::vector<std::unique_ptr<IoBondFunction>> functions_;
     /** [fn][q] shadow state. */
     std::vector<std::vector<ShadowQueue>> shadow_;
+    /** [fn] shadow blocks of chains a reset dropped, held until
+     *  backendReattached. */
+    std::vector<std::vector<Addr>> dropped_;
     /**
      * Doorbell-storm throttle, one bucket per *function* (armed at
      * driver-ready): the budget covers the sum of a function's

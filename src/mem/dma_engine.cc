@@ -260,4 +260,21 @@ DmaEngine::complete()
         startNext();
 }
 
+void
+DmaEngine::fence(Callback done)
+{
+    if (queue_.empty()) {
+        done();
+        return;
+    }
+    // Transfers finish in queue order (a replay re-queues at the
+    // head), so the last one queued now finishes after the others.
+    Callback &last = queue_.back().done;
+    last = [first = std::move(last), done = std::move(done)] {
+        if (first)
+            first();
+        done();
+    };
+}
+
 } // namespace bmhive

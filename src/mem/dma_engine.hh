@@ -90,6 +90,14 @@ class DmaEngine : public SimObject
      */
     void copyv(std::vector<CopySeg> segs, Callback done);
 
+    /**
+     * Run @p done once every transfer queued or in flight now has
+     * completed (landed, dropped or escalated), or at once if the
+     * engine is idle. A fence, not a transfer: it takes no engine
+     * time and no counter or flight record sees it.
+     */
+    void fence(Callback done);
+
     Bandwidth bandwidth() const { return bandwidth_; }
     bool busy() const { return busy_; }
     std::size_t queued() const { return queue_.size(); }

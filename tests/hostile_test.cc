@@ -11,17 +11,28 @@
  *  - seeded adversarial fuzz: 10k attack steps never panic and
  *    every contained violation lands in a .guest.faults.* counter;
  *  - determinism: two same-seed fuzz runs produce byte-identical
- *    metric snapshots.
+ *    metric snapshots;
+ *  - a device reset cannot hand a shadow block to a new chain while
+ *    the reset chain's mirror copy, or a storage read the backend
+ *    took before the reset, is still in flight toward it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "bench/common.hh"
 #include "fault/guest_fault.hh"
+#include "guest/packet_wire.hh"
+#include "hv/bm_hypervisor.hh"
+#include "hw/compute_board.hh"
+#include "iobond/iobond.hh"
 #include "pci/config_space.hh"
+#include "virtio/virtio_blk.hh"
+#include "virtio/virtio_net.hh"
 #include "virtio/virtio_pci.hh"
+#include "virtio/virtqueue.hh"
 #include "workloads/adversarial.hh"
 
 namespace bmhive {
@@ -229,6 +240,241 @@ TEST(AdversarialFuzz, SameSeedByteIdenticalMetrics)
     // And the attack stream really is a function of the seed.
     std::string other = fuzzMetricsSnapshot(100);
     EXPECT_NE(one, other);
+}
+
+/**
+ * Bring a virtio function up through its BAR0 registers the way a
+ * guest driver does: VERSION_1 only, @p queues rings of 8 entries
+ * laid out 4 KiB apart from guest address @p rings, then DRIVER_OK.
+ */
+void
+bringUpFunction(pci::PciBus &bus, int slot, Addr bar, unsigned queues,
+                Addr rings)
+{
+    using namespace virtio;
+    auto wr = [&](Addr off, std::uint32_t v, unsigned size) {
+        bus.memWrite(bar + off, v, size);
+    };
+    bus.configWrite(slot, pci::REG_BAR0, std::uint32_t(bar), 4);
+    bus.configWrite(slot, pci::REG_COMMAND,
+                    pci::CMD_MEM_SPACE | pci::CMD_BUS_MASTER, 2);
+    wr(COMMON_GFSELECT, 1, 4);
+    wr(COMMON_GF, std::uint32_t(VIRTIO_F_VERSION_1 >> 32), 4);
+    for (unsigned q = 0; q < queues; ++q) {
+        VringLayout l = VringLayout::contiguous(8, rings + q * 0x1000);
+        wr(COMMON_Q_SELECT, q, 2);
+        wr(COMMON_Q_SIZE, 8, 2);
+        wr(COMMON_Q_DESCLO, std::uint32_t(l.descAddr()), 4);
+        wr(COMMON_Q_AVAILLO, std::uint32_t(l.availAddr()), 4);
+        wr(COMMON_Q_USEDLO, std::uint32_t(l.usedAddr()), 4);
+        wr(COMMON_Q_MSIX, q, 2);
+        wr(COMMON_Q_ENABLE, 1, 2);
+    }
+    wr(COMMON_STATUS,
+       STATUS_ACKNOWLEDGE | STATUS_DRIVER | STATUS_DRIVER_OK, 1);
+}
+
+/**
+ * A guest posts a 1 MiB tx payload, resets its net function 5 us
+ * later while the payload's mirror copy is still queued on the
+ * bond's DMA engine, re-inits at once and posts a 2-segment
+ * indirect chain; its backend re-attaches in between. The payload
+ * is forged: every 16 bytes hold a well-formed descriptor naming
+ * base-memory 48 MiB, outside the bond's shadow region. If the
+ * stale chain's shadow block is freed before the copy lands (at
+ * the reset, or at the re-attach), the new chain's buffers and
+ * indirect table are carved from it, the late copy (~169 us) lands
+ * on that table, and a backend polling every 2 us pops a buffer the
+ * bond never gave out: on a real server, another slot's memory. The
+ * scrubber would only repair the table a pass later, after the
+ * backend used it.
+ */
+TEST(ResetContainment, StaleMirrorCopyCannotRewriteReusedShadowBlocks)
+{
+    using namespace virtio;
+    Simulation sim(5);
+    hw::ComputeBoard board(sim, "board",
+                           hw::CpuCatalog::xeonE5_2682v4(), 32 * MiB,
+                           paper::ioBondPciAccess);
+    GuestMemory baseMem("base", 64 * MiB);
+    iobond::IoBond bond(sim, "bond", board, baseMem, 0);
+    bond.addNetFunction(3, 0xAB);
+    // The ring block sits below 4 MiB, the shadow arena above it.
+    const Addr regionEnd = 4 * MiB + bond.params().shadowArenaBytes;
+
+    auto &bus = board.pciBus();
+    auto wr = [&](Addr off, std::uint32_t v, unsigned size) {
+        bus.memWrite(0xe0000000u + off, v, size);
+    };
+    auto bringUp = [&] {
+        bringUpFunction(bus, 3, 0xe0000000u, 2, 0x10000);
+    };
+    bringUp();
+    const VringLayout txRing = VringLayout::contiguous(8, 0x11000);
+
+    const Addr payload = 0x100000;
+    const VringDesc forged{48 * MiB, 64, 0, 0};
+    for (Addr a = payload; a < payload + MiB; a += vringDescSize)
+        writeDescAt(board.memory(), a, forged);
+    VirtQueueDriver stale(board.memory(), txRing);
+    ASSERT_TRUE(stale.submit({{payload, std::uint32_t(MiB), false}},
+                             {}, 1)
+                    .has_value());
+    wr(notifyRegionOffset, NET_TXQ, 4);
+    sim.run(sim.now() + usToTicks(5));
+    ASSERT_FALSE(bond.dmaIdle()); // the 1 MiB copy is still queued
+
+    wr(COMMON_STATUS, 0, 1);
+    bringUp();
+    // The backend re-attaches at once, as it does on re-init: only
+    // the queued copy can still write the stale chain's block now.
+    VirtQueueDevice dev(baseMem, bond.shadowLayout(0, NET_TXQ));
+    bond.backendReattached(0);
+    VirtQueueDriver fresh(board.memory(), txRing, /*indirect=*/true,
+                          0x40000);
+    const std::vector<Segment> out{{0x20000, 64, false},
+                                   {0x20100, 64, false}};
+    ASSERT_TRUE(fresh.submit(out, {}, 2).has_value());
+    wr(notifyRegionOffset, NET_TXQ, 4);
+
+    std::vector<DescChain> popped;
+    for (Tick end = sim.now() + usToTicks(400); sim.now() < end;) {
+        sim.run(sim.now() + usToTicks(2));
+        while (auto c = dev.pop()) {
+            popped.push_back(*c);
+            dev.pushUsed(c->head, 0);
+        }
+        bond.backendCompleted(0, NET_TXQ);
+    }
+
+    // Only the post-reset chain reaches the backend, as posted, in
+    // buffers the bond allocated for it.
+    ASSERT_EQ(popped.size(), 1u);
+    for (const auto &s : popped[0].segs) {
+        EXPECT_GE(s.addr, 4 * MiB) << std::hex << s.addr;
+        EXPECT_LE(s.addr + s.len, regionEnd) << std::hex << s.addr;
+        EXPECT_EQ(s.len, 64u);
+        EXPECT_FALSE(s.deviceWrites);
+    }
+    EXPECT_EQ(popped[0].segs.size(), out.size());
+    // Nothing rotted, so the scrubber had nothing to repair.
+    EXPECT_EQ(bond.scrubRepairs(), 0u);
+    EXPECT_EQ(bond.malformedChains(), 0u);
+}
+
+/**
+ * A blk read the backend has sent to storage keeps its shadow
+ * buffer until storage answers (~150 us), whatever the guest does
+ * meanwhile. The guest resets its blk function with a read in
+ * flight and posts a 2-segment indirect rx chain on its net
+ * function, which shares the bond's shadow arena. The volume holds
+ * forged descriptors naming base-memory 48 MiB. If the reset hands
+ * the read's block to the rx chain, the late read data lands on its
+ * indirect table, and the next frame is written where the forgery
+ * points: on a real server, another slot's memory. Nothing rotted
+ * by the scrubber's lights, and it audits nothing then.
+ */
+TEST(ResetContainment, LateStorageReadCannotRewriteReusedShadowBlocks)
+{
+    using namespace virtio;
+    Simulation sim(5);
+    hw::ComputeBoard board(sim, "board",
+                           hw::CpuCatalog::xeonE5_2682v4(), 32 * MiB,
+                           paper::ioBondPciAccess);
+    GuestMemory baseMem("base", 64 * MiB);
+    iobond::IoBond bond(sim, "bond", board, baseMem, 0);
+    bond.addNetFunction(3, 0xAB);
+    bond.addBlkFunction(4, 2048);
+    cloud::BlockService storage(sim, "storage");
+    cloud::Volume &vol = storage.createVolume("vol", MiB);
+    cloud::VSwitch vswitch(sim, "vswitch");
+    hw::CpuExecutor core(sim, "core");
+    hv::BmHypervisor hv(sim, "hv", board, bond, core, vswitch, 0xAB,
+                        &storage, &vol, /*rate_limited=*/false);
+    hv.powerOnGuest();
+
+    const Addr forgedAt = 48 * MiB;
+    for (Addr a = 0; a < 4096; a += vringDescSize)
+        writeDescAt(board.memory(), 0x100000 + a,
+                    {forgedAt, 256, VRING_DESC_F_WRITE, 0});
+    const auto forged = board.memory().readBlob(0x100000, 4096);
+    vol.writeData(0, forged);
+
+    auto &bus = board.pciBus();
+    const Addr netBar = 0xe0000000u, blkBar = 0xe1000000u;
+    auto wr = [&](Addr bar, Addr off, std::uint32_t v, unsigned size) {
+        bus.memWrite(bar + off, v, size);
+    };
+    bringUpFunction(bus, 3, netBar, 2, 0x10000);
+    bringUpFunction(bus, 4, blkBar, 1, 0x20000);
+    ASSERT_TRUE(hv.connectBackends());
+
+    // One 4 KiB read of sector 0: the backend takes it to storage.
+    auto postRead = [&] {
+        VirtQueueDriver blk(board.memory(),
+                            VringLayout::contiguous(8, 0x20000));
+        VirtioBlkReqHdr{VIRTIO_BLK_T_IN, 0, 0}.writeTo(board.memory(),
+                                                       0x50000);
+        ASSERT_TRUE(blk.submit({{0x50000, 16, false}},
+                               {{0x51000, 4096, true},
+                                {0x53000, 1, true}},
+                               1)
+                        .has_value());
+        wr(blkBar, notifyRegionOffset, 0, 4);
+        sim.run(sim.now() + usToTicks(20));
+    };
+    postRead();
+    ASSERT_EQ(hv.service().blkInflight(), 1u);
+    const VringLayout blkShadow = bond.shadowLayout(1, 0);
+    const Addr readBlock = readDescAt(baseMem, blkShadow.descAddr(0)).addr;
+
+    wr(blkBar, COMMON_STATUS, 0, 1);
+    VirtQueueDriver rx(board.memory(),
+                       VringLayout::contiguous(8, 0x10000),
+                       /*indirect=*/true, 0x40000);
+    ASSERT_TRUE(rx.submit({}, {{0x30000, 1024, true},
+                               {0x30400, 1024, true}},
+                          2)
+                    .has_value());
+    wr(netBar, notifyRegionOffset, NET_RXQ, 4);
+    // Storage answers the dropped read after all.
+    for (Tick end = sim.now() + msToTicks(2);
+         hv.service().blkIos() == 0 && sim.now() < end;)
+        sim.run(sim.now() + usToTicks(1));
+    ASSERT_EQ(hv.service().blkIos(), 1u);
+
+    cloud::Packet pkt;
+    pkt.src = 0xCD;
+    pkt.dst = 0xAB;
+    pkt.len = 64;
+    pkt.seq = 77;
+    hv.service().enqueueRx(pkt, 0);
+    sim.run(sim.now() + usToTicks(50));
+
+    // The frame lands in the buffer the guest posted, and nowhere
+    // the forgery names.
+    auto stray = baseMem.readBlob(forgedAt, 256);
+    EXPECT_EQ(std::count(stray.begin(), stray.end(), 0), 256);
+    auto used = rx.collectUsed();
+    ASSERT_EQ(used.size(), 1u);
+    EXPECT_EQ(guest::unpackPacket(board.memory(),
+                                  0x30000 + VirtioNetHdr::wireSize)
+                  .seq,
+              77u);
+    EXPECT_EQ(bond.scrubRepairs(), 0u);
+
+    // Re-attaching the backend returns the held block: the next
+    // read is laid out in it again, and completes.
+    bringUpFunction(bus, 4, blkBar, 1, 0x20000);
+    postRead();
+    EXPECT_EQ(readDescAt(baseMem, blkShadow.descAddr(0)).addr,
+              readBlock);
+    for (Tick end = sim.now() + msToTicks(2);
+         hv.service().blkIos() == 1 && sim.now() < end;)
+        sim.run(sim.now() + usToTicks(10));
+    EXPECT_EQ(hv.service().blkIos(), 2u);
+    EXPECT_EQ(board.memory().read8(0x53000), VIRTIO_BLK_S_OK);
+    EXPECT_EQ(board.memory().readBlob(0x51000, 4096), forged);
 }
 
 } // namespace

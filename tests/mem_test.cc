@@ -282,6 +282,40 @@ TEST_F(DmaEngineTest, CopyvFaultConsumesWholeTransfer)
     EXPECT_EQ(dma.faultsInjected(), 1u);
 }
 
+TEST_F(DmaEngineTest, FenceWaitsForTransfersQueuedBeforeIt)
+{
+    // A fence runs once every transfer queued before it has
+    // completed, a dropped one included, and before any queued
+    // after it; on an idle engine it runs at once. It takes no
+    // engine time and is no transfer.
+    GuestMemory src("src", 4096), dst("dst", 4096);
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(8)); // 1 B/ns
+    std::vector<std::string> order;
+    dma.fence([&] { order.push_back("idle"); });
+    EXPECT_EQ(order, std::vector<std::string>{"idle"});
+
+    sim.faults().deliver(
+        "dma", fault::FaultSpec{fault::FaultKind::DmaFail, 1, 0, 0.0});
+    dma.copy(src, 0, dst, 0, 1000, [&] { order.push_back("dropped"); });
+    dma.copy(src, 0, dst, 0, 1000, [&] { order.push_back("landed"); });
+    Tick fenced_at = 0, after_at = 0;
+    dma.fence([&] {
+        order.push_back("fence");
+        fenced_at = sim.now();
+    });
+    dma.copy(src, 0, dst, 0, 1000, [&] {
+        order.push_back("after");
+        after_at = sim.now();
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"idle", "dropped",
+                                               "landed", "fence",
+                                               "after"}));
+    EXPECT_NEAR(double(fenced_at), 2.0e6, 10.0);
+    EXPECT_NEAR(double(after_at), 3.0e6, 10.0);
+    EXPECT_EQ(dma.transfers(), 3u);
+}
+
 TEST(PoolAllocatorTest, AllocFreeReuse)
 {
     PoolAllocator pool(0x1000, 4096);
