@@ -266,6 +266,9 @@ void
 IoBond::corruptShadowMeta(const ShadowQueue &sq, const ChainShadow &cs)
 {
     metaInjected_.inc();
+    // A backend acting on the rotted length can write past the
+    // buffer into any neighbour's metadata in this memory.
+    baseMem_->taint();
     // The first buffer descriptor: indirect-table entry 0, or the
     // head slot of a direct chain.
     Addr a = cs.table().value_or(sq.shadowLayout.descAddr(cs.path[0]));
@@ -315,11 +318,25 @@ IoBond::scrubPass()
                 sq.scrubStrikes = 0;
                 continue;
             }
-            unsigned repairs = scrubQueue(fi, q);
+            // Only IO-Bond writes shadow metadata, and the mirror and
+            // publish write exactly what the audit re-derives. Unless
+            // something else can have written it (rot tainted the
+            // memory, or this queue's ring was rewritten out of
+            // band), every chain checks clean: count them and read
+            // nothing.
+            unsigned repairs = 0;
+            if (baseMem_->tainted() || sq.audit)
+                repairs = scrubQueue(fi, q);
+            else
+                scrubChecked_.inc(sq.inflight.size());
             if (repairs == 0) {
                 sq.scrubStrikes = 0;
+                sq.audit = false;
                 continue;
             }
+            // Something rewrote metadata behind the mirror (two
+            // chains sharing a slot keep doing so): audit for good.
+            baseMem_->taint();
             scrubRepairs_.inc(repairs);
             if (flight_)
                 flight_->record(curTick(),
@@ -528,6 +545,9 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
             // backend crash.
             std::vector<std::uint16_t> order = submissionOrder(sq);
             sq.inflight.clear();
+            std::fill(sq.held.begin(), sq.held.end(), 0);
+            // The avail index lags the replay until its DMA lands.
+            sq.audit = true;
             std::uint16_t window =
                 std::uint16_t(sq.shadowAvail - sq.syncedUsed);
             if (order.size() != window)
@@ -718,7 +738,15 @@ IoBond::driverReady(IoBondFunction &fn)
             sq.ringBlock = shadowRings_.alloc(
                 VringLayout::bytesNeeded(qs.sizeMax), 4096);
             sq.ringAllocated = true;
+            sq.held.assign(qs.sizeMax, 0);
         }
+        // The rewrite below leaves nothing to audit on an empty
+        // queue. Cursors rewound under live chains (a DRIVER_OK
+        // rewrite with no reset) leave their avail positions
+        // pointing into the new window, where the audit may trip
+        // on them at any later pass.
+        if (!sq.inflight.empty())
+            baseMem_->taint();
         sq.shadowLayout =
             VringLayout::contiguous(qs.size, sq.ringBlock);
         sq.shadowLayout.setAvailFlags(*baseMem_, 0);
@@ -766,6 +794,7 @@ IoBond::functionReset(IoBondFunction &fn)
                 blocks.push_back(cs.indirectBlock);
         }
         sq.inflight.clear();
+        std::fill(sq.held.begin(), sq.held.end(), 0);
         sq.ready = false;
         // In-flight DMA completions for this queue must not touch
         // the rings (or free the blocks kept above).
@@ -1063,6 +1092,16 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
     // Materialize shadow descriptors: the guest's ring slots, with
     // shadow buffer (and table) addresses.
     cs.path = std::move(walk.path);
+    // A slot a live chain already holds (the guest linked one
+    // descriptor into two chains) is about to be re-encoded under
+    // this chain: the live chain's audit differs from now on. Once
+    // the memory is tainted the marks no longer matter, so a
+    // shared slot may be released when either owner completes.
+    for (std::uint16_t slot : cs.path) {
+        if (sq.held[slot])
+            baseMem_->taint();
+        sq.held[slot] = 1;
+    }
     unsigned descs = 0;
     encodeChain(sq.shadowLayout, cs.path.data(), cs.table(), n,
                 [&cs](std::uint16_t i) { return cs.shadowSeg(i); },
@@ -1177,6 +1216,8 @@ IoBond::backendCompleted(unsigned fn, unsigned q)
             budget -= n;
         }
         batch.push_back({elem, cs.bufBlock, cs.indirectBlock});
+        for (std::uint16_t slot : cs.path)
+            sq.held[slot] = 0;
         sq.inflight.erase(it);
     }
     if (batch.empty())
@@ -1296,6 +1337,7 @@ IoBond::recoverQueue(unsigned fn, unsigned q)
     for (std::uint16_t i = 0; i < window; ++i)
         publishHead(sq, std::uint16_t(sq.syncedUsed + i), order[i]);
     sq.shadowLayout.setAvailIdx(*baseMem_, sq.shadowAvail);
+    sq.audit = true;
     if (window > 0)
         faultRecovered_.inc(window);
     return window;

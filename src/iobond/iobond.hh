@@ -379,8 +379,10 @@ class IoBond : public SimObject
      * the internal DMA engine plus a periodic scrubber that audits
      * the shadow vring metadata of every in-flight chain against
      * the content recorded at mirror time and repairs silent flips
-     * in place. Off, an injected corruption is delivered silently
-     * (the baseline benches compare against with --integrity=off).
+     * in place (modelled by its outcome until something other than
+     * the mirror can have written the metadata, DESIGN §16.1).
+     * Off, an injected corruption is delivered silently (the
+     * baseline benches compare against with --integrity=off).
      */
     void setIntegrity(bool on);
 
@@ -493,6 +495,15 @@ class IoBond : public SimObject
         /** Consecutive scrub passes that found (and repaired)
          *  corrupted shadow metadata on this queue. */
         unsigned scrubStrikes = 0;
+        /** Ring slots a live chain's path holds, one byte per slot
+         *  up to the device maximum (allocated with the ring
+         *  block). The mirror marks a chain's slots, completion and
+         *  reset release them. */
+        std::vector<std::uint8_t> held;
+        /** The ring state was rewritten out of band (recoverQueue,
+         *  rebase): audit this queue in full until a pass finds it
+         *  clean. */
+        bool audit = false;
         obs::RequestTracer *reqTracer = nullptr;
         std::map<std::uint16_t, ChainShadow> inflight;
     };
@@ -547,7 +558,9 @@ class IoBond : public SimObject
     /** Arm the next scrub pass (lazily: only while chains are in
      *  flight, so an idle bond schedules nothing). */
     void scheduleScrub();
-    /** One scrub pass over every ready queue. */
+    /** One scrub pass over every ready queue: the full audit where
+     *  the metadata can have rotted, its known clean verdict
+     *  elsewhere. */
     void scrubPass();
     /** Audit one queue's in-flight chains + avail window; returns
      *  the number of fields repaired. */

@@ -70,6 +70,17 @@ class GuestMemory
     /** Write a vector into memory. */
     void writeBlob(Addr addr, const std::vector<std::uint8_t> &blob);
 
+    /**
+     * Sticky mark: something may have written bytes here that their
+     * owner did not lay out (injected metadata rot, or a device
+     * acting on a rotted descriptor length, which can write past
+     * its buffer into a neighbour's). IO-Bond trusts the shadow
+     * metadata it wrote itself to be intact only while the memory
+     * holding it is unmarked.
+     */
+    void taint() { tainted_ = true; }
+    bool tainted() const { return tainted_; }
+
   private:
     template <typename T>
     T
@@ -90,6 +101,7 @@ class GuestMemory
     std::string name_;
     Bytes size_;
     std::uint8_t *data_ = nullptr;
+    bool tainted_ = false;
 };
 
 /**

@@ -365,23 +365,34 @@ TEST_F(IoBondTest, ScrubCountsOneRepairPerRottedDescriptor)
     // DmaCorruptMeta flips the len of a live chain's first buffer
     // descriptor; the next scrub pass rewrites that one descriptor
     // and counts exactly one repair. First a 3-descriptor direct
-    // chain on tx, then a 3-entry indirect table on rx.
+    // chain on tx, parked next to a second one through 1 ms of clean
+    // passes before the rot lands, then a 3-entry indirect table on
+    // rx.
     auto rot = [&] {
         fault::FaultSpec f;
         f.kind = fault::FaultKind::DmaCorruptMeta;
         ASSERT_TRUE(sim.faults().deliver("bond", f));
     };
+    auto &checked =
+        sim.metrics().counter("bond.integrity.scrub.checked");
     std::vector<Segment> out{{0x20000, 64, false},
                              {0x20100, 64, false}};
     std::vector<Segment> in{{0x21000, 64, true}};
     ASSERT_TRUE(driver->submit(out, in, 1).has_value());
+    ASSERT_TRUE(driver->submit({{0x20200, 64, false}}, {}, 2)
+                    .has_value());
     kick();
-    sim.run(sim.now() + usToTicks(10));
+    sim.run(sim.now() + msToTicks(1));
+    EXPECT_EQ(bond.scrubRuns(), 19u);
+    EXPECT_EQ(checked.value(), 38u);
+    EXPECT_EQ(bond.scrubRepairs(), 0u);
     rot();
     sim.run(sim.now() + usToTicks(100));
     EXPECT_EQ(bond.metaFaultsInjected(), 1u);
+    EXPECT_EQ(bond.scrubRuns(), 21u);
+    EXPECT_EQ(checked.value(), 42u);
     EXPECT_EQ(bond.scrubRepairs(), 1u);
-    // The repaired chain reaches the backend intact; completing it
+    // The repaired chain reaches the backend intact; completing both
     // leaves the rx chain below the only one live.
     auto dev = shadowDev();
     auto chain = dev.pop();
@@ -389,6 +400,9 @@ TEST_F(IoBondTest, ScrubCountsOneRepairPerRottedDescriptor)
     ASSERT_NO_FATAL_FAILURE(
         expectSameSegments(*chain, {out[0], out[1], in[0]}));
     dev.pushUsed(chain->head, 0);
+    auto parked = dev.pop();
+    ASSERT_TRUE(parked.has_value());
+    dev.pushUsed(parked->head, 0);
     bond.backendCompleted(0, NET_TXQ);
     sim.run(sim.now() + usToTicks(10));
     ASSERT_EQ(bond.inflightChains(), 0u);
@@ -407,6 +421,38 @@ TEST_F(IoBondTest, ScrubCountsOneRepairPerRottedDescriptor)
     EXPECT_EQ(bond.metaFaultsInjected(), 2u);
     EXPECT_EQ(bond.scrubRepairs(), 2u);
     EXPECT_EQ(bond.integrityQueueResets(), 0u);
+}
+
+TEST_F(IoBondTest, ScrubSeesSlotSharedByTwoLiveChains)
+{
+    // The guest links slots 0 -> 1 into one chain, then publishes
+    // slot 1 as a head of its own: one shadow slot now belongs to
+    // two live chains, and each chain's audit rewrites it back to
+    // its own descriptor, two repairs a pass. The second dirty
+    // pass escalates to a function reset, which ends the audits.
+    GuestMemory &gmem = board.memory();
+    const VringLayout &l = layouts[NET_TXQ];
+    auto post = [&](std::uint16_t head) {
+        std::uint16_t idx = l.availIdx(gmem);
+        l.setAvailRing(gmem, idx % l.size(), head);
+        l.setAvailIdx(gmem, std::uint16_t(idx + 1));
+        kick();
+        sim.run(sim.now() + usToTicks(10));
+    };
+    l.writeDesc(gmem, 0, {0x20000, 64, VRING_DESC_F_NEXT, 1});
+    l.writeDesc(gmem, 1, {0x20100, 64, 0, 0});
+    post(0);
+    post(1);
+    EXPECT_EQ(bond.chainsForwarded(), 2u);
+    EXPECT_EQ(bond.guestFaultsTotal(), 0u);
+    sim.run(sim.now() + usToTicks(200));
+    EXPECT_EQ(bond.scrubRuns(), 2u);
+    EXPECT_EQ(
+        sim.metrics().counter("bond.integrity.scrub.checked").value(),
+        4u);
+    EXPECT_EQ(bond.scrubRepairs(), 4u);
+    EXPECT_EQ(bond.integrityQueueResets(), 1u);
+    EXPECT_EQ(bond.inflightChains(), 0u);
 }
 
 TEST_F(IoBondTest, ResetDropsInflightAndStopsSync)
