@@ -276,6 +276,14 @@ class IoBond : public SimObject
     /** Published-but-unfinished chains across all queues. */
     std::size_t inflightChains() const;
 
+    /** Shadow arena blocks allocated: those of in-flight chains,
+     *  plus a reset's dropped ones until the backend re-attaches. */
+    std::size_t
+    shadowBlocksLive() const
+    {
+        return pool_.liveAllocations();
+    }
+
     /**
      * Re-home the bond's base-memory side onto @p new_base at
      * @p region_base — the heart of live migration. The bond (it

@@ -6,19 +6,16 @@ namespace bmhive {
 
 Event::~Event()
 {
-    panic_if(scheduled_, "event '", tag_,
+    panic_if(scheduled(), "event '", tag_,
              "' destroyed while scheduled at ", when_);
 }
 
 EventQueue::~EventQueue()
 {
-    // The queue owns the one-shots it holds. A stale entry's event
-    // may already be gone, so only live entries are looked at.
+    // The queue owns the one-shots it holds.
     for (const Entry &e : heap_) {
-        if (staleSeqs_.contains(e.seq))
-            continue;
         if (auto *os = dynamic_cast<OneShotEvent *>(e.ev)) {
-            os->scheduled_ = false;
+            os->queue_ = nullptr;
             delete os;
         }
     }
@@ -28,97 +25,76 @@ void
 EventQueue::schedule(Event *ev, Tick when)
 {
     panic_if(ev == nullptr, "scheduling a null event");
-    panic_if(ev->scheduled_, "event '", ev->tag_,
+    panic_if(ev->scheduled(), "event '", ev->tag_,
              "' is already scheduled at ", ev->when_);
     panic_if(when < curTick_, "scheduling event '", ev->tag_,
              "' in the past: ", when, " < ", curTick_);
     ev->when_ = when;
-    ev->sequence_ = nextSeq_++;
-    ev->scheduled_ = true;
     ev->queue_ = this;
-    heap_.push_back(Entry{when, ev->priority_, ev->sequence_, ev});
-    std::push_heap(heap_.begin(), heap_.end(), heapCmp);
-    ++liveCount_;
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, Entry{when, ev->priority_, nextSeq_++, ev});
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
     panic_if(ev == nullptr, "descheduling a null event");
-    panic_if(!ev->scheduled_,
+    panic_if(!ev->scheduled(),
              "event '", ev->tag_, "' is not scheduled");
     panic_if(ev->queue_ != this, "event '", ev->tag_,
              "' descheduled through a foreign queue");
-    // Lazy deletion: the heap entry stays behind, keyed by its
-    // sequence number, and skim() drops it without dereferencing
-    // the event — which may be destroyed as soon as we return.
-    ev->scheduled_ = false;
+    remove(ev->slot_);
     ev->queue_ = nullptr;
-    staleSeqs_.insert(ev->sequence_);
-    --liveCount_;
-    maybeCompact();
 }
 
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    if (ev->scheduled_)
+    if (ev->scheduled())
         deschedule(ev);
     schedule(ev, when);
 }
 
 void
-EventQueue::skim()
+EventQueue::siftUp(std::size_t i, const Entry &e)
 {
-    // Every deschedule (including the one inside reschedule)
-    // records its entry's sequence number, so membership alone
-    // decides staleness; the Event* in a stale entry is never
-    // touched.
-    while (!heap_.empty() && staleSeqs_.erase(heap_.front().seq)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heapCmp);
-        heap_.pop_back();
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 2;
+        if (!e.before(heap_[parent]))
+            break;
+        place(i, heap_[parent]);
+        i = parent;
     }
+    place(i, e);
 }
 
 void
-EventQueue::maybeCompact()
+EventQueue::remove(std::size_t i)
 {
-    // Stale entries buried below the top survive skim() until the
-    // heap shrinks down to them, so a reschedule-heavy timer (the
-    // adaptive poll governor re-arms constantly) would otherwise
-    // grow heap_ and staleSeqs_ without bound relative to live
-    // events. Rebuilding is O(n) and amortizes to O(1) per
-    // deschedule at the 50% threshold.
-    if (staleSeqs_.size() < compactMinStale ||
-        staleSeqs_.size() * 2 < heap_.size())
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (i == n)
         return;
-    std::erase_if(heap_, [this](const Entry &e) {
-        return staleSeqs_.erase(e.seq) != 0;
-    });
-    staleSeqs_.clear();
-    std::make_heap(heap_.begin(), heap_.end(), heapCmp);
-    ++compactions_;
-    if (onCompact_)
-        onCompact_();
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    self->skim();
-    return heap_.empty() ? maxTick : heap_.front().when;
+    // Walk the hole down to a leaf along the smaller children, then
+    // sift the last entry up from there. It usually belongs near
+    // the bottom, so this costs one comparison per level where
+    // sifting it down from the top would cost two.
+    for (std::size_t c; (c = 2 * i + 1) < n; i = c) {
+        if (c + 1 < n && heap_[c + 1].before(heap_[c]))
+            ++c;
+        place(i, heap_[c]);
+    }
+    siftUp(i, last);
 }
 
 bool
 EventQueue::step()
 {
-    skim();
     if (heap_.empty())
         return false;
-    Entry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), heapCmp);
-    heap_.pop_back();
+    const Entry e = heap_.front();
+    remove(0);
     panic_if(e.when < curTick_, "time went backwards");
     if (e.when != curTick_) {
         curTick_ = e.when;
@@ -131,9 +107,7 @@ EventQueue::step()
              "event livelock: ", sameTickLimit,
              " events at tick ", curTick_, "; last: '",
              e.ev->tag_, "'");
-    e.ev->scheduled_ = false;
     e.ev->queue_ = nullptr;
-    --liveCount_;
     ++processed_;
     e.ev->process();
     return true;
@@ -142,12 +116,8 @@ EventQueue::step()
 void
 EventQueue::run(Tick limit)
 {
-    while (true) {
-        skim();
-        if (heap_.empty() || heap_.front().when > limit)
-            break;
+    while (!heap_.empty() && heap_.front().when <= limit)
         step();
-    }
     // Drained or not, the queue owes the caller the full window:
     // fixed-window pumps (and parked partitions) read curTick
     // afterwards and must see the limit, not the tick of whatever

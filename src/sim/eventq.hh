@@ -11,10 +11,9 @@
 #ifndef BMHIVE_SIM_EVENTQ_HH
 #define BMHIVE_SIM_EVENTQ_HH
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "base/units.hh"
@@ -32,12 +31,10 @@ class EventQueue;
  * it in diagnostics and is never copied or freed.
  *
  * Events do not own themselves; the creating object manages their
- * lifetime and must keep them alive while scheduled. Once
- * descheduled, an event may be destroyed immediately: the queue
- * identifies its stale heap entry by sequence number and never
- * touches the event pointer again (this is what lets a demoted
- * passthrough poller be torn down mid-simulation). The one
- * exception is OneShotEvent, which the queue owns.
+ * lifetime and must keep them alive while scheduled. Descheduling
+ * removes an event from its queue at once, so it may be destroyed
+ * right after; an owner torn down mid-simulation relies on that.
+ * The one exception is OneShotEvent, which the queue owns.
  */
 class Event
 {
@@ -61,7 +58,7 @@ class Event
     /** Called by the queue when simulated time reaches when(). */
     virtual void process() = 0;
 
-    bool scheduled() const { return scheduled_; }
+    bool scheduled() const { return queue_ != nullptr; }
     Tick when() const { return when_; }
     Priority priority() const { return priority_; }
 
@@ -72,12 +69,13 @@ class Event
     const char *tag_;
     Tick when_ = 0;
     Priority priority_;
-    std::uint64_t sequence_ = 0;
-    bool scheduled_ = false;
-    /** Queue holding this event while scheduled. Partitioned
-     *  simulations have one queue per partition; descheduling
-     *  through the wrong one would corrupt that queue's stale-entry
-     *  bookkeeping, so the owning queue is checked explicitly. */
+    /** Index of this event's entry in queue_'s heap. */
+    std::size_t slot_ = 0;
+    /** Queue holding this event while scheduled, null otherwise.
+     *  Partitioned simulations have one queue per partition;
+     *  descheduling through the wrong one would remove another
+     *  queue's heap slot, so the owning queue is checked
+     *  explicitly. */
     EventQueue *queue_ = nullptr;
 };
 
@@ -151,13 +149,17 @@ class EventQueue
     void reschedule(Event *ev, Tick when);
 
     /** True if no events remain. */
-    bool empty() const { return liveCount_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of scheduled (non-squashed) events. */
-    std::size_t size() const { return liveCount_; }
+    /** Number of scheduled events. */
+    std::size_t size() const { return heap_.size(); }
 
-    /** Tick of the next live event; maxTick when empty. */
-    Tick nextTick() const;
+    /** Tick of the next event; maxTick when empty. */
+    Tick
+    nextTick() const
+    {
+        return heap_.empty() ? maxTick : heap_.front().when;
+    }
 
     /**
      * Run the next event.
@@ -178,30 +180,12 @@ class EventQueue
     /** Total events processed since construction. */
     std::uint64_t processedCount() const { return processed_; }
 
-    /**
-     * Heap entries currently held, live plus stale. Compaction
-     * keeps this within ~2x the live count (plus a small floor)
-     * under reschedule storms.
-     */
-    std::size_t heapSize() const { return heap_.size(); }
-
-    /** Times the heap was rebuilt to shed stale entries. */
-    std::uint64_t compactions() const { return compactions_; }
-
-    /** Invoked after every compaction (metric counter hookup). */
-    void
-    setCompactionHook(std::function<void()> hook)
-    {
-        onCompact_ = std::move(hook);
-    }
-
     /** Same-tick events after which step() declares a livelock. */
     static constexpr std::uint64_t sameTickLimit = 2'000'000;
 
-    /** Stale entries below this never trigger a compaction. */
-    static constexpr std::size_t compactMinStale = 64;
-
   private:
+    /** An event's heap key, copied so comparisons never touch the
+     *  event itself. */
     struct Entry
     {
         Tick when;
@@ -210,40 +194,37 @@ class EventQueue
         Event *ev;
 
         bool
-        operator>(const Entry &o) const
+        before(const Entry &o) const
         {
             if (when != o.when)
-                return when > o.when;
+                return when < o.when;
             if (pri != o.pri)
-                return pri > o.pri;
-            return seq > o.seq;
+                return pri < o.pri;
+            return seq < o.seq;
         }
     };
 
-    /** Min-heap on (when, pri, seq): std::*_heap with greater. */
-    static constexpr std::greater<Entry> heapCmp{};
+    /** Store @p e at heap index @p i and tell its event. */
+    void
+    place(std::size_t i, const Entry &e)
+    {
+        heap_[i] = e;
+        e.ev->slot_ = i;
+    }
 
-    /** Drop stale entries from the top of the heap. */
-    void skim();
+    /** Move @p e up from the free slot @p i to where it belongs. */
+    void siftUp(std::size_t i, const Entry &e);
 
-    /** Rebuild the heap without stale entries once they dominate. */
-    void maybeCompact();
+    /** Take the entry at heap index @p i out of the heap. */
+    void remove(std::size_t i);
 
-    /** Binary min-heap over Entry (std::*_heap with greater-than).
-     *  A raw vector rather than std::priority_queue so compaction
-     *  can filter stale entries in place and re-heapify. */
+    /** Binary min-heap on (when, pri, seq); holds only scheduled
+     *  events, each of which knows its index. */
     std::vector<Entry> heap_;
-    /** Sequence numbers of descheduled-but-not-yet-popped entries.
-     *  Staleness is decided on these alone — the Event behind a
-     *  stale entry may already be gone. */
-    std::unordered_set<std::uint64_t> staleSeqs_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
     std::uint64_t sameTickCount_ = 0;
-    std::uint64_t compactions_ = 0;
-    std::size_t liveCount_ = 0;
-    std::function<void()> onCompact_;
 };
 
 } // namespace bmhive

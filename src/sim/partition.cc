@@ -86,7 +86,6 @@ Coordinator::Coordinator(Simulation &sim, unsigned servers,
     auto &reg = sim.metrics();
     roundsCtr_ = &reg.counter("sim.psim.rounds");
     messagesCtr_ = &reg.counter("sim.psim.messages");
-    compactionsCtr_ = &reg.counter("sim.eventq.compactions");
 
     // Workers sleep on cv_ between rounds; the coordinator thread
     // participates in every parallel phase, so N configured threads
@@ -282,19 +281,13 @@ Coordinator::flush()
 void
 Coordinator::syncCounters()
 {
-    // Deterministic, single-threaded metric updates: worker queues
-    // carry no compaction hooks (the control queue's hook fires in
-    // phase A, which is serial); their counts merge here, after the
-    // final barrier.
+    // The round and message counts live in plain members while the
+    // workers run; they reach the registry here, after the final
+    // barrier, on the coordinator thread alone.
     roundsCtr_->inc(rounds_ - roundsSynced_);
     roundsSynced_ = rounds_;
     messagesCtr_->inc(messages_ - messagesSynced_);
     messagesSynced_ = messages_;
-    std::uint64_t comp = 0;
-    for (const auto &q : ownedQueues_)
-        comp += q->compactions();
-    compactionsCtr_->inc(comp - compactionsSynced_);
-    compactionsSynced_ = comp;
 }
 
 } // namespace psim

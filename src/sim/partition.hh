@@ -178,10 +178,8 @@ class Coordinator
     std::uint64_t messages_ = 0;
     std::uint64_t roundsSynced_ = 0;
     std::uint64_t messagesSynced_ = 0;
-    std::uint64_t compactionsSynced_ = 0;
     Counter *roundsCtr_ = nullptr;
     Counter *messagesCtr_ = nullptr;
-    Counter *compactionsCtr_ = nullptr;
 
     /** Scratch buffer reused by flush(). */
     std::vector<Msg> flushScratch_;

@@ -48,10 +48,6 @@ class Simulation
         // recently constructed simulation.
         Logger::global().setTickSource([this] { return now(); },
                                        this);
-        eventq_.setCompactionHook(
-            [c = &metrics_.counter("sim.eventq.compactions")] {
-                c->inc();
-            });
     }
 
     ~Simulation() { Logger::global().clearTickSource(this); }

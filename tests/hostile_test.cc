@@ -463,9 +463,12 @@ TEST(ResetContainment, LateStorageReadCannotRewriteReusedShadowBlocks)
               77u);
     EXPECT_EQ(bond.scrubRepairs(), 0u);
 
-    // Re-attaching the backend returns the held block: the next
+    // The reset holds the dropped read's block until the backend
+    // re-attaches, and the re-attach's fence returns it: the next
     // read is laid out in it again, and completes.
+    EXPECT_EQ(bond.shadowBlocksLive(), 1u);
     bringUpFunction(bus, 4, blkBar, 1, 0x20000);
+    EXPECT_EQ(bond.shadowBlocksLive(), 0u);
     postRead();
     EXPECT_EQ(readDescAt(baseMem, blkShadow.descAddr(0)).addr,
               readBlock);

@@ -312,6 +312,7 @@ TEST_F(IoBondTest, ArenaAccountingBalancedUnderLoad)
     EXPECT_EQ(bond.completionsReturned(), 300u);
     // DMA moved every payload byte at least once.
     EXPECT_GE(bond.dma().bytesMoved(), 300u * 256u);
+    EXPECT_EQ(bond.shadowBlocksLive(), 0u);
 }
 
 TEST_F(IoBondTest, RepostedInFlightHeadIsContained)

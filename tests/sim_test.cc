@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/logging.hh"
@@ -101,11 +105,10 @@ TEST(EventQueueTest, DescheduleRemovesEvent)
     EXPECT_TRUE(q.empty());
 }
 
-// A descheduled event may be destroyed immediately, even though
-// its stale entry is still in the heap; the queue must drop that
-// entry without touching the dead event. Any event owner torn down
-// mid-simulation relies on this (ASan catches any regression here
-// as a use-after-free).
+// A descheduled event may be destroyed immediately: the queue must
+// never touch it again. Any event owner torn down mid-simulation
+// relies on this (ASan catches any regression here as a
+// use-after-free).
 TEST(EventQueueTest, DescheduledEventCanBeDestroyedBeforePop)
 {
     EventQueue q;
@@ -116,7 +119,7 @@ TEST(EventQueueTest, DescheduledEventCanBeDestroyedBeforePop)
         EventFunctionWrapper doomed([] { FAIL(); }, "doomed");
         q.schedule(&doomed, 10);
         q.deschedule(&doomed);
-    } // doomed destroyed; its heap entry is still pending
+    } // doomed destroyed before the queue reaches tick 10
     q.run();
     EXPECT_TRUE(ran);
     EXPECT_TRUE(q.empty());
@@ -211,53 +214,6 @@ TEST(EventQueueTest, RunWithPastLimitKeepsTheClock)
     EXPECT_EQ(q.curTick(), 100u);
 }
 
-// Regression for the lazy-deletion bloat fix: a reschedule-heavy
-// timer (the adaptive poll governor re-arms constantly) leaves one
-// stale heap entry per move. Entries buried below the top survive
-// skim(), so without compaction the heap and the stale-sequence set
-// grow linearly with reschedules while only one event is live.
-TEST(EventQueueTest, CompactionBoundsHeap)
-{
-    EventQueue q;
-    EventFunctionWrapper timer([] {}, "timer");
-    EventFunctionWrapper sentinel([] {}, "sentinel");
-    q.schedule(&sentinel, 1'000'000);
-    q.schedule(&timer, 1);
-    const int moves = 10000;
-    for (int i = 2; i <= moves; ++i)
-        q.reschedule(&timer, Tick(i));
-    EXPECT_EQ(q.size(), 2u);
-    // Pre-fix: heapSize() ~= moves. With compaction at >50% stale
-    // the heap never holds more than the live events plus one
-    // sub-threshold batch of stale entries.
-    EXPECT_LE(q.heapSize(),
-              q.size() + 2 * EventQueue::compactMinStale);
-    EXPECT_GT(q.compactions(), 0u);
-    // The surviving entries are the right ones.
-    Tick fired = 0;
-    q.deschedule(&sentinel);
-    EventFunctionWrapper probe([&] { fired = q.curTick(); }, "probe");
-    q.reschedule(&timer, Tick(moves)); // no-op move keeps it live
-    q.schedule(&probe, Tick(moves) + 1);
-    q.run();
-    EXPECT_EQ(fired, Tick(moves) + 1);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(SimulationTest, CompactionCounterExported)
-{
-    // The queue's compaction hook feeds sim.eventq.compactions.
-    Simulation sim;
-    EventFunctionWrapper timer([] {}, "timer");
-    sim.eventq().schedule(&timer, 1);
-    for (int i = 2; i <= 2000; ++i)
-        sim.eventq().reschedule(&timer, Tick(i));
-    sim.eventq().deschedule(&timer);
-    EXPECT_EQ(sim.metrics().counter("sim.eventq.compactions").value(),
-              sim.eventq().compactions());
-    EXPECT_GT(sim.eventq().compactions(), 0u);
-}
-
 TEST(EventQueueTest, ScheduleAtCurTickFromProcess)
 {
     // A handler may schedule work at the very tick being processed;
@@ -286,8 +242,8 @@ TEST(EventQueueTest, ScheduleAtCurTickFromProcess)
 TEST(EventQueueTest, DescheduleSameTickPendingMidRun)
 {
     // A handler cancels a sibling already pending at the same tick:
-    // the sibling's stale entry must be skimmed, never executed,
-    // and the queue keeps running events behind it.
+    // the sibling never runs, and the queue keeps running events
+    // behind it.
     EventQueue q;
     bool victim_ran = false;
     bool later_ran = false;
@@ -305,24 +261,6 @@ TEST(EventQueueTest, DescheduleSameTickPendingMidRun)
     EXPECT_TRUE(later_ran);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.processedCount(), 2u);
-}
-
-TEST(EventQueueTest, NextTickSkimsStaleEntriesThroughConstRef)
-{
-    // The coordinator's window negotiation calls nextTick() on
-    // const queues; it must see through stale front entries (and
-    // physically shed them) rather than report a cancelled event.
-    EventQueue q;
-    EventFunctionWrapper a([] {}, "a"), b([] {}, "b");
-    q.schedule(&a, 10);
-    q.schedule(&b, 20);
-    q.deschedule(&a);
-    const EventQueue &cq = q;
-    EXPECT_EQ(cq.nextTick(), 20u);
-    EXPECT_EQ(cq.heapSize(), 1u);
-    q.deschedule(&b);
-    EXPECT_EQ(cq.nextTick(), maxTick);
-    EXPECT_TRUE(cq.empty());
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents)
@@ -389,8 +327,8 @@ TEST(EventQueueTest, OneShotSelfDeletes)
                        },
                        "pending"),
                    1000);
-        // A stale entry the queue must skip at teardown: its event
-        // is already gone (ASan flags any touch).
+        // A descheduled event the queue must not touch at teardown:
+        // it is already gone (ASan flags any touch).
         auto gone = std::make_unique<EventFunctionWrapper>([] {}, "gone");
         q.schedule(gone.get(), 2000);
         q.deschedule(gone.get());
@@ -406,6 +344,97 @@ TEST(EventQueueTest, OneShotSelfDeletes)
     // with it, and the fired one is not freed a second time.
     EXPECT_EQ(fired_dtors, 1);
     EXPECT_EQ(pending_dtors, 1);
+}
+
+// The pop order is the contract: (when, priority, insertion order)
+// whatever mix of schedule, deschedule and reschedule calls put the
+// queue in its state, issued between steps or from inside handlers,
+// with ticks colliding and events destroyed right after their
+// deschedule (ASan flags any later touch). A std::set keyed the
+// same way names the event every pop must run.
+TEST(EventQueueTest, RandomChurnPopsInReferenceOrder)
+{
+    using Key = std::tuple<Tick, Event::Priority, std::uint64_t, int>;
+    constexpr int numEvents = 300;
+    constexpr Event::Priority pris[] = {
+        Event::defaultPri, Event::pollPri, Event::statsPri};
+    EventQueue q;
+    Rng rng(7);
+    std::set<Key> ref;
+    std::vector<std::optional<Key>> keyOf(numEvents);
+    std::vector<std::unique_ptr<EventFunctionWrapper>> evs(numEvents);
+    std::uint64_t inserted = 0;
+    std::uint64_t pops = 0;
+    int running = -1;
+    std::function<void()> churn;
+
+    auto make = [&](int id) {
+        evs[id] = std::make_unique<EventFunctionWrapper>(
+            [&, id] {
+                ASSERT_FALSE(ref.empty());
+                ASSERT_EQ(std::get<3>(*ref.begin()), id);
+                ASSERT_EQ(std::get<0>(*ref.begin()), q.curTick());
+                ref.erase(ref.begin());
+                keyOf[id].reset();
+                ++pops;
+                if (rng.uniformInt(0, 3) == 0) {
+                    running = id;
+                    churn();
+                    running = -1;
+                }
+            },
+            "churn", pris[rng.uniformInt(0, 2)]);
+    };
+    auto cancel = [&](int id) {
+        if (!keyOf[id])
+            return;
+        q.deschedule(evs[id].get());
+        ref.erase(*keyOf[id]);
+        keyOf[id].reset();
+    };
+    churn = [&] {
+        int id = int(rng.uniformInt(0, numEvents - 1));
+        Tick when = q.curTick() + rng.uniformInt(0, 16);
+        EventFunctionWrapper *ev = evs[id].get();
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // schedule, or move if already pending
+          case 1:
+            if (keyOf[id])
+                ref.erase(*keyOf[id]);
+            if (keyOf[id] || rng.uniformInt(0, 1))
+                q.reschedule(ev, when);
+            else
+                q.schedule(ev, when);
+            keyOf[id] = Key{when, ev->priority(), inserted++, id};
+            ref.insert(*keyOf[id]);
+            break;
+          case 2:
+            cancel(id);
+            break;
+          case 3: // cancel and destroy at once, then replace
+            if (id == running)
+                break;
+            cancel(id);
+            make(id);
+            break;
+        }
+        ASSERT_EQ(evs[id]->scheduled(), keyOf[id].has_value());
+    };
+
+    for (int id = 0; id < numEvents; ++id)
+        make(id);
+    for (int call = 0; call < 20000; ++call) {
+        churn();
+        if (rng.uniformInt(0, 2) == 0)
+            q.step();
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.nextTick(),
+                  ref.empty() ? maxTick : std::get<0>(*ref.begin()));
+    }
+    q.run();
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(q.processedCount(), pops);
+    EXPECT_GT(pops, 5000u);
 }
 
 TEST(EventQueueTest, ManyEventsStressOrdering)

@@ -94,13 +94,12 @@ INTEGRITY_KINDS = {
 
 
 # Parallel simulation core (DESIGN.md §18): the coordinator's
-# round/mailbox counters and the event-queue compaction counter.
-# These are registry-level names (one simulation, no component
-# prefix); a shape change is a schema break.
+# round/mailbox counters. These are registry-level names (one
+# simulation, no component prefix); a shape change is a schema
+# break.
 SIM_KINDS = {
     "sim.psim.rounds": "counter",
     "sim.psim.messages": "counter",
-    "sim.eventq.compactions": "counter",
 }
 
 
