@@ -16,9 +16,10 @@
  *  - a control-group guest migrated, or the control group's storm
  *    throughput fell below 95% of its baseline.
  *
- * The fleet always polls dedicated: --sched=shared and
- * --poll-cores=N are fatal errors rather than silently ignored
- * (shared-mode fleets on 2 sim threads panic, DESIGN.md 18.7).
+ * The servers take the session's scheduler flags like every
+ * Testbed bench: --sched=shared or --poll-cores=N moves their guest
+ * backends onto a shared poll pool (DESIGN.md section 12), at any
+ * --sim-threads.
  */
 
 #include <sys/resource.h>
@@ -94,12 +95,6 @@ int
 main(int argc, char **argv)
 {
     Session session(argc, argv);
-    // The fleet builds its own server params and overlays only the
-    // obs flags: a scheduler flag would otherwise be ignored.
-    fatal_if(Session::schedShared || Session::pollCores > 0,
-             "bench_fleet runs dedicated polling only and rejects "
-             "--sched=shared / --poll-cores: shared-mode fleets on 2 "
-             "sim threads panic (DESIGN.md section 18.7)");
     banner("fleet",
            "rack-scale failover: migration storm + power-loss "
            "failovers over 8 servers / 64 bm-guests");
@@ -141,8 +136,7 @@ main(int argc, char **argv)
     fp.servers = n_servers;
     // 12-slot servers leave 8x4 slots of failover headroom above
     // the 64 placed guests; the e3.8 class admits 16 per server.
-    fp.server.maxBoards = 12;
-    fp.server = Testbed::withSessionObs(fp.server);
+    fp.server = Testbed::smallServer(12);
     fp.perServerVswitch = Session::simThreads > 0;
     fleet::FleetController fc(sim, "fleet", vswitch, &storage, fp);
     MetricsCapture::instance().attach("fleet", sim.metrics());

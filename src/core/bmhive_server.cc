@@ -268,7 +268,10 @@ BmHiveServer::tryProvision(const InstanceType &type,
     // The whole guest assembly homes in this server's partition
     // through a shared affinity cell: every SimObject built below
     // captures the cell, so a later adoption re-homes them all
-    // with one write (adoptGuest).
+    // with one write (adoptGuest). Unlike replaceService's, this
+    // scope spans the whole bring-up, which also reads the clock
+    // through it; that is safe because provisioning runs only at
+    // set-up, between runs, where every partition's clock agrees.
     g->partitionCell_ = std::make_unique<unsigned>(partition());
     psim::PartitionScope pscope(sim_, g->partitionCell_.get(),
                                 partition());

@@ -36,12 +36,9 @@ BlkDriver::start(std::uint16_t queue_size, Bytes max_io)
     // small; 64 concurrent requests far exceeds fio's 8 jobs.
     std::uint16_t inflight = std::min<std::uint16_t>(n, 64);
     slots_.resize(inflight);
-    slotOfHead_.assign(activeQueues_, {});
-    for (unsigned q = 0; q < activeQueues_; ++q) {
-        slotOfHead_[q].assign(queue(q).layout().size(), 0);
+    for (unsigned q = 0; q < activeQueues_; ++q)
         onQueueInterrupt(q,
                          [this, q] { completionInterrupt(q); });
-    }
     for (std::uint16_t i = 0; i < inflight; ++i) {
         slots_[i].hdr = os_.allocator().alloc(
             VirtioBlkReqHdr::wireSize, 16);
@@ -165,11 +162,7 @@ BlkDriver::resubmit(std::uint16_t slot)
     }
     in.push_back({s.status, 1, true});
 
-    auto head = queue(s.q).submit(out, in, slot);
-    if (!head)
-        return false;
-    slotOfHead_[s.q][*head] = slot;
-    return true;
+    return queue(s.q).submit(out, in, slot).has_value();
 }
 
 void
@@ -187,9 +180,6 @@ BlkDriver::resetAndReinit()
     }
     teardownForReset();
     initialize(wanted_, queueSize_);
-    slotOfHead_.assign(activeQueues_, {});
-    for (unsigned q = 0; q < activeQueues_; ++q)
-        slotOfHead_[q].assign(queue(q).layout().size(), 0);
     freeSlots_.clear();
     for (std::uint16_t i = 0; i < slots_.size(); ++i)
         freeSlots_.push_back(i);
@@ -210,7 +200,7 @@ BlkDriver::completionInterrupt(unsigned q)
     }
     bool resubmitted = false;
     for (const auto &c : queue(q).collectUsed()) {
-        std::uint16_t slot = slotOfHead_[q][c.head];
+        auto slot = std::uint16_t(c.cookie);
         Slot &s = slots_[slot];
         std::uint8_t status = os_.memory().read8(s.status);
         if (status == statusUnwritten)

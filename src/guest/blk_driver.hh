@@ -119,8 +119,6 @@ class BlkDriver : public VirtioDriver
 
     std::vector<Slot> slots_;
     std::vector<std::uint16_t> freeSlots_;
-    /** Per-queue head -> slot map. */
-    std::vector<std::vector<std::uint16_t>> slotOfHead_;
     unsigned activeQueues_ = 1;
     Bytes maxIo_ = 0;
     std::uint64_t wanted_ = 0;

@@ -22,7 +22,6 @@ ConsoleDriver::start(std::uint16_t queue_size)
     std::uint16_t txn = queue(1).layout().size();
     rxArena_ = os_.allocator().alloc(Bytes(rxn) * bufBytes, 256);
     txArena_ = os_.allocator().alloc(Bytes(txn) * bufBytes, 256);
-    txSlotOfHead_.assign(txn, 0);
     for (std::uint16_t i = 0; i < txn; ++i)
         txFree_.push_back(i);
 
@@ -62,12 +61,10 @@ ConsoleDriver::write(const std::string &text,
     Addr buf = txArena_ + Addr(slot) * bufBytes;
     std::vector<std::uint8_t> bytes(text.begin(), text.end());
     os_.memory().writeBlob(buf, bytes);
-    auto head = txq.submit(
-        {{buf, std::uint32_t(text.size()), false}}, {}, slot);
-    if (!head)
+    if (!txq.submit({{buf, std::uint32_t(text.size()), false}}, {},
+                    slot))
         return false;
     txFree_.pop_back();
-    txSlotOfHead_[*head] = slot;
     txBytes_.inc(text.size());
     if (txq.shouldKick())
         kick(1, cpu_ctx);
@@ -78,7 +75,7 @@ void
 ConsoleDriver::txInterrupt()
 {
     for (const auto &c : queue(1).collectUsed())
-        txFree_.push_back(txSlotOfHead_[c.head]);
+        txFree_.push_back(std::uint16_t(c.cookie));
 }
 
 void

@@ -56,7 +56,6 @@ class ConsoleDriver : public VirtioDriver
     Addr txArena_ = 0;
     Addr rxArena_ = 0;
     std::vector<std::uint16_t> txFree_;
-    std::vector<std::uint16_t> txSlotOfHead_;
     InputHandler inputHandler_;
     Counter txBytes_;
     Counter rxBytes_;

@@ -70,10 +70,8 @@ NetDriver::setupRings()
                              [this, p] { txInterrupt(p); });
         }
         ps.napiActive = false;
-        ps.txSlotOfHead.assign(txq.layout().size(), 0);
-        ps.rxSlotOfHead.assign(rxq.layout().size(), 0);
         ps.txFreeSlots.clear();
-        for (std::uint16_t i = 0; i < ps.txSlotOfHead.size(); ++i)
+        for (std::uint16_t i = 0; i < txq.layout().size(); ++i)
             ps.txFreeSlots.push_back(i);
         // Like Linux virtio-net, run tx without completion
         // interrupts: buffers are reaped in the xmit path.
@@ -109,7 +107,6 @@ void
 NetDriver::fillRx(unsigned pair)
 {
     auto &rxq = queue(netRxQueue(pair));
-    PairState &ps = pairs_[pair];
     // Post one 2 KiB writable buffer per free descriptor; slot
     // number mirrors the chosen head (single-desc chains).
     while (rxq.freeDescs() > 0) {
@@ -121,11 +118,9 @@ NetDriver::fillRx(unsigned pair)
         if (!head)
             break;
         // Rewrite the descriptor with the slot-specific address.
-        std::uint16_t slot = *head;
-        VringDesc d = rxq.layout().readDesc(os_.memory(), slot);
-        d.addr = rxBuf(pair, slot);
-        rxq.layout().writeDesc(os_.memory(), slot, d);
-        ps.rxSlotOfHead[*head] = slot;
+        VringDesc d = rxq.layout().readDesc(os_.memory(), *head);
+        d.addr = rxBuf(pair, *head);
+        rxq.layout().writeDesc(os_.memory(), *head, d);
     }
 }
 
@@ -165,7 +160,6 @@ NetDriver::sendPacket(const cloud::Packet &pkt, bool kick_now,
     if (!head)
         return false;
     ps.txFreeSlots.pop_back();
-    ps.txSlotOfHead[*head] = slot;
 
     if (kick_now && txq.shouldKick())
         kick(netTxQueue(pair), cpu_ctx);
@@ -179,15 +173,6 @@ NetDriver::kickTx(hw::CpuExecutor &cpu_ctx)
         if (queue(netTxQueue(p)).shouldKick())
             kick(netTxQueue(p), cpu_ctx);
     }
-}
-
-std::uint16_t
-NetDriver::txSpace() const
-{
-    std::size_t space = 0;
-    for (unsigned p = 0; p < activePairs_; ++p)
-        space += pairs_[p].txFreeSlots.size();
-    return std::uint16_t(space);
 }
 
 void
@@ -231,12 +216,11 @@ NetDriver::napiPoll(unsigned pair)
     }
     if (pair >= activePairs_)
         return; // pair count shrank across a reset
-    PairState &ps = pairs_[pair];
     auto &rxq = queue(netRxQueue(pair));
     unsigned drained = 0;
     for (const auto &c : rxq.collectUsed()) {
-        std::uint16_t slot = ps.rxSlotOfHead[c.head];
-        Addr buf = rxBuf(pair, slot);
+        // An rx buffer's slot is its chain's head (fillRx).
+        Addr buf = rxBuf(pair, c.head);
         cloud::Packet pkt = unpackPacket(
             os_.memory(), buf + VirtioNetHdr::wireSize);
         if (integrity_ && !cloud::packetCsumOk(pkt)) {
@@ -281,7 +265,7 @@ NetDriver::napiPoll(unsigned pair)
     // a delivered-packet count: a faulty device completion (bad
     // id, unowned head) advances used->idx without delivering a
     // packet, and counting deliveries would re-arm forever.
-    ps.napiActive = false;
+    pairs_[pair].napiActive = false;
     rxq.setNoInterrupt(false);
     if (rxq.layout().usedIdx(os_.memory()) != rxq.usedIdxSeen()) {
         rxInterrupt(pair);

@@ -83,9 +83,6 @@ class NetDriver : public VirtioDriver
         rxWorkers_ = workers ? workers : 1;
     }
 
-    /** Free tx slots right now (summed over the active pairs). */
-    std::uint16_t txSpace() const;
-
     std::uint64_t txCompleted() const { return txDone_.value(); }
     std::uint64_t rxDelivered() const { return rxDone_.value(); }
     std::uint64_t resets() const { return resets_.value(); }
@@ -106,8 +103,6 @@ class NetDriver : public VirtioDriver
         Addr txArena = 0;
         Addr rxArena = 0;
         std::vector<std::uint16_t> txFreeSlots;
-        std::vector<std::uint16_t> txSlotOfHead;
-        std::vector<std::uint16_t> rxSlotOfHead;
         bool napiActive = false;
     };
 

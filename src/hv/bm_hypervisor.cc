@@ -263,10 +263,15 @@ BmHypervisor::replaceService(const std::string &suffix)
     // Respawn and migration are triggered from the control
     // partition (watchdog, fleet controller); the fresh generation
     // must still home in this guest's partition, sharing its cell
-    // so a later migration re-homes it too.
-    psim::PartitionScope scope(sim_, partitionCell(), partition());
-    auto next =
-        service_->nextGeneration(name() + ".svc." + suffix, *core_);
+    // so a later migration re-homes it too. The scope covers the
+    // construction alone: the attach and start below read the
+    // clock of the partition running them, as everything else does.
+    std::unique_ptr<VirtioIoService> next;
+    {
+        psim::PartitionScope scope(sim_, partitionCell(), partition());
+        next = service_->nextGeneration(name() + ".svc." + suffix,
+                                        *core_);
+    }
     // The old process stays allocated until teardown so any event
     // still holding it unwinds against a dead service, not freed
     // memory.

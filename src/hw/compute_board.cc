@@ -32,22 +32,6 @@ ComputeBoard::thread(unsigned i)
 }
 
 void
-ComputeBoard::setExecutionModel(ExecutionModel *exec)
-{
-    // Boards get their model before any work runs; recreate the
-    // executors bound to it.
-    for (auto &t : threads_) {
-        panic_if(t->busyUntil() > curTick(),
-                 name(), ": changing execution model while busy");
-    }
-    for (unsigned i = 0; i < threads_.size(); ++i) {
-        threads_[i] = std::make_unique<CpuExecutor>(
-            sim_, name() + ".t" + std::to_string(i),
-            cpu_.singleThreadFactor, exec);
-    }
-}
-
-void
 ComputeBoard::powerOff()
 {
     power_ = BoardPower::Off;

@@ -85,9 +85,6 @@ class ComputeBoard : public SimObject
     CpuExecutor &thread(unsigned i);
     unsigned threadCount() const { return unsigned(threads_.size()); }
 
-    /** Set the execution model on all threads (native for bm). */
-    void setExecutionModel(ExecutionModel *exec);
-
     BoardPower powerState() const { return power_; }
     void powerOn() { power_ = BoardPower::On; }
     void powerOff();

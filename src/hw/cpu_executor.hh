@@ -72,23 +72,27 @@ class CpuExecutor : public SimObject
     run(Tick nominal_cost, std::function<void()> fn,
         unsigned exits = 0)
     {
-        Tick start = busyUntil_ > curTick() ? busyUntil_ : curTick();
-        Tick scaled = Tick(double(nominal_cost) / speedFactor_);
-        Tick dur = exec_ ? exec_->stretch(start, scaled, exits)
-                         : scaled;
-        Tick end = start + dur;
-        busyUntil_ = end;
-        busyTime_ += dur;
+        Tick end = charge(nominal_cost, exits);
         eventq().schedule(new OneShotEvent(std::move(fn), "cpu.work"),
                           end);
         return end;
     }
 
-    /** Account work with no completion callback. */
+    /**
+     * Account work with no completion callback: the work occupies
+     * the timeline, and nothing is scheduled.
+     * @return tick at which the work completes
+     */
     Tick
     charge(Tick nominal_cost, unsigned exits = 0)
     {
-        return run(nominal_cost, [] {}, exits);
+        Tick start = busyUntil_ > curTick() ? busyUntil_ : curTick();
+        Tick scaled = Tick(double(nominal_cost) / speedFactor_);
+        Tick dur = exec_ ? exec_->stretch(start, scaled, exits)
+                         : scaled;
+        busyUntil_ = start + dur;
+        busyTime_ += dur;
+        return busyUntil_;
     }
 
     /** When this CPU thread next becomes idle. */

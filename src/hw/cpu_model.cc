@@ -34,21 +34,5 @@ CpuCatalog::atomC3850()
     return {"Atom C3850", 2.1, 12, 12, 0.45, 25};
 }
 
-CpuModel
-CpuCatalog::physicalTwoSocketE5()
-{
-    return {"2x Xeon E5-2682 v4 (physical)", 2.5, 32, 64, 1.00, 240};
-}
-
-const std::vector<CpuModel> &
-CpuCatalog::all()
-{
-    static const std::vector<CpuModel> skus = {
-        baseBoardE5(),       xeonE5_2682v4(), xeonE3_1240v6(),
-        corei7_7700k(),      atomC3850(),     physicalTwoSocketE5(),
-    };
-    return skus;
-}
-
 } // namespace hw
 } // namespace bmhive

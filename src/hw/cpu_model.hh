@@ -12,7 +12,6 @@
 #define BMHIVE_HW_CPU_MODEL_HH
 
 #include <string>
-#include <vector>
 
 #include "base/units.hh"
 
@@ -43,10 +42,6 @@ struct CpuCatalog
     static CpuModel corei7_7700k();
     /** Intel Atom C3850-class low-power board. */
     static CpuModel atomC3850();
-    /** Dual-socket E5-2682 v4 physical server (Fig. 7 baseline). */
-    static CpuModel physicalTwoSocketE5();
-
-    static const std::vector<CpuModel> &all();
 };
 
 } // namespace hw

@@ -46,14 +46,6 @@ GuestMemory::write(Addr addr, const void *src, Bytes len)
     std::memcpy(data_ + addr, src, len);
 }
 
-void
-GuestMemory::fill(Addr addr, Bytes len, std::uint8_t value)
-{
-    panic_if(addr + len > size_ || addr + len < addr,
-             name_, ": out-of-bounds fill");
-    std::memset(data_ + addr, value, len);
-}
-
 std::vector<std::uint8_t>
 GuestMemory::readBlob(Addr addr, Bytes len) const
 {

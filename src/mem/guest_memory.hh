@@ -61,9 +61,6 @@ class GuestMemory
     void write32(Addr addr, std::uint32_t v) { writeT(addr, v); }
     void write64(Addr addr, std::uint64_t v) { writeT(addr, v); }
 
-    /** Fill a region with a byte value. */
-    void fill(Addr addr, Bytes len, std::uint8_t value);
-
     /** Read a region into a fresh vector. */
     std::vector<std::uint8_t> readBlob(Addr addr, Bytes len) const;
 

@@ -72,9 +72,7 @@ SloMonitor::advance(Role &r, Tick now)
     if (!r.started) {
         r.started = true;
         r.curEpoch = cur;
-        Epoch &e = r.epochs[cur % r.epochs.size()];
-        e = Epoch{};
-        e.index = cur;
+        r.epochs[cur % r.epochs.size()] = Epoch{};
         return;
     }
     if (cur == r.curEpoch)
@@ -97,11 +95,8 @@ SloMonitor::advance(Role &r, Tick now)
     // than the whole window clears all of them.
     std::uint64_t n = r.epochs.size();
     std::uint64_t steps = std::min(cur - r.curEpoch, n);
-    for (std::uint64_t i = cur - steps + 1; i <= cur; ++i) {
-        Epoch &e = r.epochs[i % n];
-        e = Epoch{};
-        e.index = i;
-    }
+    for (std::uint64_t i = cur - steps + 1; i <= cur; ++i)
+        r.epochs[i % n] = Epoch{};
     r.curEpoch = cur;
 }
 

@@ -110,7 +110,6 @@ class SloMonitor
   private:
     struct Epoch
     {
-        std::uint64_t index = 0; ///< epoch number (now/epochLen)
         Histogram latencyNs;
         std::uint64_t violations = 0;
     };

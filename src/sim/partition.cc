@@ -142,23 +142,26 @@ Coordinator::run(Tick limit)
             gm = std::min(gm, q->nextTick());
         if (gm > limit || gm == maxTick)
             break;
+        {
+            // Phase A: control runs its events at gm, if it has
+            // any, serially. It may touch parked server state and
+            // schedule directly into any queue; determinism follows
+            // from serial execution.
+            PartitionScope ctl(sim_, 0);
+            queues_[0]->run(gm);
+        }
         Tick w = gm + lookahead_ - 1;
         if (w < gm) // overflow
             w = maxTick;
-        w = std::min(w, limit);
+        w = std::min({w, limit, queues_[0]->nextTick() - 1});
         windowEnd_ = w;
-        {
-            // Phase A: control runs the window serially. It may
-            // touch parked server state and schedule directly into
-            // any queue; determinism follows from serial execution.
-            PartitionScope ctl(sim_, 0);
-            queues_[0]->run(w);
-        }
-        // Phase B: server partitions run the same window in
-        // parallel; cross-partition effects buffer in outboxes.
+        // Phase B: server partitions run the window in parallel;
+        // cross-partition effects buffer in outboxes. The window
+        // ends before control's next event, so no control event
+        // runs until the servers have done everything before it.
         runParallel(w);
         flush();
-        ++rounds_;
+        roundsCtr_->inc();
     }
     if (limit != maxTick) {
         // Park every queue exactly at the limit so idle partitions
@@ -169,7 +172,6 @@ Coordinator::run(Tick limit)
             queues_[p]->run(limit);
         }
     }
-    syncCounters();
 }
 
 void
@@ -273,21 +275,9 @@ Coordinator::flush()
                  "ending ", windowEnd_);
         queue(m.dst).schedule(
             new OneShotEvent(std::move(m.fn), m.tag, m.pri), m.when);
-        ++messages_;
+        messagesCtr_->inc();
     }
     all.clear();
-}
-
-void
-Coordinator::syncCounters()
-{
-    // The round and message counts live in plain members while the
-    // workers run; they reach the registry here, after the final
-    // barrier, on the coordinator thread alone.
-    roundsCtr_->inc(rounds_ - roundsSynced_);
-    roundsSynced_ = rounds_;
-    messagesCtr_->inc(messages_ - messagesSynced_);
-    messagesSynced_ = messages_;
 }
 
 } // namespace psim

@@ -10,21 +10,26 @@
  * bounded rounds:
  *
  *   globalMin = min over all queues of nextTick()
- *   window    = [globalMin, min(globalMin + L - 1, limit)]
+ *   window    = [globalMin, min(globalMin + L - 1, limit,
+ *                               next control event - 1)]
  *
  * where L is the lookahead — the smallest modelled latency any
  * cross-partition interaction can have (a PCIe hop; fabric RTTs
  * and block-fabric legs are far larger). Phase A runs the control
- * queue through the window serially; control code may touch parked
- * server state and schedule into any queue directly, which stays
- * deterministic because phase A is single-threaded. Phase B runs
- * all server partitions through the same window in parallel;
+ * queue's events at globalMin serially; control code may touch
+ * parked server state and schedule into any queue directly, which
+ * stays deterministic because phase A is single-threaded. Phase B
+ * runs all server partitions through the window in parallel;
  * cross-partition effects must go through post(), which buffers
- * them in per-source outboxes. Any message sent from inside the
- * window carries at least L of modelled delay, so it lands strictly
- * after the window and no partition can miss an incoming event it
- * should already have processed — the classic conservative
- * (Chandy–Misra style) argument.
+ * them in per-source outboxes. The window ends before control's
+ * next event, so control never runs ahead of a server: a control
+ * event at t sees every server event before t and none after, and
+ * where a round begins changes nothing but the round count. Any
+ * message sent from inside the window carries at least L of
+ * modelled delay, so it lands strictly after the window and no
+ * partition can miss an incoming event it should already have
+ * processed — the classic conservative (Chandy–Misra style)
+ * argument.
  *
  * Determinism: after the round barrier, buffered messages are
  * drained in (when, priority, source partition, per-source
@@ -129,15 +134,11 @@ class Coordinator
     /** Run the round loop until every queue is past @p limit. */
     void run(Tick limit);
 
-    std::uint64_t rounds() const { return rounds_; }
-    std::uint64_t messages() const { return messages_; }
-
   private:
     void runParallel(Tick window);
     void flush();
     void workLoop();
     void workerMain();
-    void syncCounters();
 
     struct Outbox
     {
@@ -174,10 +175,8 @@ class Coordinator
     bool stop_ = false;
     std::vector<std::thread> workers_;
 
-    std::uint64_t rounds_ = 0;
-    std::uint64_t messages_ = 0;
-    std::uint64_t roundsSynced_ = 0;
-    std::uint64_t messagesSynced_ = 0;
+    /** Bumped by the coordinator thread alone: rounds close, and
+     *  mailboxes flush, after the parallel phase's barrier. */
     Counter *roundsCtr_ = nullptr;
     Counter *messagesCtr_ = nullptr;
 

@@ -9,9 +9,10 @@
  * (sim/partition.hh): one queue per base server plus the control
  * queue, advanced in conservative lookahead rounds by a worker
  * pool. SimObjects capture their partition at construction (via
- * psim::PartitionScope) and route all queue/RNG/time accessors
- * through it, and every hop that may cross partitions goes through
- * one Simulation::post() whose delivery tick carries the modelled
+ * psim::PartitionScope) and route their queue and RNG accessors
+ * through it, but read one clock: that of the partition running
+ * the code. Every hop that may cross partitions goes through one
+ * Simulation::post() whose delivery tick carries the modelled
  * delay, so component code is identical in both modes.
  */
 
@@ -133,14 +134,6 @@ class Simulation
         return psim_->queue(p);
     }
 
-    Tick
-    partitionTick(unsigned p) const
-    {
-        if (!psim_ || p == 0)
-            return eventq_.curTick();
-        return psim_->queue(p).curTick();
-    }
-
     /** Per-partition RNG shard; partition 0 is the root rng(). */
     Rng &
     partitionRng(unsigned p)
@@ -195,6 +188,13 @@ class Simulation
  * none is). When the scope carries a shared partition cell (one
  * per guest), the object resolves its partition through the cell,
  * so migrating the guest re-homes every component at once.
+ *
+ * The partition picks the object's queue and RNG shard, never its
+ * clock: curTick() is Simulation::now(), the time of the partition
+ * executing the code. Control code calling into a server's object
+ * in Phase A therefore reads control time, not the server queue's
+ * clock, which lags the round. A construction scope must not
+ * change the clock either, so keep it around the construction.
  */
 class SimObject
 {
@@ -220,7 +220,7 @@ class SimObject
 
     EventQueue &eventq() { return sim_.partitionQueue(partition()); }
     Rng &rng() { return sim_.partitionRng(partition()); }
-    Tick curTick() const { return sim_.partitionTick(partition()); }
+    Tick curTick() const { return sim_.now(); }
     obs::MetricRegistry &metrics() { return sim_.metrics(); }
     fault::FaultHookRegistry &faults() { return sim_.faults(); }
 

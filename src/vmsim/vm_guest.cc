@@ -136,13 +136,6 @@ VmGuest::bringUp()
     return true;
 }
 
-hw::CpuExecutor &
-VmGuest::vcpu(unsigned i)
-{
-    panic_if(i >= vcpus_.size(), name(), ": bad vcpu ", i);
-    return *vcpus_[i];
-}
-
 bool
 VmGuest::connectBackends()
 {

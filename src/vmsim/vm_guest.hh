@@ -74,7 +74,6 @@ class VmGuest : public SimObject
     GuestMemory &memory() { return *mem_; }
     pci::PciBus &bus() { return *vbus_; }
     guest::GuestOs &os() { return *os_; }
-    hw::CpuExecutor &vcpu(unsigned i);
     hv::VirtioIoService &service() { return *service_; }
 
     static constexpr int netSlot = 3;

@@ -403,6 +403,48 @@ TEST(FleetFailover, LostGuestIsReleased)
     load.expectExactlyOnce();
 }
 
+TEST(FleetFailover, FailedBoardLosesItsGuestWithoutRespawn)
+{
+    FleetBed bed(1005, 2, 2);
+    GuestId a = bed.addGuest(0x51);
+    GuestId b = bed.addGuest(0x52);
+    ASSERT_NE(a, invalidGuest);
+    ASSERT_NE(b, invalidGuest);
+    ASSERT_EQ(bed.fleet->serverOf(a), 0u);
+    ASSERT_EQ(bed.fleet->serverOf(b), 1u);
+    bed.runFor(1000);
+
+    // Board 0 of s0 dies: its guest is gone with it. Nothing is
+    // migrated, and the server itself stays up.
+    core::BmHiveServer &s0 = bed.fleet->server(0);
+    core::BmGuest &lost = s0.guest(0);
+    const unsigned free_before = s0.freeSlots();
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::BoardFail;
+    spec.magnitude = 0;
+    ASSERT_TRUE(bed.sim.faults().deliver("fleet.s0", spec));
+    EXPECT_FALSE(bed.fleet->alive(a));
+    EXPECT_EQ(bed.fleet->lostGuests(), 1u);
+    EXPECT_EQ(bed.sim.metrics().counter("fleet.board_failures").value(),
+              1u);
+    EXPECT_EQ(bed.fleet->failovers(), 0u);
+    EXPECT_FALSE(bed.fleet->serverDead(0));
+    EXPECT_EQ(s0.freeSlots(), free_before + 1);
+    EXPECT_EQ(lost.board().powerState(), hw::BoardPower::Off);
+
+    // Released, not crashed-and-watched: the server's watchdog
+    // never respawns the dead board's backend.
+    bed.runFor(1000);
+    EXPECT_EQ(s0.watchdogRespawns(), 0u);
+    EXPECT_TRUE(lost.hypervisor().crashed());
+    EXPECT_EQ(bed.fleet->migrationsDone(), 0u);
+
+    BlkLoad load;
+    load.issue(bed.fleet->guest(b), 8);
+    bed.runFor(5000);
+    load.expectExactlyOnce();
+}
+
 TEST(FleetFailover, PartitionPastThresholdFences)
 {
     FleetBed bed(505, 2, 2);

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "base/logging.hh"
 #include "cloud/vswitch.hh"
 #include "guest/firmware.hh"
@@ -207,6 +210,50 @@ TEST_F(GuestStackTest, ManyConcurrentBlockIos)
     }
     sim.run(sim.now() + msToTicks(100));
     EXPECT_EQ(done, 48u);
+}
+
+TEST_F(GuestStackTest, ResubmitFromCompletionKeepsEveryRequestsSlot)
+{
+    // One reap frees every head it returns before the first
+    // callback runs, and a callback that issues the next read takes
+    // one of those heads straight back. Each later completion of
+    // the batch must still reach its own request: the read that
+    // took the head is not complete until the device says so.
+    const unsigned n = 32;
+    for (unsigned i = 0; i < n; ++i) {
+        std::vector<std::uint8_t> data(4 * KiB, std::uint8_t(i + 1));
+        ASSERT_TRUE(a->blk()->write(
+            i * 8, 4 * KiB, &data, a->os().cpu(1),
+            [](std::uint8_t st, Addr) {
+                EXPECT_EQ(st, virtio::VIRTIO_BLK_S_OK);
+            }));
+    }
+    sim.run(sim.now() + msToTicks(30));
+
+    std::vector<unsigned> completions(2 * n, 0);
+    unsigned wrong = 0;
+    std::function<void(unsigned)> readOne = [&](unsigned id) {
+        const unsigned i = id % n;
+        ASSERT_TRUE(a->blk()->read(
+            i * 8, 4 * KiB, a->os().cpu(1),
+            [&, id, i](std::uint8_t st, Addr addr) {
+                ++completions[id];
+                if (st != virtio::VIRTIO_BLK_S_OK ||
+                    a->os().memory().readBlob(addr, 4 * KiB) !=
+                        std::vector<std::uint8_t>(4 * KiB,
+                                                  std::uint8_t(i + 1)))
+                    ++wrong;
+                if (id < n)
+                    readOne(id + n);
+            }));
+    };
+    for (unsigned id = 0; id < n; ++id)
+        readOne(id);
+    sim.run(sim.now() + msToTicks(100));
+
+    EXPECT_EQ(completions, std::vector<unsigned>(2 * n, 1));
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(a->blk()->errors(), 0u);
 }
 
 TEST_F(GuestStackTest, UnalignedIoPanics)

@@ -20,9 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
+#include "cloud/dif.hh"
+#include "fault/fault.hh"
 #include "fault/guest_fault.hh"
 #include "guest/packet_wire.hh"
 #include "hv/bm_hypervisor.hh"
@@ -478,6 +482,173 @@ TEST(ResetContainment, LateStorageReadCannotRewriteReusedShadowBlocks)
     EXPECT_EQ(hv.service().blkIos(), 2u);
     EXPECT_EQ(board.memory().read8(0x53000), VIRTIO_BLK_S_OK);
     EXPECT_EQ(board.memory().readBlob(0x51000, 4096), forged);
+}
+
+/**
+ * A bm-hypervisor backend over an IO-Bond blk function on a 1 MiB
+ * volume, with the test writing the guest's requests into the blk
+ * ring by hand, so each can be as hostile as a guest likes.
+ */
+struct BlkRig
+{
+    static constexpr Addr blkBar = 0xe1000000u;
+    /** Guest addresses of the request header, data and status. */
+    static constexpr Addr hdrAt = 0x50000;
+    static constexpr Addr dataAt = 0x51000;
+    static constexpr Addr statusAt = 0x58000;
+
+    Simulation sim{5};
+    hw::ComputeBoard board{sim, "board",
+                           hw::CpuCatalog::xeonE5_2682v4(), 32 * MiB,
+                           paper::ioBondPciAccess};
+    GuestMemory baseMem{"base", 64 * MiB};
+    iobond::IoBond bond{sim, "bond", board, baseMem, 0};
+    cloud::BlockService storage{sim, "storage"};
+    cloud::Volume &vol = storage.createVolume("vol", MiB);
+    cloud::VSwitch vswitch{sim, "vswitch"};
+    hw::CpuExecutor core{sim, "core"};
+    std::unique_ptr<hv::BmHypervisor> hv;
+    std::unique_ptr<virtio::VirtQueueDriver> ring;
+
+    explicit BlkRig(bool integrity)
+    {
+        bond.addNetFunction(3, 0xAB);
+        bond.addBlkFunction(4, vol.capacity() / 512);
+        hv = std::make_unique<hv::BmHypervisor>(
+            sim, "hv", board, bond, core, vswitch, 0xAB, &storage,
+            &vol, /*rate_limited=*/false);
+        hv->powerOnGuest();
+        hv->service().setIntegrity(integrity);
+        bringUpFunction(board.pciBus(), 3, 0xe0000000u, 2, 0x10000);
+        bringUpFunction(board.pciBus(), 4, blkBar, 1, 0x20000);
+        EXPECT_TRUE(hv->connectBackends());
+        ring = std::make_unique<virtio::VirtQueueDriver>(
+            board.memory(), virtio::VringLayout::contiguous(8, 0x20000));
+    }
+
+    /** Post [header] [@p data] [status], ring the doorbell and
+     *  run for @p run_for. The status byte is
+     *  poisoned first, as the guest driver does: a failed read
+     *  completes with used.len 1, which IO-Bond's write-back spends
+     *  on the data buffer, and the driver reads the untouched
+     *  status as an error. */
+    void
+    post(std::uint32_t type, std::uint64_t sector, virtio::Segment data,
+         Tick run_for = usToTicks(50))
+    {
+        using namespace virtio;
+        VirtioBlkReqHdr{type, 0, sector}.writeTo(board.memory(), hdrAt);
+        board.memory().write8(statusAt, 0xEE);
+        std::vector<Segment> out{{hdrAt, 16, false}}, in;
+        (data.deviceWrites ? in : out).push_back(data);
+        in.push_back({statusAt, 1, true});
+        ASSERT_TRUE(ring->submit(out, in, 0).has_value());
+        board.pciBus().memWrite(blkBar + notifyRegionOffset, 0, 4);
+        sim.run(sim.now() + run_for);
+    }
+
+    std::uint8_t status() { return board.memory().read8(statusAt); }
+
+    /** Completions the device returned since the last call. */
+    std::size_t reaped() { return ring->collectUsed().size(); }
+
+    std::uint64_t
+    svcCounter(const std::string &suffix)
+    {
+        return sim.metrics()
+            .counter(hv->service().name() + suffix)
+            .value();
+    }
+};
+
+TEST(HostileBlk, SectorPastTheVolumeIsAnIoError)
+{
+    using namespace virtio;
+    BlkRig rig(/*integrity=*/false);
+    // The volume has 2048 sectors; the request starts past them.
+    rig.post(VIRTIO_BLK_T_IN, 4096, {BlkRig::dataAt, 4096, true});
+    EXPECT_EQ(rig.reaped(), 1u);
+    EXPECT_NE(rig.status(), VIRTIO_BLK_S_OK);
+    EXPECT_EQ(rig.svcCounter(".blk.range_errors"), 1u);
+    EXPECT_EQ(rig.storage.reads(), 0u);
+}
+
+TEST(HostileBlk, DataDirectionContradictingHeaderIsAnIoError)
+{
+    using namespace virtio;
+    BlkRig rig(/*integrity=*/false);
+    // A read whose data buffer the device may only read: the
+    // header and the chain describe different requests.
+    rig.post(VIRTIO_BLK_T_IN, 0, {BlkRig::dataAt, 4096, false});
+    EXPECT_EQ(rig.reaped(), 1u);
+    EXPECT_EQ(rig.status(), VIRTIO_BLK_S_IOERR);
+    EXPECT_EQ(rig.svcCounter(".blk.range_errors"), 1u);
+    EXPECT_EQ(rig.storage.reads(), 0u);
+}
+
+TEST(HostileBlk, WriteFailingItsDifTagsIsRefusedBeforeTheVolume)
+{
+    using namespace virtio;
+    BlkRig rig(/*integrity=*/true);
+    // A tagged 4 KiB write whose payload no longer matches its
+    // tags: sealed, then one byte flipped.
+    std::vector<std::uint8_t> payload(4096, 0x5A);
+    auto tags = cloud::difBuildTags(payload, 0);
+    payload[100] ^= 1;
+    rig.board.memory().writeBlob(BlkRig::dataAt, payload);
+    rig.board.memory().writeBlob(BlkRig::dataAt + 4096, tags);
+    rig.post(VIRTIO_BLK_T_OUT, 0,
+             {BlkRig::dataAt, std::uint32_t(cloud::difWireBytes(4096)),
+              false});
+    EXPECT_EQ(rig.reaped(), 1u);
+    EXPECT_EQ(rig.status(), VIRTIO_BLK_S_IOERR);
+    EXPECT_EQ(rig.svcCounter(".integrity.dif_detects"), 1u);
+    EXPECT_EQ(rig.vol.readData(0, 4096),
+              std::vector<std::uint8_t>(4096, 0));
+    EXPECT_EQ(rig.storage.writes(), 0u);
+}
+
+TEST(HostileBlk, UntaggedRequestOnProtectedPathIsAnIoError)
+{
+    using namespace virtio;
+    BlkRig rig(/*integrity=*/true);
+    // 4096 bytes is not a whole number of tagged 520-byte sectors.
+    rig.post(VIRTIO_BLK_T_IN, 0, {BlkRig::dataAt, 4096, true});
+    EXPECT_EQ(rig.reaped(), 1u);
+    EXPECT_NE(rig.status(), VIRTIO_BLK_S_OK);
+    EXPECT_EQ(rig.svcCounter(".integrity.dif_failures"), 1u);
+    EXPECT_EQ(rig.storage.reads(), 0u);
+}
+
+TEST(HostileBlk, RequestLostOnEveryAttemptFailsOnce)
+{
+    using namespace virtio;
+    BlkRig rig(/*integrity=*/false);
+    // The fabric loses the first attempt and all four resubmissions
+    // (10, 20, 40, 80 and 160 ms timeouts): the guest gets exactly
+    // one IOERR, then the next request goes through.
+    fault::FaultSpec lose;
+    lose.kind = fault::FaultKind::BlockLose;
+    lose.count = 5;
+    ASSERT_TRUE(rig.sim.faults().deliver("storage", lose));
+    rig.post(VIRTIO_BLK_T_IN, 8, {BlkRig::dataAt, 4096, true},
+             msToTicks(309));
+    EXPECT_EQ(rig.reaped(), 0u);
+    rig.sim.run(rig.sim.now() + msToTicks(2));
+    EXPECT_EQ(rig.reaped(), 1u);
+    EXPECT_NE(rig.status(), VIRTIO_BLK_S_OK);
+    EXPECT_EQ(rig.svcCounter(".blk.io_failures"), 1u);
+    EXPECT_EQ(rig.svcCounter(".blk.retries"), 4u);
+    EXPECT_EQ(rig.svcCounter(".blk.timeouts"), 5u);
+    EXPECT_EQ(rig.hv->service().blkInflight(), 0u);
+    EXPECT_EQ(rig.sim.metrics().counter("storage.fault.lost").value(),
+              5u);
+
+    rig.post(VIRTIO_BLK_T_IN, 8, {BlkRig::dataAt, 4096, true},
+             msToTicks(2));
+    EXPECT_EQ(rig.reaped(), 1u);
+    EXPECT_EQ(rig.status(), VIRTIO_BLK_S_OK);
+    EXPECT_EQ(rig.svcCounter(".blk.io_failures"), 1u);
 }
 
 } // namespace

@@ -33,12 +33,12 @@ using obs::FlightEvent;
 class IoBondTest : public ::testing::Test
 {
   protected:
-    IoBondTest()
+    explicit IoBondTest(IoBondParams params = {})
         : sim(5),
           board(sim, "board", hw::CpuCatalog::xeonE5_2682v4(),
                 32 * MiB, paper::ioBondPciAccess),
           baseMem("base", 64 * MiB),
-          bond(sim, "bond", board, baseMem, 0)
+          bond(sim, "bond", board, baseMem, 0, params)
     {
         fn = &bond.addNetFunction(3, 0xAB);
         // Guest-side bring-up: program BAR, negotiate, set queues.
@@ -543,6 +543,49 @@ TEST_F(IoBondTest, BatchedDoorbellIsOneDoorbell)
               0u);
     EXPECT_EQ(bond.chainsForwarded(), 1600u);
     EXPECT_EQ(bond.completionsReturned(), 1600u);
+}
+
+/** A doorbell budget of one token, refilled every 10 us. */
+class IoBondStormTest : public IoBondTest
+{
+  protected:
+    IoBondStormTest() : IoBondTest(stormParams()) {}
+
+    static IoBondParams
+    stormParams()
+    {
+        IoBondParams p;
+        p.doorbellRate = 1.0e5;
+        p.doorbellBurst = 1;
+        return p;
+    }
+};
+
+TEST_F(IoBondStormTest, ThrottledDoorbellsChainIsStillPublished)
+{
+    // The first doorbell takes the only token.
+    ASSERT_TRUE(driver->submit({{0x20000, 64, false}}, {}, 1));
+    kick();
+    sim.run(sim.now() + usToTicks(5));
+    EXPECT_EQ(bond.chainsForwarded(), 1u);
+
+    // A second one 5 us later is throttled: the notification is
+    // dropped and counted as a storm fault, but its chain is not.
+    ASSERT_TRUE(driver->submit({{0x20100, 64, false}}, {}, 2));
+    kick();
+    sim.run(sim.now() + usToTicks(3));
+    EXPECT_EQ(bond.guestFaults(fault::GuestFaultKind::DoorbellStorm),
+              1u);
+    EXPECT_EQ(bond.chainsForwarded(), 1u);
+
+    // The resync sweep runs when the token returns and publishes it.
+    sim.run(sim.now() + usToTicks(20));
+    EXPECT_EQ(bond.chainsForwarded(), 2u);
+    auto dev = shadowDev();
+    unsigned popped = 0;
+    while (dev.pop())
+        ++popped;
+    EXPECT_EQ(popped, 2u);
 }
 
 /**

@@ -16,12 +16,18 @@
  *  - a small partitioned fleet (per-server switches + fabric,
  *    cross-server block and network traffic, one live migration)
  *    produces byte-identical metrics JSON at 1, 2 and 4 threads —
- *    the same determinism gate bench_fleet runs at scale.
+ *    the same determinism gate bench_fleet runs at scale;
+ *  - every object reads the clock of the partition running it: a
+ *    shared-polling fleet fails over from a power cut, identically
+ *    at 1, 2 and 4 threads, and a no-op ticker in every server
+ *    partition moves no metric but the round count, neither in a
+ *    fleet run nor across a migration abort respawned from control.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +36,7 @@
 #include "cloud/block_service.hh"
 #include "cloud/vswitch.hh"
 #include "core/instance_catalog.hh"
+#include "fault/fault.hh"
 #include "fleet/fleet_controller.hh"
 #include "sim/sim_object.hh"
 
@@ -102,11 +109,20 @@ TEST(PsimRun, WindowedRunAdvancesAllQueuesToLimit)
     sim.enablePartitions(2, pp); // threads=1: phases run inline
     std::vector<std::pair<unsigned, Tick>> fired;
     EventFunctionWrapper c(
-        [&] { fired.push_back({0, sim.partitionTick(0)}); }, "c");
+        [&] {
+            fired.push_back({0, sim.partitionQueue(0).curTick()});
+        },
+        "c");
     EventFunctionWrapper s1(
-        [&] { fired.push_back({1, sim.partitionTick(1)}); }, "s1");
+        [&] {
+            fired.push_back({1, sim.partitionQueue(1).curTick()});
+        },
+        "s1");
     EventFunctionWrapper s2(
-        [&] { fired.push_back({2, sim.partitionTick(2)}); }, "s2");
+        [&] {
+            fired.push_back({2, sim.partitionQueue(2).curTick()});
+        },
+        "s2");
     sim.partitionQueue(0).schedule(&c, usToTicks(3));
     sim.partitionQueue(1).schedule(&s1, usToTicks(5));
     sim.partitionQueue(2).schedule(&s2, usToTicks(9));
@@ -128,7 +144,8 @@ TEST(PsimRun, WindowedRunAdvancesAllQueuesToLimit)
     // parked exactly at the limit (the run-to-drain fix, applied
     // per partition by the coordinator's final park loop).
     for (unsigned p = 0; p < sim.partitions(); ++p)
-        EXPECT_EQ(sim.partitionTick(p), limit) << "partition " << p;
+        EXPECT_EQ(sim.partitionQueue(p).curTick(), limit)
+            << "partition " << p;
     // One round per distinct next-event tick: 3, 4, 5, 9 us.
     EXPECT_EQ(sim.metrics().counter("sim.psim.rounds").value(), 4u);
     EXPECT_EQ(sim.metrics().counter("sim.psim.messages").value(),
@@ -301,8 +318,59 @@ struct FleetRun
     unsigned migrations = 0;
 };
 
+/**
+ * A no-op event every 0.3 us in each server partition. It adds
+ * events, and with them rounds, and nothing else: a run with it
+ * must export the metrics of the run without it, bar
+ * sim.psim.rounds. Declare it after the simulation it ticks in.
+ */
+class Tickers
+{
+  public:
+    explicit Tickers(Simulation &sim) : sim_(sim)
+    {
+        evs_.resize(sim.partitions());
+        for (unsigned p = 1; p < sim.partitions(); ++p) {
+            psim::PartitionScope scope(sim, p);
+            evs_[p] = std::make_unique<EventFunctionWrapper>(
+                [this, p] { tickFrom(p); }, "test.ticker");
+            tickFrom(p);
+        }
+    }
+
+    ~Tickers()
+    {
+        for (unsigned p = 1; p < evs_.size(); ++p)
+            if (evs_[p]->scheduled())
+                sim_.partitionQueue(p).deschedule(evs_[p].get());
+    }
+
+  private:
+    void
+    tickFrom(unsigned p)
+    {
+        sim_.eventq().schedule(evs_[p].get(),
+                               sim_.now() + nsToTicks(300));
+    }
+
+    Simulation &sim_;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> evs_;
+};
+
+/** @p json without its sim.psim.rounds entry. */
+std::string
+withoutRounds(const std::string &json)
+{
+    std::istringstream in(json);
+    std::string out, line;
+    while (std::getline(in, line))
+        if (line.find("\"sim.psim.rounds\"") == std::string::npos)
+            out += line + '\n';
+    return out;
+}
+
 FleetRun
-runPartitionedFleet(unsigned threads)
+runPartitionedFleet(unsigned threads, bool ticker = false)
 {
     const unsigned servers = 3;
     Simulation sim(77);
@@ -331,6 +399,9 @@ runPartitionedFleet(unsigned threads)
                         0xA0 + i, &vol));
         EXPECT_NE(ids.back(), fleet::invalidGuest);
     }
+    std::unique_ptr<Tickers> tickers;
+    if (ticker)
+        tickers = std::make_unique<Tickers>(sim);
     sim.run(sim.now() + msToTicks(1));
 
     FleetRun res;
@@ -402,6 +473,150 @@ runPartitionedFleet(unsigned threads)
     EXPECT_EQ(res.finished, issued);
     res.metrics = sim.metrics().toJson();
     return res;
+}
+
+/**
+ * A partitioned fleet whose servers share 2 poll cores among their
+ * guests, so idle poll cores sleep and leave their partitions with
+ * no events, and a power cut on s0 delivered from the control
+ * partition 37 us into the second run. The failover's rebase runs
+ * in Phase A; were it to read the lagging clock of a server
+ * partition, fleet.finish would land inside the closed window.
+ */
+std::string
+runSharedPowerCut(unsigned threads)
+{
+    const unsigned servers = 3;
+    Simulation sim(77);
+    psim::Params pp;
+    pp.threads = threads;
+    sim.enablePartitions(servers, pp);
+    cloud::VSwitch uplink(sim, "uplink");
+    cloud::BlockService storage(sim, "storage", {});
+    fleet::FleetParams fp;
+    fp.servers = servers;
+    fp.server.maxBoards = 4;
+    fp.server.schedMode = core::SchedMode::Shared;
+    fp.server.pollCores = 2;
+    fp.perServerVswitch = true;
+    fleet::FleetController fleet(sim, "fleet", uplink, &storage,
+                                 fp);
+    for (unsigned i = 0; i < 4; ++i) {
+        auto &vol = storage.createVolume("v" + std::to_string(i),
+                                         8 * MiB);
+        EXPECT_NE(fleet.place(core::InstanceCatalog::evaluated(),
+                              0xB0 + i, &vol),
+                  fleet::invalidGuest);
+    }
+    sim.run(sim.now() + msToTicks(1));
+    fault::FaultSpec cut;
+    cut.kind = fault::FaultKind::ServerPowerLoss;
+    sim.post(0, sim.now() + usToTicks(37),
+             [&sim, cut] {
+                 EXPECT_TRUE(sim.faults().deliver("fleet.s0", cut));
+             },
+             Event::defaultPri, "test.power_cut");
+    sim.run(sim.now() + msToTicks(5));
+    EXPECT_GT(fleet.failovers(), 0u);
+    EXPECT_EQ(fleet.migrationsDone(), fleet.failovers());
+    EXPECT_EQ(fleet.lostGuests(), 0u);
+    return sim.metrics().toJson();
+}
+
+TEST(PsimFleet, SharedPollingPowerCutFailsOverDeterministically)
+{
+    std::string base = runSharedPowerCut(1);
+    for (unsigned threads : {2u, 4u})
+        EXPECT_EQ(runSharedPowerCut(threads), base)
+            << "threads=" << threads;
+}
+
+/**
+ * A planned migration in a partitioned fleet whose source backend
+ * crashes mid-drain: blk reads held at storage by a BlockDelay keep
+ * the drain open, a control post crashes the source backend, and
+ * the settle poll aborts the migration and respawns the backend
+ * from Phase A. The guests share sleeping poll cores, so server
+ * partitions go idle and a round may begin well past a server
+ * queue's clock.
+ */
+std::string
+runMigrationAbort(bool ticker)
+{
+    const unsigned servers = 3;
+    Simulation sim(78);
+    psim::Params pp;
+    pp.threads = 2;
+    sim.enablePartitions(servers, pp);
+    cloud::VSwitch uplink(sim, "uplink");
+    cloud::BlockService storage(sim, "storage", {});
+    fleet::FleetParams fp;
+    fp.servers = servers;
+    fp.server.maxBoards = 2;
+    fp.server.schedMode = core::SchedMode::Shared;
+    fp.server.pollCores = 2;
+    fp.perServerVswitch = true;
+    fleet::FleetController fleet(sim, "fleet", uplink, &storage,
+                                 fp);
+    std::vector<fleet::GuestId> ids;
+    for (unsigned i = 0; i < 2; ++i) {
+        auto &vol = storage.createVolume("v" + std::to_string(i),
+                                         8 * MiB);
+        ids.push_back(fleet.place(core::InstanceCatalog::evaluated(),
+                                  0xC0 + i, &vol));
+        EXPECT_NE(ids.back(), fleet::invalidGuest);
+    }
+    std::unique_ptr<Tickers> tickers;
+    if (ticker)
+        tickers = std::make_unique<Tickers>(sim);
+    sim.run(sim.now() + msToTicks(1));
+
+    const fleet::GuestId id = ids[0];
+    auto &g = fleet.guest(id);
+    fault::FaultSpec hold;
+    hold.kind = fault::FaultKind::BlockDelay;
+    hold.count = 4;
+    hold.duration = usToTicks(500);
+    EXPECT_TRUE(sim.faults().deliver("storage", hold));
+    // Written by the guest's partition only; read between runs.
+    unsigned done = 0;
+    for (unsigned k = 0; k < 4; ++k)
+        EXPECT_TRUE(g.blk()->read(k * 8, 4 * KiB, g.os().cpu(0),
+                                  [&done](std::uint8_t, Addr) {
+                                      ++done;
+                                  }));
+    sim.run(sim.now() + usToTicks(50));
+    EXPECT_TRUE(
+        fleet.migrate(id, (fleet.serverOf(id) + 1) % servers));
+    sim.post(0, sim.now() + usToTicks(37),
+             [&fleet, id] { fleet.guest(id).hypervisor().crash(); },
+             Event::defaultPri, "test.crash");
+    sim.run(sim.now() + msToTicks(3));
+    EXPECT_EQ(fleet.migrationAborts(), 1u);
+    EXPECT_EQ(fleet.migrationsDone(), 0u);
+    EXPECT_EQ(done, 4u);
+    return sim.metrics().toJson();
+}
+
+TEST(PsimFleet, MetricsIndependentOfEventDensity)
+{
+    // Objects read the clock of the partition running them, so
+    // where a round begins, which only the event mix decides,
+    // moves nothing but the round count. The fleet runs on one
+    // thread: a vCPU kick its migrating guest queued before the
+    // move still runs on the source partition, which on several
+    // threads races the destination's (the thread-count test and
+    // the TSan run cover that), and this test is about rounds.
+    FleetRun plain = runPartitionedFleet(1);
+    FleetRun ticked = runPartitionedFleet(1, /*ticker=*/true);
+    EXPECT_NE(plain.metrics, ticked.metrics); // the rounds differ
+    EXPECT_EQ(withoutRounds(ticked.metrics),
+              withoutRounds(plain.metrics));
+
+    std::string abort_plain = runMigrationAbort(false);
+    std::string abort_ticked = runMigrationAbort(true);
+    EXPECT_NE(abort_plain, abort_ticked);
+    EXPECT_EQ(withoutRounds(abort_ticked), withoutRounds(abort_plain));
 }
 
 TEST(PsimFleet, MetricsByteIdenticalAcrossThreadCounts)
