@@ -155,6 +155,9 @@ main(int argc, char **argv)
                 p.len = cloud::udpFrameBytes(1200);
                 p.seq = sent;
                 p.created = bed.sim.now();
+                // Sealed here, not only by an integrity-on driver,
+                // so the peer's check sees every flip either way.
+                cloud::sealPacket(p);
                 if (!g.net->sendPacket(p, false, g.cpu(1)))
                     break;
                 ++sent;

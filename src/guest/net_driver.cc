@@ -107,17 +107,17 @@ void
 NetDriver::fillRx(unsigned pair)
 {
     auto &rxq = queue(netRxQueue(pair));
-    // Post one 2 KiB writable buffer per free descriptor; slot
-    // number mirrors the chosen head (single-desc chains).
+    // Post one 2 KiB writable buffer per free descriptor; a
+    // buffer's slot is the head it is posted on (single-desc
+    // chains), which only submit picks.
     while (rxq.freeDescs() > 0) {
-        // Peek which head will be used: submit and record after.
         std::vector<Segment> in = {{0, std::uint32_t(bufBytes),
                                     true}};
-        // Address depends on head; reserve a throwaway, then fix.
+        // Submit with a placeholder address, then point the
+        // descriptor at the head's own buffer.
         auto head = rxq.submit({}, in, /*cookie=*/0);
         if (!head)
             break;
-        // Rewrite the descriptor with the slot-specific address.
         VringDesc d = rxq.layout().readDesc(os_.memory(), *head);
         d.addr = rxBuf(pair, *head);
         rxq.layout().writeDesc(os_.memory(), *head, d);

@@ -367,130 +367,14 @@ TEST(ResetContainment, StaleMirrorCopyCannotRewriteReusedShadowBlocks)
 }
 
 /**
- * A blk read the backend has sent to storage keeps its shadow
- * buffer until storage answers (~150 us), whatever the guest does
- * meanwhile. The guest resets its blk function with a read in
- * flight and posts a 2-segment indirect rx chain on its net
- * function, which shares the bond's shadow arena. The volume holds
- * forged descriptors naming base-memory 48 MiB. If the reset hands
- * the read's block to the rx chain, the late read data lands on its
- * indirect table, and the next frame is written where the forgery
- * points: on a real server, another slot's memory. Nothing rotted
- * by the scrubber's lights, and it audits nothing then.
- */
-TEST(ResetContainment, LateStorageReadCannotRewriteReusedShadowBlocks)
-{
-    using namespace virtio;
-    Simulation sim(5);
-    hw::ComputeBoard board(sim, "board",
-                           hw::CpuCatalog::xeonE5_2682v4(), 32 * MiB,
-                           paper::ioBondPciAccess);
-    GuestMemory baseMem("base", 64 * MiB);
-    iobond::IoBond bond(sim, "bond", board, baseMem, 0);
-    bond.addNetFunction(3, 0xAB);
-    bond.addBlkFunction(4, 2048);
-    cloud::BlockService storage(sim, "storage");
-    cloud::Volume &vol = storage.createVolume("vol", MiB);
-    cloud::VSwitch vswitch(sim, "vswitch");
-    hw::CpuExecutor core(sim, "core");
-    hv::BmHypervisor hv(sim, "hv", board, bond, core, vswitch, 0xAB,
-                        &storage, &vol, /*rate_limited=*/false);
-    hv.powerOnGuest();
-
-    const Addr forgedAt = 48 * MiB;
-    for (Addr a = 0; a < 4096; a += vringDescSize)
-        writeDescAt(board.memory(), 0x100000 + a,
-                    {forgedAt, 256, VRING_DESC_F_WRITE, 0});
-    const auto forged = board.memory().readBlob(0x100000, 4096);
-    vol.writeData(0, forged);
-
-    auto &bus = board.pciBus();
-    const Addr netBar = 0xe0000000u, blkBar = 0xe1000000u;
-    auto wr = [&](Addr bar, Addr off, std::uint32_t v, unsigned size) {
-        bus.memWrite(bar + off, v, size);
-    };
-    bringUpFunction(bus, 3, netBar, 2, 0x10000);
-    bringUpFunction(bus, 4, blkBar, 1, 0x20000);
-    ASSERT_TRUE(hv.connectBackends());
-
-    // One 4 KiB read of sector 0: the backend takes it to storage.
-    auto postRead = [&] {
-        VirtQueueDriver blk(board.memory(),
-                            VringLayout::contiguous(8, 0x20000));
-        VirtioBlkReqHdr{VIRTIO_BLK_T_IN, 0, 0}.writeTo(board.memory(),
-                                                       0x50000);
-        ASSERT_TRUE(blk.submit({{0x50000, 16, false}},
-                               {{0x51000, 4096, true},
-                                {0x53000, 1, true}},
-                               1)
-                        .has_value());
-        wr(blkBar, notifyRegionOffset, 0, 4);
-        sim.run(sim.now() + usToTicks(20));
-    };
-    postRead();
-    ASSERT_EQ(hv.service().blkInflight(), 1u);
-    const VringLayout blkShadow = bond.shadowLayout(1, 0);
-    const Addr readBlock = readDescAt(baseMem, blkShadow.descAddr(0)).addr;
-
-    wr(blkBar, COMMON_STATUS, 0, 1);
-    VirtQueueDriver rx(board.memory(),
-                       VringLayout::contiguous(8, 0x10000),
-                       /*indirect=*/true, 0x40000);
-    ASSERT_TRUE(rx.submit({}, {{0x30000, 1024, true},
-                               {0x30400, 1024, true}},
-                          2)
-                    .has_value());
-    wr(netBar, notifyRegionOffset, NET_RXQ, 4);
-    // Storage answers the dropped read after all.
-    for (Tick end = sim.now() + msToTicks(2);
-         hv.service().blkIos() == 0 && sim.now() < end;)
-        sim.run(sim.now() + usToTicks(1));
-    ASSERT_EQ(hv.service().blkIos(), 1u);
-
-    cloud::Packet pkt;
-    pkt.src = 0xCD;
-    pkt.dst = 0xAB;
-    pkt.len = 64;
-    pkt.seq = 77;
-    hv.service().enqueueRx(pkt, 0);
-    sim.run(sim.now() + usToTicks(50));
-
-    // The frame lands in the buffer the guest posted, and nowhere
-    // the forgery names.
-    auto stray = baseMem.readBlob(forgedAt, 256);
-    EXPECT_EQ(std::count(stray.begin(), stray.end(), 0), 256);
-    auto used = rx.collectUsed();
-    ASSERT_EQ(used.size(), 1u);
-    EXPECT_EQ(guest::unpackPacket(board.memory(),
-                                  0x30000 + VirtioNetHdr::wireSize)
-                  .seq,
-              77u);
-    EXPECT_EQ(bond.scrubRepairs(), 0u);
-
-    // The reset holds the dropped read's block until the backend
-    // re-attaches, and the re-attach's fence returns it: the next
-    // read is laid out in it again, and completes.
-    EXPECT_EQ(bond.shadowBlocksLive(), 1u);
-    bringUpFunction(bus, 4, blkBar, 1, 0x20000);
-    EXPECT_EQ(bond.shadowBlocksLive(), 0u);
-    postRead();
-    EXPECT_EQ(readDescAt(baseMem, blkShadow.descAddr(0)).addr,
-              readBlock);
-    for (Tick end = sim.now() + msToTicks(2);
-         hv.service().blkIos() == 1 && sim.now() < end;)
-        sim.run(sim.now() + usToTicks(10));
-    EXPECT_EQ(hv.service().blkIos(), 2u);
-    EXPECT_EQ(board.memory().read8(0x53000), VIRTIO_BLK_S_OK);
-    EXPECT_EQ(board.memory().readBlob(0x51000, 4096), forged);
-}
-
-/**
- * A bm-hypervisor backend over an IO-Bond blk function on a 1 MiB
- * volume, with the test writing the guest's requests into the blk
- * ring by hand, so each can be as hostile as a guest likes.
+ * A bm-hypervisor backend over an IO-Bond net function and a blk
+ * function on a 1 MiB volume, with the test writing the guest's
+ * requests into the blk ring by hand, so each can be as hostile as
+ * a guest likes.
  */
 struct BlkRig
 {
+    static constexpr Addr netBar = 0xe0000000u;
     static constexpr Addr blkBar = 0xe1000000u;
     /** Guest addresses of the request header, data and status. */
     static constexpr Addr hdrAt = 0x50000;
@@ -519,19 +403,26 @@ struct BlkRig
             &vol, /*rate_limited=*/false);
         hv->powerOnGuest();
         hv->service().setIntegrity(integrity);
-        bringUpFunction(board.pciBus(), 3, 0xe0000000u, 2, 0x10000);
-        bringUpFunction(board.pciBus(), 4, blkBar, 1, 0x20000);
+        bringUpFunction(board.pciBus(), 3, netBar, 2, 0x10000);
+        bringUpBlk();
         EXPECT_TRUE(hv->connectBackends());
+    }
+
+    /** Bring the blk function up on a fresh ring, as the guest
+     *  does after resetting it. */
+    void
+    bringUpBlk()
+    {
+        bringUpFunction(board.pciBus(), 4, blkBar, 1, 0x20000);
         ring = std::make_unique<virtio::VirtQueueDriver>(
             board.memory(), virtio::VringLayout::contiguous(8, 0x20000));
     }
 
     /** Post [header] [@p data] [status], ring the doorbell and
-     *  run for @p run_for. The status byte is
-     *  poisoned first, as the guest driver does: a failed read
-     *  completes with used.len 1, which IO-Bond's write-back spends
-     *  on the data buffer, and the driver reads the untouched
-     *  status as an error. */
+     *  run for @p run_for. The status byte is poisoned first, as
+     *  the guest driver does: a failed read completes with used.len
+     *  1, which IO-Bond's write-back spends on the data buffer, and
+     *  the driver reads the untouched status as an error. */
     void
     post(std::uint32_t type, std::uint64_t sector, virtio::Segment data,
          Tick run_for = usToTicks(50))
@@ -560,6 +451,94 @@ struct BlkRig
             .value();
     }
 };
+
+/**
+ * A blk read the backend has sent to storage keeps its shadow
+ * buffer until storage answers (~150 us), whatever the guest does
+ * meanwhile. The guest resets its blk function with a read in
+ * flight and posts a 2-segment indirect rx chain on its net
+ * function, which shares the bond's shadow arena. The volume holds
+ * forged descriptors naming base-memory 48 MiB. If the reset hands
+ * the read's block to the rx chain, the late read data lands on its
+ * indirect table, and the next frame is written where the forgery
+ * points: on a real server, another slot's memory. Nothing rotted
+ * by the scrubber's lights, and it audits nothing then.
+ */
+TEST(ResetContainment, LateStorageReadCannotRewriteReusedShadowBlocks)
+{
+    using namespace virtio;
+    BlkRig rig(/*integrity=*/false);
+    auto &mem = rig.board.memory();
+    auto &bus = rig.board.pciBus();
+    auto &svc = rig.hv->service();
+
+    const Addr forgedAt = 48 * MiB;
+    for (Addr a = 0; a < 4096; a += vringDescSize)
+        writeDescAt(mem, 0x100000 + a,
+                    {forgedAt, 256, VRING_DESC_F_WRITE, 0});
+    const auto forged = mem.readBlob(0x100000, 4096);
+    rig.vol.writeData(0, forged);
+
+    // One 4 KiB read of sector 0: the backend takes it to storage.
+    auto postRead = [&] {
+        rig.post(VIRTIO_BLK_T_IN, 0, {BlkRig::dataAt, 4096, true},
+                 usToTicks(20));
+    };
+    postRead();
+    ASSERT_EQ(svc.blkInflight(), 1u);
+    const VringLayout blkShadow = rig.bond.shadowLayout(1, 0);
+    const Addr readBlock =
+        readDescAt(rig.baseMem, blkShadow.descAddr(0)).addr;
+
+    bus.memWrite(BlkRig::blkBar + COMMON_STATUS, 0, 1);
+    VirtQueueDriver rx(mem, VringLayout::contiguous(8, 0x10000),
+                       /*indirect=*/true, 0x40000);
+    ASSERT_TRUE(rx.submit({}, {{0x30000, 1024, true},
+                               {0x30400, 1024, true}},
+                          2)
+                    .has_value());
+    bus.memWrite(BlkRig::netBar + notifyRegionOffset, NET_RXQ, 4);
+    // Storage answers the dropped read after all.
+    for (Tick end = rig.sim.now() + msToTicks(2);
+         svc.blkIos() == 0 && rig.sim.now() < end;)
+        rig.sim.run(rig.sim.now() + usToTicks(1));
+    ASSERT_EQ(svc.blkIos(), 1u);
+
+    cloud::Packet pkt;
+    pkt.src = 0xCD;
+    pkt.dst = 0xAB;
+    pkt.len = 64;
+    pkt.seq = 77;
+    svc.enqueueRx(pkt, 0);
+    rig.sim.run(rig.sim.now() + usToTicks(50));
+
+    // The frame lands in the buffer the guest posted, and nowhere
+    // the forgery names.
+    auto stray = rig.baseMem.readBlob(forgedAt, 256);
+    EXPECT_EQ(std::count(stray.begin(), stray.end(), 0), 256);
+    auto used = rx.collectUsed();
+    ASSERT_EQ(used.size(), 1u);
+    EXPECT_EQ(guest::unpackPacket(mem, 0x30000 + VirtioNetHdr::wireSize)
+                  .seq,
+              77u);
+    EXPECT_EQ(rig.bond.scrubRepairs(), 0u);
+
+    // The reset holds the dropped read's block until the backend
+    // re-attaches, and the re-attach's fence returns it: the next
+    // read is laid out in it again, and completes.
+    EXPECT_EQ(rig.bond.shadowBlocksLive(), 1u);
+    rig.bringUpBlk();
+    EXPECT_EQ(rig.bond.shadowBlocksLive(), 0u);
+    postRead();
+    EXPECT_EQ(readDescAt(rig.baseMem, blkShadow.descAddr(0)).addr,
+              readBlock);
+    for (Tick end = rig.sim.now() + msToTicks(2);
+         svc.blkIos() == 1 && rig.sim.now() < end;)
+        rig.sim.run(rig.sim.now() + usToTicks(10));
+    EXPECT_EQ(svc.blkIos(), 2u);
+    EXPECT_EQ(rig.status(), VIRTIO_BLK_S_OK);
+    EXPECT_EQ(mem.readBlob(BlkRig::dataAt, 4096), forged);
+}
 
 TEST(HostileBlk, SectorPastTheVolumeIsAnIoError)
 {
